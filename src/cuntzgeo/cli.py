@@ -5,7 +5,7 @@ Subcommands:
 * ``eval EXPR``        evaluate an expression, print its canonical form
 * ``derive I EXPR``    apply the i-th basis derivation to an algebra element
 * ``d EXPR``           apply the exterior differential (degree 0 or 1 input)
-* ``levi-civita M``    solve for the Levi-Civita connection of a metric file
+* ``levi-civita M``    the Levi-Civita connection of a metric file
 * ``curvature M``      full curvature pipeline for a metric file
 * ``verify-paper``     recompute the canonical identity table and report
 
@@ -37,7 +37,6 @@ from .geometry import (
     torsion,
     unitarity_residual,
 )
-from .linsolve import SingularSystemError
 
 _INDICES = (1, 2, 3)
 
@@ -305,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (MetricError, SingularSystemError) as exc:
+    except MetricError as exc:
         print(f"invalid metric: {exc}", file=sys.stderr)
         return 4
 

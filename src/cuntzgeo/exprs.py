@@ -12,7 +12,9 @@ explicit product):
 
 ``*`` is only the postfix adjoint; division exists only inside scalar
 literals.  Parse and evaluation problems raise :class:`ParseError` carrying
-the character offset — they never abort the process.
+the character offset — they never abort the process.  That includes input
+beyond the parser's bounds: groups and ``d(...)`` nested deeper than
+``MAX_NESTING``, and integer literals longer than ``MAX_LITERAL_DIGITS``.
 
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
@@ -29,6 +31,13 @@ from fractions import Fraction
 from .algebra import AlgElem, Monomial
 from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
 from .scalars import GScalar, I, ONE
+
+
+# Each level of nesting costs the recursive-descent parser three stack
+# frames; 100 levels stay well inside Python's default recursion limit.
+MAX_NESTING = 100
+# CPython's default cap on int-from-string conversion; Python 3.10 has none.
+MAX_LITERAL_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -84,6 +93,9 @@ def _tokenize(text: str) -> list[_Token]:
         m = _NUM.match(text, pos)
         if m:
             num, den, imag = m.groups()
+            if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
             if den is not None and int(den) == 0:
                 raise ParseError("zero denominator in scalar", pos)
             fr = Fraction(int(num), int(den)) if den is not None else Fraction(int(num))
@@ -166,6 +178,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -235,16 +248,22 @@ class _Parser:
         if tok.kind == "d":
             self.take()
             self.expect("lparen", "'(' after 'd'")
-            inner = self.parse_expr()
-            self.expect("rparen", "closing ')'")
-            return Diff(tok.pos, inner)
+            return Diff(tok.pos, self.parse_group(tok.pos))
         if tok.kind == "lparen":
             self.take()
-            inner = self.parse_expr()
-            self.expect("rparen", "closing ')'")
-            return inner
+            return self.parse_group(tok.pos)
         raise ParseError("expected a scalar, generator, form symbol, d(...) or group",
                          tok.pos)
+
+    def parse_group(self, pos: int) -> _Node:
+        """The expression after an opening '(' and its closing ')'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.expect("rparen", "closing ')'")
+        self.depth -= 1
+        return inner
 
 
 def _parse_ast(text: str) -> _Node:

@@ -12,22 +12,20 @@ two legs with the metric.  A connection is unitary (metric-compatible) when
 this equals the entrywise differential of the metric — identically zero
 here, since the entries are scalars.
 
-``levi_civita(g)`` solves for the unique symmetric correction L to the
-canonical torsion-free connection such that the corrected connection is
-unitary: the 18 unknown symmetric coefficients satisfy an 18x18 exact linear
-system whose right side is ``metric_differential(g) - compatibility_map(g,
-base_connection())``.  ``koszul_correction`` is the closed form for the
-canonical metric's coefficient table; it reproduces the solver exactly at
-g = I (and only there — the table scales with g while the true correction
-does not).
+``levi_civita(g)`` adds to the canonical torsion-free connection the unique
+symmetric correction L that makes it unitary.  ``koszul_correction`` gives L
+in closed form for every invertible symmetric metric: Koszul's formula on
+3x3 arrays of scalars, with g⁻¹ from the adjugate, wrapped as tensors only
+at the end.  No linear system is solved.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import AlgElem
 from .calculus import (
@@ -41,8 +39,10 @@ from .calculus import (
     tensor_product,
     wedge,
 )
-from .linsolve import solve_exact
-from .scalars import GScalar, ONE, ZERO, rational
+# Not called here.  Kept as a module attribute because bench/spans.py wraps
+# cuntzgeo.geometry.solve_exact when it traces a run.
+from .linsolve import solve_exact  # noqa: F401
+from .scalars import GScalar, ZERO
 
 
 class MetricError(ValueError):
@@ -50,7 +50,6 @@ class MetricError(ValueError):
 
 
 _INDICES = (1, 2, 3)
-_SYM_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 @dataclass(frozen=True)
@@ -210,6 +209,9 @@ class SymTensorMap:
         for v in self.vals:
             if v.rank != 2:
                 raise ValueError("values must be rank-2 tensors")
+            entries = v.entry_map()
+            if all(entries.get((b, a)) == c for (a, b), c in entries.items()):
+                continue  # symmetric entry by entry, so no need to decide it
             if not sym_project(v).equals(v):
                 raise ValueError("values must be symmetric tensors")
 
@@ -284,7 +286,7 @@ def metric_differential(g: Metric) -> BilinMap:
 
 
 def compatibility_operator(g: Metric, correction: SymTensorMap) -> BilinMap:
-    """The linear operator inverted by the Levi-Civita solve; by construction
+    """The linear operator that ``koszul_correction`` inverts; by construction
     it equals compatibility_map(g, base.shifted(L)) - compatibility_map(g, base)."""
     return _pairing_of_values(g, correction.vals)
 
@@ -296,52 +298,55 @@ def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...]
 
 
 # ---------------------------------------------------------------------------
-# the Levi-Civita solve
+# the Levi-Civita connection in closed form
 # ---------------------------------------------------------------------------
 
-_UNKNOWNS: tuple[tuple[int, tuple[int, int]], ...] = tuple(
-    (j, pair) for j in _INDICES for pair in _SYM_PAIRS)
-_EQUATIONS: tuple[tuple[int, int, int], ...] = tuple(
-    (j, k, m) for (j, k) in _SYM_PAIRS for m in _INDICES)
+# base_connection() as 0-based legs: e_i -> e_a ⊗ e_b for (a, b) = _BASE_LEGS[i]
+_BASE_LEGS = ((2, 1), (0, 2), (1, 0))
+
+# The closed form runs on plain 3x3 arrays of one exact number type: Fraction
+# when the metric is real, GScalar otherwise, with int 0 for untouched zeros.
+Matrix3 = list[list]
 
 
-def _unknown_index(j: int, a: int, m: int) -> int:
-    pair = (a, m) if a <= m else (m, a)
-    return _UNKNOWNS.index((j, pair))
+def _base_compatibility(r: Matrix3) -> list[Matrix3]:
+    """T[j][k][m], the e_m component of -compatibility_map(g, base) at
+    (e_j, e_k) for the metric rows r, by index arithmetic on the base table.
+
+    With base(e_i) = e_a ⊗ e_b the pairing at (e_j, e_k) is
+    g(a_j, k) e_{b_j} + g(a_k, j) e_{b_k}.
+    """
+    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for j, (aj, bj) in enumerate(_BASE_LEGS):
+        for k, (ak, bk) in enumerate(_BASE_LEGS):
+            t[j][k][bj] = t[j][k][bj] - r[aj][k]
+            t[j][k][bk] = t[j][k][bk] - r[ak][j]
+    return t
+
+
+def _inverse(r: Matrix3, det) -> Matrix3:
+    """The inverse as the adjugate over the determinant (nonzero for every
+    Metric)."""
+    inv_det = 1 / det
+    return [[(r[(j + 1) % 3][(i + 1) % 3] * r[(j + 2) % 3][(i + 2) % 3]
+              - r[(j + 1) % 3][(i + 2) % 3] * r[(j + 2) % 3][(i + 1) % 3]) * inv_det
+             for j in range(3)] for i in range(3)]
+
+
+def _matmul(a: Matrix3, b: Matrix3) -> Matrix3:
+    """Product of 3x3 arrays, skipping the zero entries of ``a``."""
+    return [[sum(x * b[m][k] for m, x in enumerate(row) if x)
+             for k in range(3)] for row in a]
 
 
 def levi_civita(g: Metric) -> Connection:
     """The unique torsion-free unitary connection for the metric.
 
     The base connection is torsion-free, and adding a symmetric correction
-    keeps it so; unitarity then pins the correction via an exact 18x18 solve.
+    keeps it so; unitarity pins the correction, which ``koszul_correction``
+    gives in closed form.
     """
-    base = base_connection()
-    target = metric_differential(g) - compatibility_map(g, base)
-
-    size = len(_UNKNOWNS)
-    matrix = [[ZERO] * size for _ in range(size)]
-    rhs = []
-    for row, (j, k, m) in enumerate(_EQUATIONS):
-        # component m of the operator at (e_j, e_k):
-        #   sum_a g(a,k) L^j(a,m) + sum_a g(a,j) L^k(a,m)
-        for a in _INDICES:
-            col = _unknown_index(j, a, m)
-            matrix[row][col] = matrix[row][col] + g.entry(a, k)
-            col = _unknown_index(k, a, m)
-            matrix[row][col] = matrix[row][col] + g.entry(a, j)
-        rhs.append(target.value(j, k).component(m))
-
-    solution = solve_exact(matrix, rhs)
-
-    values = []
-    for j in _INDICES:
-        entries: dict[tuple[int, int], AlgElem] = {}
-        for a, m in ((a, m) for a in _INDICES for m in _INDICES):
-            entries[(a, m)] = solution[_unknown_index(j, a, m)]
-        values.append(TensorElem.from_entries(2, entries))
-    correction = SymTensorMap(tuple(values))
-    return base.shifted(correction)
+    return base_connection().shifted(koszul_correction(g))
 
 
 def christoffel(conn: Connection) -> dict[tuple[int, int, int], AlgElem]:
@@ -350,47 +355,40 @@ def christoffel(conn: Connection) -> dict[tuple[int, int, int], AlgElem]:
             for i in _INDICES for j in _INDICES for k in _INDICES}
 
 
-# ---------------------------------------------------------------------------
-# closed form for the canonical metric
-# ---------------------------------------------------------------------------
-
 def compatibility_coefficients(g: Metric) -> dict[tuple[int, int, int], GScalar]:
     """Read the scalar table t[(m, i, j)] with
     compatibility_map(g, base)(e_i, e_j) = -sum_m e_m * t[(m, i, j)]."""
-    pairing = compatibility_map(g, base_connection())
-    table: dict[tuple[int, int, int], GScalar] = {}
-    for i in _INDICES:
-        for j in _INDICES:
-            value = pairing.value(i, j)
-            for m in _INDICES:
-                c = value.component(m).as_scalar()
-                if c is None:
-                    raise ValueError(
-                        "compatibility coefficients are not scalar for this input")
-                table[(m, i, j)] = -c
-    return table
+    t = _base_compatibility(g.rows)
+    return {(m, i, j): GScalar.of(t[i - 1][j - 1][m - 1])
+            for i in _INDICES for j in _INDICES for m in _INDICES}
 
 
-def koszul_correction(
-    g: Metric,
-    table: Mapping[tuple[int, int, int], GScalar] | None = None,
-) -> SymTensorMap:
-    """Closed-form symmetric correction from the coefficient table:
-    L^j(i, m) = (t[(m,i,j)] + t[(i,j,m)] - t[(j,i,m)]) / 2.
+def koszul_correction(g: Metric) -> SymTensorMap:
+    """The symmetric correction L that makes the base connection unitary.
 
-    Agrees with the 18x18 solve at the identity metric; for other metrics
-    the table scales with g while the true correction does not, so this is
-    only the canonical-metric shortcut.
+    Unitarity of base + L reads sum_m g(k,m) L^j(m,n) + g(j,m) L^k(m,n) =
+    T(j,k,n) for T = -compatibility_map(g, base); the metric differential
+    vanishes for constant entries.  Lowering n with g, T'(j,k,n) =
+    sum_m T(j,k,m) g(m,n), and Koszul's trick solves for g L^j g:
+
+        Z_j(k,n) = (T'(j,k,n) + T'(j,n,k) - T'(k,n,j)) / 2,
+        L^j = g⁻¹ Z_j g⁻¹.
+
+    Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
     """
-    if table is None:
-        table = compatibility_coefficients(g)
-    half = rational(1, 2)
+    real = all(x.is_real for row in g.rows for x in row)
+    r = [[x.re if real else x for x in row] for row in g.rows]
+    det = g.det()
+    inv = _inverse(r, det.re if real else det)
+    t = _base_compatibility(r)
+    lowered = [_matmul(t[j], r) for j in range(3)]
+    half = Fraction(1, 2)
     values = []
-    for j in _INDICES:
-        entries: dict[tuple[int, int], AlgElem] = {}
-        for i in _INDICES:
-            for m in _INDICES:
-                c = (table[(m, i, j)] + table[(i, j, m)] - table[(j, i, m)]) * half
-                entries[(i, m)] = AlgElem.scalar(c, 3)
-        values.append(TensorElem.from_entries(2, entries))
+    for j in range(3):
+        z = [[(lowered[j][k][n] + lowered[j][n][k] - lowered[k][n][j]) * half
+              for n in range(3)] for k in range(3)]
+        corr = _matmul(inv, _matmul(z, inv))
+        values.append(TensorElem.from_entries(2, {
+            (i + 1, m + 1): GScalar.of(corr[i][m])
+            for i in range(3) for m in range(3)}))
     return SymTensorMap(tuple(values))

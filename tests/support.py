@@ -7,8 +7,24 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+from hypothesis import Phase, assume
 
-from cuntzgeo import AlgElem, GScalar, Metric, Monomial, OneForm, TensorElem
+from cuntzgeo import (
+    AlgElem,
+    Connection,
+    GScalar,
+    Metric,
+    MetricError,
+    Monomial,
+    OneForm,
+    SymTensorMap,
+    TensorElem,
+    base_connection,
+    compatibility_map,
+    metric_differential,
+    solve_exact,
+)
+from cuntzgeo.scalars import ZERO
 
 # ---------------------------------------------------------------------------
 # seeded random builders (used where exact repetition counts matter)
@@ -78,6 +94,55 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
+# reference Levi-Civita: the exact 18x18 unitarity solve
+# ---------------------------------------------------------------------------
+
+_INDICES = (1, 2, 3)
+_SYM_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+_UNKNOWNS = tuple((j, pair) for j in _INDICES for pair in _SYM_PAIRS)
+_EQUATIONS = tuple((j, k, m) for (j, k) in _SYM_PAIRS for m in _INDICES)
+
+
+def _unknown_index(j: int, a: int, m: int) -> int:
+    pair = (a, m) if a <= m else (m, a)
+    return _UNKNOWNS.index((j, pair))
+
+
+def levi_civita_by_solve(g: Metric) -> Connection:
+    """The Levi-Civita connection from the unitarity equations themselves.
+
+    The 18 unknowns are the symmetric coefficients L^j(a, m) of the
+    correction to the base connection; the equations are
+    compatibility(base + L) = metric differential, one per symmetric basis
+    pair (j, k) and component m, solved with ``solve_exact``.
+    """
+    base = base_connection()
+    target = metric_differential(g) - compatibility_map(g, base)
+
+    size = len(_UNKNOWNS)
+    matrix = [[ZERO] * size for _ in range(size)]
+    rhs = []
+    for row, (j, k, m) in enumerate(_EQUATIONS):
+        # component m of the operator at (e_j, e_k):
+        #   sum_a g(a,k) L^j(a,m) + sum_a g(a,j) L^k(a,m)
+        for a in _INDICES:
+            col = _unknown_index(j, a, m)
+            matrix[row][col] = matrix[row][col] + g.entry(a, k)
+            col = _unknown_index(k, a, m)
+            matrix[row][col] = matrix[row][col] + g.entry(a, j)
+        rhs.append(target.value(j, k).component(m))
+
+    solution = solve_exact(matrix, rhs)
+
+    values = []
+    for j in _INDICES:
+        entries = {(a, m): solution[_unknown_index(j, a, m)]
+                   for a in _INDICES for m in _INDICES}
+        values.append(TensorElem.from_entries(2, entries))
+    return base.shifted(SymTensorMap(tuple(values)))
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 
@@ -107,3 +172,43 @@ rank2_tensors = st.dictionaries(
     small_alg_elems.filter(lambda a: not a.is_zero()),
     max_size=4,
 ).map(lambda d: TensorElem.from_entries(2, d))
+
+
+METRIC_CLASSES = ("diagonal", "dense", "complex", "indefinite")
+
+# For property tests whose examples each run the geometry pipeline (about
+# 0.1 s): shrinking a failure would take minutes, so report it as drawn.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def _rationals(bits: int):
+    """Rationals whose numerator and denominator have at most ``bits`` bits."""
+    top = 2 ** bits - 1
+    return st.builds(Fraction, st.integers(-top, top), st.integers(1, top))
+
+
+@st.composite
+def metrics(draw, classes=METRIC_CLASSES, heights=(2, 8, 32)) -> Metric:
+    """Invertible symmetric metrics of one class, entries of one bit height.
+
+    Diagonal metrics have positive entries; complex metrics have imaginary
+    parts on every entry; indefinite metrics are real with g11 < 0 < g22.
+    """
+    cls = draw(st.sampled_from(classes))
+    part = _rationals(draw(st.sampled_from(heights)))
+    rows = [[GScalar.of(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            if cls == "diagonal" and i != j:
+                continue
+            re_part = draw(part)
+            im_part = draw(part) if cls == "complex" else Fraction(0)
+            if cls == "diagonal" or (cls == "indefinite" and i == j):
+                re_part = abs(re_part)
+            if cls == "indefinite" and i == j == 0:
+                re_part = -re_part
+            rows[i][j] = rows[j][i] = GScalar(re_part, im_part)
+    try:
+        return Metric.from_rows(rows)
+    except MetricError:
+        assume(False)

@@ -78,6 +78,22 @@ def test_parse_error_is_exit_2():
     assert "offset 4" in r.stderr
 
 
+def test_deep_nesting_is_exit_2():
+    r = run("eval", "(" * 2000 + "S1" + ")" * 2000)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("parse error:")
+    assert "nesting" in r.stderr
+
+
+def test_long_literal_is_exit_2():
+    r = run("eval", "1" + "0" * 4999)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("parse error:")
+    assert "literal" in r.stderr
+
+
 def test_capacity_cap_is_exit_3():
     long_product = " ".join(["S1"] * 17)  # word cap is 16 letters
     r = run("eval", long_product)

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cuntzgeo import (
     AlgElem,
     DualVector,
@@ -23,7 +26,7 @@ from cuntzgeo import (
 from cuntzgeo.scalars import GScalar, rational
 
 import dense_oracle
-from support import random_metric
+from support import NO_SHRINK, metrics, random_metric
 
 EIGHTH = rational(1, 8)
 MINUS_EIGHTH = rational(-1, 8)
@@ -100,6 +103,20 @@ def test_scalar_curvature_scaled_identity():
     ric = ricci(curvature_operator(curvature(levi_civita(g))))
     # contraction is taken with g itself, so the value scales with g
     assert scalar_curvature(g, ric) == AlgElem.scalar(rational(-3, 2))
+
+
+@given(metrics(heights=(2, 8)),
+       st.fractions(min_value=-16, max_value=16, max_denominator=16).filter(bool))
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+def test_scaling_pins_the_scalar_contraction(g, lam):
+    # g -> lam g leaves the connection, curvature and Ricci unchanged; Scal
+    # pairs Ricci with g itself (not g^-1), so it scales by lam, not 1/lam
+    lam = GScalar.of(lam)
+    ric = ricci(curvature_operator(curvature(levi_civita(g))))
+    scaled = g.scale(lam)
+    scaled_ric = ricci(curvature_operator(curvature(levi_civita(scaled))))
+    assert scaled_ric == ric
+    assert scalar_curvature(scaled, scaled_ric) == scalar_curvature(g, ric).scale(lam)
 
 
 def test_full_pipeline_matches_dense_oracle():

@@ -1,5 +1,7 @@
 """Grammar, diagnostics and the parse/print round trip."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,6 +19,7 @@ from cuntzgeo import (
     parse_scalar,
     print_canonical,
 )
+from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
 from cuntzgeo.scalars import GScalar, rational
 
 from support import alg_elems, one_forms, small_alg_elems
@@ -134,6 +137,23 @@ def test_context_errors():
         parse_expr("d(d(d(S1)))")
     with pytest.raises(ParseError, match="expected a scalar"):
         parse_scalar("S1")
+
+
+def test_nesting_is_bounded():
+    assert parse_expr("(" * MAX_NESTING + "S1" + ")" * MAX_NESTING) == parse_expr("S1")
+    assert parse_expr("d(" + "(" * (MAX_NESTING - 1) + "S1" + ")" * MAX_NESTING) \
+        == parse_expr("d(S1)")
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse_expr("(" * (MAX_NESTING + 1) + "S1" + ")" * (MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
+
+
+def test_literal_length_is_bounded():
+    digits = "7" * MAX_LITERAL_DIGITS
+    assert parse_scalar(f"1/{digits}") == GScalar.of(Fraction(1, int(digits)))
+    for text in (digits + "7", f"3/{digits}7 S1", f"S1 + {digits}7i"):
+        with pytest.raises(ParseError, match="literal longer"):
+            parse_expr(text)
 
 
 def test_error_never_exits(capsys):

@@ -1,4 +1,4 @@
-"""Metrics, connections, the compatibility pairing and the Levi-Civita solve."""
+"""Metrics, connections, the compatibility pairing and the Levi-Civita connection."""
 
 import json
 import random
@@ -31,7 +31,14 @@ from cuntzgeo import (
 from cuntzgeo.scalars import GScalar, rational
 
 import dense_oracle
-from support import random_metric, random_rank2, small_fractions
+from support import (
+    NO_SHRINK,
+    levi_civita_by_solve,
+    metrics,
+    random_metric,
+    random_rank2,
+    small_fractions,
+)
 from hypothesis import strategies as st
 
 
@@ -230,6 +237,14 @@ def test_levi_civita_matches_dense_oracle_on_seeded_metrics():
                     assert got.re == want
 
 
+@given(metrics())
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+def test_levi_civita_equals_the_unitarity_solve(g):
+    # the closed form against the 18x18 exact solve of the unitarity
+    # equations, on every metric class with entries up to 32 bits
+    assert levi_civita(g) == levi_civita_by_solve(g)
+
+
 def test_levi_civita_is_torsion_free_and_unitary():
     rng = random.Random(7)
     metrics = [Metric.identity(), Metric.identity().scale(2),
@@ -262,7 +277,7 @@ def test_perturbed_connection_breaks_unitarity():
     assert any(not v.is_zero() for row in residual for v in row)
 
 
-# -- closed form at the canonical metric -----------------------------------------
+# -- the closed form -------------------------------------------------------------
 
 def test_koszul_matches_solver_at_identity():
     g = Metric.identity()
