@@ -180,7 +180,7 @@ def run_checks() -> list[CheckResult]:
             out.append(_check(
                 f"base-connection.compatibility.{i}{j}",
                 f"compatibility(e{i}, e{j}) = {expected}", expected,
-                pairing.value(i, j)))
+                pairing[i - 1][j - 1]))
 
     # Closed-form correction table at the identity metric.
     kz = koszul_correction(g1)

@@ -15,7 +15,8 @@ document on stdout.  Output is deterministic: identical inputs give
 byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 resource
-cap exceeded, 4 invalid metric.
+cap exceeded, 4 invalid metric, 5 internal error (any other exception,
+reported as one ``internal error: <type>: <message>`` line on stderr).
 """
 
 from __future__ import annotations
@@ -307,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     except MetricError as exc:
         print(f"invalid metric: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

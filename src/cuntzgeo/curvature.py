@@ -1,57 +1,69 @@
 """Curvature of a connection: curvature tensor, Ricci contraction, scalar.
 
-The curvature of a connection is computed leg by leg.  On a rank-2 basis
-tensor ``e_i ⊗ e_j`` (coefficients ride along on the right):
+The curvature is index arithmetic on the scalar Christoffel table
+Gamma_i(a, b), the coefficient of e_a ⊗ e_b in conn(e_i).  On each basis
+one-form e_k it is the rank-3 tensor with entries
 
-* differentiate the first leg and antisymmetrize the last two positions:
-  ``(id - sym)_{23}(conn(e_i) ⊗ e_j)``;
-* differentiate the second leg through the lifted basis differential:
-  ``e_i ⊗ antisym_lift(d(e_j))``.
+    R_k(a, b, c) = 1/2 sum_i [Gamma_k(i, c) Gamma_i(a, b) - Gamma_k(i, b) Gamma_i(a, c)]
+                 + 1/2 sum_j Gamma_k(a, j) eps(j, b, c),
 
-Applying this to the connection values themselves gives the curvature
-three-tensor on each basis one-form.  The curvature operator tacks the dual
-basis index on and swaps the middle one-form legs; contracting the dual
-index against the third leg yields the Ricci tensor, and pairing Ricci with
-the metric dual gives the scalar curvature.
+where eps is the Levi-Civita symbol, read off the calculus as twice
+``antisym_lift(d(e_j))``.  The first sum differentiates the first leg of
+conn(e_k) and antisymmetrizes the last two positions; the second
+differentiates the second leg through the lifted basis differential.
+
+The curvature operator tacks the dual basis index on and swaps the middle
+one-form legs; contracting the dual index against the third leg yields the
+Ricci tensor, and pairing Ricci with the metric g (not g⁻¹) gives the scalar
+curvature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import AlgElem
-from .calculus import (
-    BASIS_DIFFERENTIALS,
-    OneForm,
-    TensorElem,
-    antisym_lift,
-    sym_project_legs,
-    tensor_product,
+from .calculus import BASIS_DIFFERENTIALS, TensorElem, antisym_lift
+from .geometry import (
+    Connection,
+    Metric,
+    _christoffel_table,
+    _matmul,
+    _numbers,
+    levi_civita,
 )
-from .geometry import Connection, Metric, levi_civita
 
 _INDICES = (1, 2, 3)
 
 ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 
-
-def curvature_step(conn: Connection, t: TensorElem) -> TensorElem:
-    """The rank-2 -> rank-3 map whose value on the connection is the curvature."""
-    if t.rank != 2:
-        raise ValueError("curvature_step expects a rank-2 tensor")
-    lifted = tuple(antisym_lift(w) for w in BASIS_DIFFERENTIALS)
-    acc = TensorElem.zero(3)
-    for (i, j), c in t.entries:
-        first = tensor_product(conn.value(i), OneForm.basis(j))
-        first = first - sym_project_legs(first, 1, 2)
-        second = tensor_product(TensorElem.basis(i), lifted[j - 1])
-        acc = acc + (first + second) * c
-    return acc
+# eps_rows[3b + c][j] = eps(j, b, c), 0-based: twice the (b, c) entry of
+# antisym_lift(d(e_j))
+_EPS_ROWS = _numbers(
+    [[2 * antisym_lift(w).entry(b, c).as_scalar() for w in BASIS_DIFFERENTIALS]
+     for b in _INDICES for c in _INDICES])
 
 
 def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
-    """Curvature three-tensor on each basis one-form."""
-    return tuple(curvature_step(conn, conn.value(i)) for i in _INDICES)
+    """Curvature three-tensor on each basis one-form.
+
+    Raises ValueError when a Christoffel symbol is not a scalar.
+    """
+    gamma = _christoffel_table(conn)
+    stacked = [[gi[a][b] for gi in gamma] for a in range(3) for b in range(3)]
+    half = Fraction(1, 2)
+    out = []
+    for gk in gamma:
+        # q[3a + b][c] = sum_i Gamma_i(a, b) Gamma_k(i, c)
+        q = _matmul(stacked, gk)
+        # e[3b + c][a] = sum_j eps(j, b, c) Gamma_k(a, j)
+        e = _matmul(_EPS_ROWS, list(zip(*gk)))
+        out.append(TensorElem.from_entries(3, {
+            (a + 1, b + 1, c + 1):
+                (q[3 * a + b][c] - q[3 * a + c][b] + e[3 * b + c][a]) * half
+            for a in range(3) for b in range(3) for c in range(3)}))
+    return tuple(out)
 
 
 def curvature_operator(
@@ -85,39 +97,11 @@ def ricci(theta: ThetaMap) -> TensorElem:
     return TensorElem.from_entries(2, acc)
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Element of the dual module: coefficients against the dual basis."""
-
-    c: tuple[AlgElem, AlgElem, AlgElem]
-
-    def component(self, i: int) -> AlgElem:
-        return self.c[i - 1]
-
-
-def metric_dual(g: Metric, i: int) -> DualVector:
-    """The metric image of a basis one-form in the dual module."""
-    return DualVector(tuple(
-        AlgElem.scalar(g.entry(i, c), 3) for c in _INDICES))
-
-
-def dual_pairing(phi: DualVector, omega: OneForm) -> AlgElem:
-    """Evaluate a dual vector on a one-form."""
-    acc = AlgElem.zero(3)
-    for k in _INDICES:
-        acc = acc + phi.component(k) * omega.component(k)
-    return acc
-
-
 def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
-    """Pair the first Ricci leg through the metric dual and evaluate on the
-    second."""
+    """Pair Ricci with the metric: sum of g(a, b) times the (a, b) entry."""
     if ric.rank != 2:
         raise ValueError("scalar_curvature expects a rank-2 tensor")
-    acc = AlgElem.zero(3)
-    for (a, b), c in ric.entries:
-        acc = acc + dual_pairing(metric_dual(g, a), OneForm.basis(b)) * c
-    return acc
+    return g.apply(ric)
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,26 @@ bilinear pairing ``g(e_i ⊗ e_j) = g[i][j]`` extended right-linearly.  A
 connection assigns each basis one-form a rank-2 tensor and extends to the
 whole module by the right Leibniz rule.
 
-``compatibility_map(g, conn)`` is the bilinear map measuring how far the
-connection is from being metric: on a basis pair it symmetrizes
-``conn(e_i) ⊗ e_j`` over (i, j), swaps the middle legs, and pairs the first
-two legs with the metric.  A connection is unitary (metric-compatible) when
-this equals the entrywise differential of the metric — identically zero
-here, since the entries are scalars.
+The metric is constant, so every connection built here has scalar
+Christoffel symbols Gamma_i(a, b), the coefficient of e_a ⊗ e_b in
+conn(e_i), and the geometry is index arithmetic on that 3x3x3 table.
+``compatibility_map(g, conn)`` measures how far the connection is from
+being metric: on (e_i, e_j) its e_b component is
+
+    sum_a Gamma_i(a, b) g(a, j) + Gamma_j(a, b) g(a, i),
+
+which is conn(e_i) ⊗ e_j symmetrized over (i, j), with the middle legs
+swapped and the first two legs paired with the metric.  A connection is
+unitary (metric-compatible) when this equals the differential of the
+metric, which is zero for constant entries; ``unitarity_residual`` is the
+difference.
 
 ``levi_civita(g)`` adds to the canonical torsion-free connection the unique
 symmetric correction L that makes it unitary.  ``koszul_correction`` gives L
 in closed form for every invertible symmetric metric: Koszul's formula on
-3x3 arrays of scalars, with g⁻¹ from the adjugate, wrapped as tensors only
-at the end.  No linear system is solved.
+3x3 arrays of scalars, with g⁻¹ from the adjugate.  No linear system is
+solved.  Results are wrapped as ``OneForm``/``TensorElem`` values once, on
+return.
 """
 
 from __future__ import annotations
@@ -33,10 +41,8 @@ from .calculus import (
     OneForm,
     TensorElem,
     TwoForm,
-    d0,
     derive,
     sym_project,
-    tensor_product,
     wedge,
 )
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
@@ -219,110 +225,85 @@ class SymTensorMap:
         return self.vals[i - 1]
 
 
-@dataclass(frozen=True)
-class BilinMap:
-    """A one-form value on each basis pair, extended right-linearly."""
+# ---------------------------------------------------------------------------
+# Christoffel tables and the compatibility pairing
+# ---------------------------------------------------------------------------
 
-    vals: tuple[tuple[OneForm, OneForm, OneForm], ...]
+# Index arithmetic runs on plain nested lists of exact numbers, 0-based:
+# each 3x3 array holds Fractions when all its entries are real and GScalars
+# otherwise (the two mix), with int 0 and 1 in the base table.
+Matrix3 = list[list]
 
-    def value(self, i: int, j: int) -> OneForm:
-        return self.vals[i - 1][j - 1]
-
-    def apply(self, t: TensorElem) -> OneForm:
-        if t.rank != 2:
-            raise ValueError("bilinear maps take rank-2 tensors")
-        acc = OneForm.zero()
-        for (a, b), c in t.entries:
-            acc = acc + self.value(a, b) * c
-        return acc
-
-    def __sub__(self, other: "BilinMap") -> "BilinMap":
-        return BilinMap(tuple(
-            tuple(x - y for x, y in zip(row_a, row_b))
-            for row_a, row_b in zip(self.vals, other.vals)))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.vals for v in row)
+# base_connection() as a Christoffel table: e_i -> e_a ⊗ e_b for the single
+# nonzero _BASE_TABLE[i][a][b] = 1
+_BASE_TABLE = [[[1 if (a, b) == legs else 0 for b in range(3)] for a in range(3)]
+               for legs in ((2, 1), (0, 2), (1, 0))]
 
 
-def _pair_first_two_legs(g: Metric, t: TensorElem) -> OneForm:
-    """(g ⊗ id) on a rank-3 tensor: pair legs 1, 2 and keep leg 3."""
-    comps = [AlgElem.zero(3) for _ in _INDICES]
-    for (a, b, c), coeff in t.entries:
-        comps[c - 1] = comps[c - 1] + coeff.scale(g.entry(a, b))
-    return OneForm(tuple(comps))
+def _numbers(rows) -> Matrix3:
+    """An array of GScalars as Fractions when every entry is real (exact
+    arithmetic on Fraction is several times faster), else as GScalars."""
+    if all(x.is_real for row in rows for x in row):
+        return [[x.re for x in row] for row in rows]
+    return [list(row) for row in rows]
 
 
-def _pairing_of_values(g: Metric, vals: Sequence[TensorElem]) -> BilinMap:
-    """Common core of the compatibility map/operator: on (e_i, e_j) take
-    vals[i] ⊗ e_j + vals[j] ⊗ e_i, swap legs 2 and 3, pair the first two."""
-    rows = []
-    for i in _INDICES:
-        row = []
-        for j in _INDICES:
-            t = tensor_product(vals[i - 1], OneForm.basis(j)) \
-                + tensor_product(vals[j - 1], OneForm.basis(i))
-            row.append(_pair_first_two_legs(g, t.flip_legs(1, 2)))
-        rows.append(tuple(row))
-    return BilinMap(tuple(rows))
+def _christoffel_table(conn: Connection) -> list[Matrix3]:
+    """Gamma[i][a][b], the scalar of conn.value(i + 1).entry(a + 1, b + 1).
+
+    Raises ValueError when a coefficient is not a scalar multiple of 1: the
+    index formulas hold for scalar Christoffel symbols only.
+    """
+    table = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    for i, value in enumerate(conn.vals):
+        for (a, b), c in value.entries:
+            s = c.as_scalar()
+            if s is None:
+                raise ValueError(
+                    f"connection coefficient ({i + 1}, {a}, {b}) is not a scalar")
+            table[i][a - 1][b - 1] = s
+    return [_numbers(t) for t in table]
 
 
-def compatibility_map(g: Metric, conn: Connection) -> BilinMap:
-    """How the connection differentiates the metric on basis pairs."""
-    return _pairing_of_values(g, conn.vals)
+def _matmul(a: Matrix3, b: Matrix3) -> Matrix3:
+    """Product of an n x 3 and a 3x3 array, skipping the zero entries of
+    ``a``."""
+    return [[sum(x * b[m][k] for m, x in enumerate(row) if x)
+             for k in range(3)] for row in a]
 
 
-def metric_differential(g: Metric) -> BilinMap:
-    """Entrywise differential of the pairing; identically zero for scalar
-    entries, but computed literally so the unitarity equation reads
-    compatibility = metric differential."""
-    rows = []
-    for i in _INDICES:
-        row = []
-        for j in _INDICES:
-            row.append(d0(AlgElem.scalar(g.entry(i, j), 3)))
-        rows.append(tuple(row))
-    return BilinMap(tuple(rows))
+def _compatibility(gamma: list[Matrix3], r: Matrix3) -> list[Matrix3]:
+    """C[i][j][b] = sum_a gamma[i][a][b] g(a,j) + gamma[j][a][b] g(a,i): the
+    e_b component of the compatibility pairing at (e_i, e_j) for the
+    Christoffel table gamma and the metric rows r.
+
+    It is conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i with legs 2 and 3 swapped and the
+    first two legs paired with the metric.
+    """
+    # p[i][b][j] = sum_a gamma[i][a][b] g(a,j), the transposed table times g
+    p = [_matmul(list(zip(*gi)), r) for gi in gamma]
+    return [[[p[i][b][j] + p[j][b][i] for b in range(3)] for j in range(3)]
+            for i in range(3)]
 
 
-def compatibility_operator(g: Metric, correction: SymTensorMap) -> BilinMap:
-    """The linear operator that ``koszul_correction`` inverts; by construction
-    it equals compatibility_map(g, base.shifted(L)) - compatibility_map(g, base)."""
-    return _pairing_of_values(g, correction.vals)
+def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
+    """How the connection differentiates the metric: the one-form
+    ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j)."""
+    c = _compatibility(_christoffel_table(conn), _numbers(g.rows))
+    return tuple(tuple(OneForm.of(*v) for v in row) for row in c)
 
 
 def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
-    """compatibility_map minus metric_differential on every basis pair."""
-    diff = compatibility_map(g, conn) - metric_differential(g)
-    return diff.vals
+    """Compatibility minus the differential of the metric on every basis
+    pair.  The metric entries are constants, so dg = 0 and the residual is
+    ``compatibility_map(g, conn)`` itself; it vanishes exactly when the
+    connection is unitary (metric-compatible)."""
+    return compatibility_map(g, conn)
 
 
 # ---------------------------------------------------------------------------
 # the Levi-Civita connection in closed form
 # ---------------------------------------------------------------------------
-
-# base_connection() as 0-based legs: e_i -> e_a ⊗ e_b for (a, b) = _BASE_LEGS[i]
-_BASE_LEGS = ((2, 1), (0, 2), (1, 0))
-
-# The closed form runs on plain 3x3 arrays of one exact number type: Fraction
-# when the metric is real, GScalar otherwise, with int 0 for untouched zeros.
-Matrix3 = list[list]
-
-
-def _base_compatibility(r: Matrix3) -> list[Matrix3]:
-    """T[j][k][m], the e_m component of -compatibility_map(g, base) at
-    (e_j, e_k) for the metric rows r, by index arithmetic on the base table.
-
-    With base(e_i) = e_a ⊗ e_b the pairing at (e_j, e_k) is
-    g(a_j, k) e_{b_j} + g(a_k, j) e_{b_k}.
-    """
-    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for j, (aj, bj) in enumerate(_BASE_LEGS):
-        for k, (ak, bk) in enumerate(_BASE_LEGS):
-            t[j][k][bj] = t[j][k][bj] - r[aj][k]
-            t[j][k][bk] = t[j][k][bk] - r[ak][j]
-    return t
-
 
 def _inverse(r: Matrix3, det) -> Matrix3:
     """The inverse as the adjugate over the determinant (nonzero for every
@@ -331,12 +312,6 @@ def _inverse(r: Matrix3, det) -> Matrix3:
     return [[(r[(j + 1) % 3][(i + 1) % 3] * r[(j + 2) % 3][(i + 2) % 3]
               - r[(j + 1) % 3][(i + 2) % 3] * r[(j + 2) % 3][(i + 1) % 3]) * inv_det
              for j in range(3)] for i in range(3)]
-
-
-def _matmul(a: Matrix3, b: Matrix3) -> Matrix3:
-    """Product of 3x3 arrays, skipping the zero entries of ``a``."""
-    return [[sum(x * b[m][k] for m, x in enumerate(row) if x)
-             for k in range(3)] for row in a]
 
 
 def levi_civita(g: Metric) -> Connection:
@@ -358,8 +333,8 @@ def christoffel(conn: Connection) -> dict[tuple[int, int, int], AlgElem]:
 def compatibility_coefficients(g: Metric) -> dict[tuple[int, int, int], GScalar]:
     """Read the scalar table t[(m, i, j)] with
     compatibility_map(g, base)(e_i, e_j) = -sum_m e_m * t[(m, i, j)]."""
-    t = _base_compatibility(g.rows)
-    return {(m, i, j): GScalar.of(t[i - 1][j - 1][m - 1])
+    c = _compatibility(_BASE_TABLE, g.rows)
+    return {(m, i, j): GScalar.of(-c[i - 1][j - 1][m - 1])
             for i in _INDICES for j in _INDICES for m in _INDICES}
 
 
@@ -376,13 +351,13 @@ def koszul_correction(g: Metric) -> SymTensorMap:
 
     Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
     """
-    real = all(x.is_real for row in g.rows for x in row)
-    r = [[x.re if real else x for x in row] for row in g.rows]
+    r = _numbers(g.rows)
     det = g.det()
-    inv = _inverse(r, det.re if real else det)
-    t = _base_compatibility(r)
-    lowered = [_matmul(t[j], r) for j in range(3)]
-    half = Fraction(1, 2)
+    inv = _inverse(r, det.re if det.is_real else det)
+    # T = -C for the base table; the sign rides on the factor 1/2
+    c = _compatibility(_BASE_TABLE, r)
+    lowered = [_matmul(c[j], r) for j in range(3)]
+    half = Fraction(-1, 2)
     values = []
     for j in range(3):
         z = [[(lowered[j][k][n] + lowered[j][n][k] - lowered[k][n][j]) * half

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import Phase, assume
 
 from cuntzgeo import (
+    BASIS_DIFFERENTIALS,
     AlgElem,
     Connection,
     GScalar,
@@ -19,11 +20,12 @@ from cuntzgeo import (
     OneForm,
     SymTensorMap,
     TensorElem,
+    antisym_lift,
     base_connection,
-    compatibility_map,
-    metric_differential,
     solve_exact,
+    tensor_product,
 )
+from cuntzgeo.calculus import sym_project_legs
 from cuntzgeo.scalars import ZERO
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,49 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
+# references: the compatibility pairing and the curvature by tensor algebra
+# ---------------------------------------------------------------------------
+
+def _pair_first_two_legs(g: Metric, t: TensorElem) -> OneForm:
+    """(g ⊗ id) on a rank-3 tensor: pair legs 1, 2 and keep leg 3."""
+    comps = [AlgElem.zero(3) for _ in range(3)]
+    for (a, b, c), coeff in t.entries:
+        comps[c - 1] = comps[c - 1] + coeff.scale(g.entry(a, b))
+    return OneForm(tuple(comps))
+
+
+def reference_compatibility(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
+    """The compatibility pairing on every basis pair (e_i, e_j): take
+    conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i, swap legs 2 and 3, and pair the first
+    two legs with the metric."""
+    return tuple(
+        tuple(_pair_first_two_legs(g, (
+            tensor_product(conn.value(i), OneForm.basis(j))
+            + tensor_product(conn.value(j), OneForm.basis(i))).flip_legs(1, 2))
+            for j in (1, 2, 3))
+        for i in (1, 2, 3))
+
+
+def reference_curvature_step(conn: Connection, t: TensorElem) -> TensorElem:
+    """The rank-2 -> rank-3 map whose value on the connection is the
+    curvature: on e_i ⊗ e_j, (id - sym)_{23}(conn(e_i) ⊗ e_j) plus
+    e_i ⊗ antisym_lift(d(e_j)), coefficients on the right."""
+    lifted = tuple(antisym_lift(w) for w in BASIS_DIFFERENTIALS)
+    acc = TensorElem.zero(3)
+    for (i, j), c in t.entries:
+        first = tensor_product(conn.value(i), OneForm.basis(j))
+        first = first - sym_project_legs(first, 1, 2)
+        second = tensor_product(TensorElem.basis(i), lifted[j - 1])
+        acc = acc + (first + second) * c
+    return acc
+
+
+def reference_curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
+    """The curvature three-tensor on each basis one-form."""
+    return tuple(reference_curvature_step(conn, conn.value(i)) for i in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
 # reference Levi-Civita: the exact 18x18 unitarity solve
 # ---------------------------------------------------------------------------
 
@@ -113,11 +158,14 @@ def levi_civita_by_solve(g: Metric) -> Connection:
 
     The 18 unknowns are the symmetric coefficients L^j(a, m) of the
     correction to the base connection; the equations are
-    compatibility(base + L) = metric differential, one per symmetric basis
-    pair (j, k) and component m, solved with ``solve_exact``.
+    compatibility(base + L) = dg = 0 (the metric entries are constants), one
+    per symmetric basis pair (j, k) and component m, solved with
+    ``solve_exact``.  The right-hand side comes from the tensor-algebra
+    ``reference_compatibility``, so the solve shares no code with the index
+    arithmetic in ``cuntzgeo.geometry``.
     """
     base = base_connection()
-    target = metric_differential(g) - compatibility_map(g, base)
+    target = reference_compatibility(g, base)
 
     size = len(_UNKNOWNS)
     matrix = [[ZERO] * size for _ in range(size)]
@@ -130,7 +178,7 @@ def levi_civita_by_solve(g: Metric) -> Connection:
             matrix[row][col] = matrix[row][col] + g.entry(a, k)
             col = _unknown_index(k, a, m)
             matrix[row][col] = matrix[row][col] + g.entry(a, j)
-        rhs.append(target.value(j, k).component(m))
+        rhs.append(-target[j - 1][k - 1].component(m))
 
     solution = solve_exact(matrix, rhs)
 
@@ -166,6 +214,11 @@ small_alg_elems = st.dictionaries(
     nonzero_gscalars, max_size=3).map(AlgElem.from_terms)
 
 one_forms = st.tuples(small_alg_elems, small_alg_elems, small_alg_elems).map(OneForm)
+
+scalar_connections = st.tuples(*[
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), gscalars,
+                    max_size=9).map(lambda d: TensorElem.from_entries(2, d))
+    for _ in range(3)]).map(Connection)
 
 rank2_tensors = st.dictionaries(
     st.tuples(st.integers(1, 3), st.integers(1, 3)),

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from cuntzgeo import cli
+
 CMD = [sys.executable, "-m", "cuntzgeo"]
 
 
@@ -125,6 +127,26 @@ def test_float_metric_is_exit_4(tmp_path):
 def test_missing_metric_file_is_exit_4(tmp_path):
     r = run("levi-civita", str(tmp_path / "nope.json"))
     assert r.returncode == 4
+
+
+def test_internal_error_is_exit_5(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_eval", crash)
+    assert cli.main(["eval", "S1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_eval", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["eval", "S1"])
 
 
 # -- levi-civita -----------------------------------------------------------------

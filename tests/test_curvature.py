@@ -3,23 +3,19 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzgeo import (
     AlgElem,
-    DualVector,
     Metric,
-    OneForm,
     TensorElem,
     curvature,
     curvature_operator,
     curvature_report,
-    curvature_step,
-    dual_pairing,
     flip,
     levi_civita,
-    metric_dual,
     ricci,
     scalar_curvature,
 )
@@ -43,13 +39,6 @@ def test_curvature_at_identity():
                 TensorElem.basis(k, k, i).scale(EIGHTH)
                 + TensorElem.basis(k, i, k).scale(MINUS_EIGHTH))
         assert curv[i - 1].equals(expected)
-
-
-def test_curvature_step_is_right_linear():
-    conn = levi_civita(Metric.identity())
-    t = conn.value(2)
-    a = AlgElem.generator(1) + AlgElem.generator(3).adjoint()
-    assert curvature_step(conn, t * a).equals(curvature_step(conn, t) * a)
 
 
 def test_theta_reindexes_curvature():
@@ -149,12 +138,12 @@ def test_full_pipeline_matches_dense_oracle():
         assert got_scal.re == dense_scal
 
 
-def test_metric_dual_and_pairing():
+def test_scalar_curvature_pairs_with_the_metric():
     g = Metric.diagonal(2, 3, 5)
-    phi = metric_dual(g, 2)
-    assert isinstance(phi, DualVector)
-    assert dual_pairing(phi, OneForm.basis(2)) == AlgElem.scalar(3)
-    assert dual_pairing(phi, OneForm.basis(1)).is_zero()
+    ric = TensorElem.basis(2, 2) + TensorElem.basis(1, 2)
+    assert scalar_curvature(g, ric) == AlgElem.scalar(3)
+    with pytest.raises(ValueError, match="rank-2"):
+        scalar_curvature(g, TensorElem.basis(1, 1, 1))
 
 
 def test_curvature_report_bundles_everything():

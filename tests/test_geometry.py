@@ -18,12 +18,11 @@ from cuntzgeo import (
     christoffel,
     compatibility_coefficients,
     compatibility_map,
-    compatibility_operator,
+    curvature,
     flip,
     koszul_correction,
     levi_civita,
     load_metric,
-    metric_differential,
     sym_project,
     torsion,
     unitarity_residual,
@@ -37,9 +36,11 @@ from support import (
     metrics,
     random_metric,
     random_rank2,
+    reference_compatibility,
+    reference_curvature,
+    scalar_connections,
     small_fractions,
 )
-from hypothesis import strategies as st
 
 
 def g_of(x):
@@ -157,39 +158,34 @@ def test_compatibility_table_at_identity():
     pi = compatibility_map(Metric.identity(), base_connection())
     basis = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
     for m, (i, j) in basis.items():
-        v = pi.value(i, j)
+        v = pi[i - 1][j - 1]
         assert v.component(m) == AlgElem.unit()
     for i in (1, 2, 3):
-        assert pi.value(i, i).is_zero()
+        assert pi[i - 1][i - 1].is_zero()
 
 
-def test_metric_differential_vanishes_for_constant_metric():
-    for g in (Metric.identity(), Metric.diagonal(1, 1, 2)):
-        assert metric_differential(g).is_zero()
+@given(metrics(), scalar_connections)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_index_arithmetic_equals_the_tensor_references(g, conn):
+    # compatibility, unitarity and curvature by index arithmetic on the
+    # Christoffel table are structurally equal to the tensor-algebra
+    # references in support.py, on a random scalar connection (neither
+    # symmetric nor Levi-Civita) and on the Levi-Civita connection of g
+    for c in (conn, levi_civita(g)):
+        reference = reference_compatibility(g, c)
+        assert compatibility_map(g, c) == reference
+        assert unitarity_residual(g, c) == reference
+        assert curvature(c) == reference_curvature(c)
 
 
-@given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_compatibility_operator_is_the_difference(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    g = random_metric(rng)
-    # a random symmetric correction with scalar entries
-    vals = []
-    for _ in range(3):
-        entries = {}
-        for p in (1, 2, 3):
-            for q in (1, 2, 3):
-                if p <= q:
-                    c = AlgElem.scalar(GScalar.of(
-                        Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
-                    entries[(p, q)] = c
-                    entries[(q, p)] = c
-        vals.append(TensorElem.from_entries(2, entries))
-    correction = SymTensorMap(tuple(vals))
+def test_non_scalar_christoffel_symbols_are_rejected():
+    s1 = AlgElem.generator(1)
     base = base_connection()
-    lhs = compatibility_operator(g, correction)
-    rhs = compatibility_map(g, base.shifted(correction)) - compatibility_map(g, base)
-    assert (lhs - rhs).is_zero()
+    conn = Connection((TensorElem.basis(1, 1) * s1, base.value(2), base.value(3)))
+    with pytest.raises(ValueError, match="not a scalar"):
+        compatibility_map(Metric.identity(), conn)
+    with pytest.raises(ValueError, match="not a scalar"):
+        curvature(conn)
 
 
 # -- the Levi-Civita connection --------------------------------------------------
