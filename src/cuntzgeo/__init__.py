@@ -8,7 +8,6 @@ over exact Gaussian-rational coefficients.
 
 from .algebra import (
     AlgElem,
-    AlphabetMismatchError,
     CapacityError,
     Monomial,
     get_caps,
@@ -17,7 +16,6 @@ from .algebra import (
 )
 from .calculus import (
     BASIS_DIFFERENTIALS,
-    Derivation,
     OneForm,
     RepTwoForm,
     TensorElem,
@@ -75,12 +73,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgElem",
-    "AlphabetMismatchError",
     "BASIS_DIFFERENTIALS",
     "CapacityError",
     "Connection",
     "CurvatureReport",
-    "Derivation",
     "GScalar",
     "Metric",
     "MetricError",

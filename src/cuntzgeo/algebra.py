@@ -1,7 +1,7 @@
-"""Normal-form arithmetic in the dense *-subalgebra of the Cuntz algebra O_n.
+"""Normal-form arithmetic in the dense *-subalgebra of the Cuntz algebra O₃.
 
 An element is a finite linear combination of monomials ``S_mu S_nu^*`` where
-``mu`` and ``nu`` are words over the alphabet ``{1, .., n}`` and the
+``mu`` and ``nu`` are words over the alphabet ``{1, 2, 3}`` and the
 generators satisfy the Cuntz relations
 
     S_i^* S_i = 1        sum_j S_j S_j^* = 1.
@@ -17,7 +17,7 @@ With that convention the product rule is prefix matching:
 
 The stored form is canonical under two rewrites, applied to a fixed point:
 zero coefficients are dropped, and any complete equal-coefficient family
-``{(mu.j, nu.j) : j = 1..n}`` collapses to ``(mu, nu)`` (the second Cuntz
+``{(mu.j, nu.j) : j = 1, 2, 3}`` collapses to ``(mu, nu)`` (the second Cuntz
 relation read right-to-left).  Canonical forms make printing deterministic;
 they do *not* decide equality on their own.  Mathematical equality is decided
 by :meth:`AlgElem.equals`, which homogenizes the difference so that all
@@ -48,10 +48,7 @@ class CapacityError(Exception):
     """A configured resource cap (word length or term count) was exceeded."""
 
 
-class AlphabetMismatchError(ValueError):
-    """Operands live over different alphabet sizes."""
-
-
+_LETTERS = (1, 2, 3)
 _MAX_WORD_LEN = 16
 _MAX_TERMS = 100_000
 
@@ -116,10 +113,10 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
     return None
 
 
-def _collapse(terms: dict[Monomial, GScalar], n: int) -> None:
+def _collapse(terms: dict[Monomial, GScalar]) -> None:
     """Apply the full-family collapse rewrite in place, to a fixed point.
 
-    Whenever all n children ``(mu.j, nu.j)`` are present with one shared
+    Whenever all three children ``(mu.j, nu.j)`` are present with one shared
     coefficient, they merge into ``(mu, nu)``.  Each merge can complete the
     family one level up, so candidates cascade until exhausted.
     """
@@ -130,7 +127,7 @@ def _collapse(terms: dict[Monomial, GScalar], n: int) -> None:
     }
     while pending:
         mu, nu = pending.pop()
-        children = [Monomial(mu + (j,), nu + (j,)) for j in range(1, n + 1)]
+        children = [Monomial(mu + (j,), nu + (j,)) for j in _LETTERS]
         first = terms.get(children[0])
         if first is None or any(terms.get(c) != first for c in children[1:]):
             continue
@@ -156,49 +153,48 @@ class AlgElem:
     equality.
     """
 
-    n: int
     terms: tuple[tuple[Monomial, GScalar], ...]
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(n: int, mapping: dict[Monomial, GScalar]) -> "AlgElem":
+    def _make(mapping: dict[Monomial, GScalar]) -> "AlgElem":
         for m in mapping:
             if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
                 raise CapacityError(
                     f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
             for letter in itertools.chain(m.mu, m.nu):
-                if not 1 <= letter <= n:
-                    raise ValueError(f"letter {letter} outside alphabet 1..{n}")
+                if not 1 <= letter <= 3:
+                    raise ValueError(f"letter {letter} outside alphabet 1..3")
         cleaned = {m: c for m, c in mapping.items() if c}
-        _collapse(cleaned, n)
+        _collapse(cleaned)
         if len(cleaned) > _MAX_TERMS:
             raise CapacityError(
                 f"term count {len(cleaned)} exceeds cap {_MAX_TERMS} (raise it via set_caps)")
         ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key()))
-        return AlgElem(n, ordered)
+        return AlgElem(ordered)
 
     @staticmethod
-    def from_terms(mapping: Mapping[Monomial, GScalar | int], n: int = 3) -> "AlgElem":
-        return AlgElem._make(n, {m: GScalar.of(c) for m, c in mapping.items()})
+    def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
+        return AlgElem._make({m: GScalar.of(c) for m, c in mapping.items()})
 
     @staticmethod
-    def zero(n: int = 3) -> "AlgElem":
-        return AlgElem(n, ())
+    def zero() -> "AlgElem":
+        return AlgElem(())
 
     @staticmethod
-    def unit(n: int = 3) -> "AlgElem":
-        return AlgElem.from_terms({Monomial((), ()): ONE}, n)
+    def unit() -> "AlgElem":
+        return AlgElem.from_terms({Monomial((), ()): ONE})
 
     @staticmethod
-    def scalar(c: "GScalar | int", n: int = 3) -> "AlgElem":
-        return AlgElem.from_terms({Monomial((), ()): GScalar.of(c)}, n)
+    def scalar(c: "GScalar | int") -> "AlgElem":
+        return AlgElem.from_terms({Monomial((), ()): GScalar.of(c)})
 
     @staticmethod
-    def generator(i: int, n: int = 3) -> "AlgElem":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
-        return AlgElem(n, ((Monomial((i,), ()), ONE),))
+    def generator(i: int) -> "AlgElem":
+        if not 1 <= i <= 3:
+            raise ValueError(f"generator index {i} outside 1..3")
+        return AlgElem(((Monomial((i,), ()), ONE),))
 
     # -- views --------------------------------------------------------------
 
@@ -224,29 +220,23 @@ class AlgElem:
             return self.terms[0][1]
         return None
 
-    def _check_alphabet(self, other: "AlgElem") -> None:
-        if self.n != other.n:
-            raise AlphabetMismatchError(
-                f"alphabet sizes differ: {self.n} vs {other.n}")
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: object) -> "AlgElem":
         if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other), self.n)
+            other = AlgElem.scalar(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
-        self._check_alphabet(other)
         acc = self.term_map()
         for m, c in other.terms:
             acc[m] = acc.get(m, ZERO) + c
-        return AlgElem._make(self.n, acc)
+        return AlgElem._make(acc)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "AlgElem":
         if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other), self.n)
+            other = AlgElem.scalar(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
         return self + (-other)
@@ -255,14 +245,13 @@ class AlgElem:
         return (-self) + other
 
     def __neg__(self) -> "AlgElem":
-        return AlgElem(self.n, tuple((m, -c) for m, c in self.terms))
+        return AlgElem(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: object) -> "AlgElem":
         if isinstance(other, (int, GScalar)):
             return self.scale(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
-        self._check_alphabet(other)
         acc: dict[Monomial, GScalar] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
@@ -270,7 +259,7 @@ class AlgElem:
                 if prod is None:
                     continue
                 acc[prod] = acc.get(prod, ZERO) + ca * cb
-        return AlgElem._make(self.n, acc)
+        return AlgElem._make(acc)
 
     def __rmul__(self, other: object) -> "AlgElem":
         if isinstance(other, (int, GScalar)):
@@ -279,19 +268,18 @@ class AlgElem:
 
     def scale(self, c: GScalar) -> "AlgElem":
         if not c:
-            return AlgElem.zero(self.n)
-        return AlgElem(self.n, tuple((m, c * coeff) for m, coeff in self.terms))
+            return AlgElem.zero()
+        return AlgElem(tuple((m, c * coeff) for m, coeff in self.terms))
 
     def adjoint(self) -> "AlgElem":
-        return AlgElem._make(
-            self.n, {m.adjoint(): c.conjugate() for m, c in self.terms})
+        return AlgElem._make({m.adjoint(): c.conjugate() for m, c in self.terms})
 
     # -- equality decision ---------------------------------------------------
 
     def equals(self, other: "AlgElem | int | GScalar") -> bool:
         """Mathematical equality modulo the Cuntz relations."""
         if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other), self.n)
+            other = AlgElem.scalar(GScalar.of(other))
         diff = self - other
         if not diff.terms:
             return True
@@ -308,13 +296,13 @@ class AlgElem:
         """
         word = _as_word(w)
         for letter in word:
-            if not 1 <= letter <= self.n:
-                raise ValueError(f"letter {letter} outside alphabet 1..{self.n}")
+            if not 1 <= letter <= 3:
+                raise ValueError(f"letter {letter} outside alphabet 1..3")
         return tree_action_of(self.terms, word)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{m!r}: {c!r}" for m, c in self.terms)
-        return f"AlgElem(n={self.n}, {{{inner}}})"
+        return f"AlgElem({{{inner}}})"
 
 
 def tree_action_of(
@@ -348,11 +336,11 @@ def homogenize_terms(x: AlgElem, level: int) -> dict[Monomial, GScalar]:
         gap = level - len(m.nu)
         if gap < 0:
             raise ValueError("level below an existing nu-length")
-        count += x.n ** gap
+        count += 3 ** gap
         if count > _MAX_TERMS:
             raise CapacityError(
                 f"homogenization needs more than {_MAX_TERMS} terms")
-        for w in itertools.product(range(1, x.n + 1), repeat=gap):
+        for w in words_of_length(gap):
             key = Monomial(m.mu + w, m.nu + w)
             total = out.get(key, ZERO) + c
             if total:
@@ -362,5 +350,5 @@ def homogenize_terms(x: AlgElem, level: int) -> dict[Monomial, GScalar]:
     return out
 
 
-def words_of_length(n: int, length: int) -> Iterator[Word]:
-    return itertools.product(range(1, n + 1), repeat=length)
+def words_of_length(length: int) -> Iterator[Word]:
+    return itertools.product(_LETTERS, repeat=length)

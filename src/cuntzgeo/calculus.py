@@ -27,11 +27,10 @@ the wedge map itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import AlgElem, AlphabetMismatchError, Monomial
+from .algebra import AlgElem, Monomial
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -45,32 +44,6 @@ GENERATOR_MATRICES: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """The *-derivation attached to one antisymmetric 3x3 generator."""
-
-    index: int
-    matrix: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        m = self.matrix
-        for a in range(3):
-            for b in range(3):
-                if m[a][b] != -m[b][a]:
-                    raise ValueError("derivation matrix must be antisymmetric")
-
-    def __call__(self, a: AlgElem) -> AlgElem:
-        return derive(self.index, a)
-
-
-DERIVATIONS = tuple(Derivation(i, GENERATOR_MATRICES[i]) for i in (1, 2, 3))
-
-
-def _require_o3(a: AlgElem) -> None:
-    if a.n != 3:
-        raise AlphabetMismatchError("the rotation calculus lives on alphabet size 3")
-
-
 def derive(i: int, a: AlgElem) -> AlgElem:
     """Apply the i-th basis derivation (Leibniz over every tensor position).
 
@@ -78,7 +51,6 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
     transform by the same rows.
     """
-    _require_o3(a)
     if i not in (1, 2, 3):
         raise ValueError("derivation index must be 1, 2 or 3")
     mat = GENERATOR_MATRICES[i]
@@ -104,7 +76,7 @@ def derive(i: int, a: AlgElem) -> AlgElem:
                 f = row[k - 1]
                 if f:
                     _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c * f)
-    return AlgElem.from_terms(acc, 3)
+    return AlgElem.from_terms(acc)
 
 
 def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:
@@ -120,7 +92,6 @@ def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
     The matrix must be exactly special orthogonal; this is checked, since a
     non-isometry would not define an automorphism of the relations.
     """
-    _require_o3(a)
     rows = [[GScalar.of(x) for x in row] for row in matrix]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("rotation matrix must be 3x3")
@@ -133,16 +104,16 @@ def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
         raise ValueError("matrix has determinant != 1")
 
     images = [
-        sum((AlgElem.generator(j + 1, 3).scale(rows[i][j]) for j in range(3)),
-            AlgElem.zero(3))
+        sum((AlgElem.generator(j + 1).scale(rows[i][j]) for j in range(3)),
+            AlgElem.zero())
         for i in range(3)
     ]
-    out = AlgElem.zero(3)
+    out = AlgElem.zero()
     for m, c in a.terms:
-        factor = AlgElem.unit(3)
+        factor = AlgElem.unit()
         for letter in m.mu:
             factor = factor * images[letter - 1]
-        tail = AlgElem.unit(3)
+        tail = AlgElem.unit()
         for letter in m.nu:
             tail = tail * images[letter - 1]
         out = out + (factor * tail.adjoint()).scale(c)
@@ -158,92 +129,96 @@ WEDGE_PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 3))
 
 def _coeff(x: "AlgElem | GScalar | int") -> AlgElem:
     if isinstance(x, AlgElem):
-        _require_o3(x)
         return x
-    return AlgElem.scalar(GScalar.of(x), 3)
+    return AlgElem.scalar(GScalar.of(x))
 
 
 @dataclass(frozen=True)
-class OneForm:
-    """Element of the rank-3 free module: ``e1*c[0] + e2*c[1] + e3*c[2]``."""
+class _Form:
+    """A dense element of a rank-3 free module with a central basis: one
+    right coefficient per basis symbol, in the subclass's basis order.
+
+    Arithmetic stays within one subclass; mixing a one-form and a two-form
+    returns NotImplemented, and ``==`` and ``equals`` compare the types too.
+    """
 
     c: tuple[AlgElem, AlgElem, AlgElem]
+
+    @classmethod
+    def zero(cls):
+        z = AlgElem.zero()
+        return cls((z, z, z))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(tuple(a + b for a, b in zip(self.c, other.c)))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.c))
+
+    def __mul__(self, other: object):
+        if isinstance(other, (AlgElem, GScalar, int)):
+            b = _coeff(other)
+            return type(self)(tuple(a * b for a in self.c))
+        return NotImplemented
+
+    def __rmul__(self, other: object):
+        if isinstance(other, (AlgElem, GScalar, int)):
+            b = _coeff(other)
+            return type(self)(tuple(b * a for a in self.c))
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for a in self.c)
+
+    def equals(self, other) -> bool:
+        return type(other) is type(self) and all(
+            a.equals(b) for a, b in zip(self.c, other.c))
+
+
+class OneForm(_Form):
+    """Element of the rank-3 free module: ``e1*c[0] + e2*c[1] + e3*c[2]``."""
 
     @staticmethod
     def of(c1, c2, c3) -> "OneForm":
         return OneForm((_coeff(c1), _coeff(c2), _coeff(c3)))
 
     @staticmethod
-    def zero() -> "OneForm":
-        z = AlgElem.zero(3)
-        return OneForm((z, z, z))
-
-    @staticmethod
     def basis(i: int) -> "OneForm":
         if i not in (1, 2, 3):
             raise ValueError("basis index must be 1, 2 or 3")
-        cs = [AlgElem.zero(3)] * 3
-        cs[i - 1] = AlgElem.unit(3)
+        cs = [AlgElem.zero()] * 3
+        cs[i - 1] = AlgElem.unit()
         return OneForm(tuple(cs))
 
     def component(self, i: int) -> AlgElem:
         return self.c[i - 1]
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-a for a in self.c))
-
     def __mul__(self, other: object) -> "OneForm | TwoForm":
         if isinstance(other, OneForm):
             return junk_project(represented_product(self, other))
-        if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return OneForm(tuple(a * b for a in self.c))
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "OneForm":
-        if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return OneForm(tuple(b * a for a in self.c))
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
-
-    def equals(self, other: "OneForm") -> bool:
-        return all(a.equals(b) for a, b in zip(self.c, other.c))
+        return super().__mul__(other)
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(_Form):
     """``e12*c[0] + e13*c[1] + e23*c[2]`` with the basis order of WEDGE_PAIRS."""
-
-    c: tuple[AlgElem, AlgElem, AlgElem]
 
     @staticmethod
     def of(c12, c13, c23) -> "TwoForm":
         return TwoForm((_coeff(c12), _coeff(c13), _coeff(c23)))
 
     @staticmethod
-    def zero() -> "TwoForm":
-        z = AlgElem.zero(3)
-        return TwoForm((z, z, z))
-
-    @staticmethod
     def basis(i: int, j: int) -> "TwoForm":
         if (i, j) not in WEDGE_PAIRS:
             raise ValueError(f"basis pair must be one of {WEDGE_PAIRS}")
-        cs = [AlgElem.zero(3)] * 3
-        cs[WEDGE_PAIRS.index((i, j))] = AlgElem.unit(3)
+        cs = [AlgElem.zero()] * 3
+        cs[WEDGE_PAIRS.index((i, j))] = AlgElem.unit()
         return TwoForm(tuple(cs))
 
     def component(self, i: int, j: int) -> AlgElem:
@@ -253,37 +228,6 @@ class TwoForm:
         if (j, i) in WEDGE_PAIRS:
             return -self.c[WEDGE_PAIRS.index((j, i))]
         raise ValueError(f"no basis two-form with indices {(i, j)}")
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return TwoForm(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(tuple(-a for a in self.c))
-
-    def __mul__(self, other: object) -> "TwoForm":
-        if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return TwoForm(tuple(a * b for a in self.c))
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "TwoForm":
-        if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return TwoForm(tuple(b * a for a in self.c))
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
-
-    def equals(self, other: "TwoForm") -> bool:
-        return all(a.equals(b) for a, b in zip(self.c, other.c))
 
 
 @dataclass(frozen=True)
@@ -314,7 +258,6 @@ def junk_project(r: RepTwoForm) -> TwoForm:
 
 def d0(a: AlgElem) -> OneForm:
     """Degree-0 differential ``a -> sum_i e_i * derive(i, a)``."""
-    _require_o3(a)
     return OneForm((derive(1, a), derive(2, a), derive(3, a)))
 
 
@@ -365,7 +308,7 @@ class TensorElem:
         for idx, c in self.entries:
             if idx == indices:
                 return c
-        return AlgElem.zero(3)
+        return AlgElem.zero()
 
     def entry_map(self) -> dict[Index, AlgElem]:
         return dict(self.entries)
@@ -377,7 +320,7 @@ class TensorElem:
             raise ValueError("tensor ranks differ")
         acc = self.entry_map()
         for idx, c in other.entries:
-            acc[idx] = acc.get(idx, AlgElem.zero(3)) + c
+            acc[idx] = acc.get(idx, AlgElem.zero()) + c
         return TensorElem._make(self.rank, acc)
 
     def __sub__(self, other: "TensorElem") -> "TensorElem":
@@ -412,7 +355,7 @@ class TensorElem:
             lst = list(idx)
             lst[a], lst[b] = lst[b], lst[a]
             key = tuple(lst)
-            acc[key] = acc.get(key, AlgElem.zero(3)) + c
+            acc[key] = acc.get(key, AlgElem.zero()) + c
         return TensorElem._make(self.rank, acc)
 
     def is_zero(self) -> bool:
@@ -439,7 +382,7 @@ def tensor_product(t: TensorElem, u: "TensorElem | OneForm") -> TensorElem:
         for idx_b, cb in u.entries:
             key = idx_a + idx_b
             prod = ca * cb
-            acc[key] = acc.get(key, AlgElem.zero(3)) + prod
+            acc[key] = acc.get(key, AlgElem.zero()) + prod
     return TensorElem._make(t.rank + u.rank, acc)
 
 
@@ -470,8 +413,8 @@ def antisym_lift(w: TwoForm) -> TensorElem:
     for (i, j), c in zip(WEDGE_PAIRS, w.c):
         if c.is_zero():
             continue
-        acc[(i, j)] = acc.get((i, j), AlgElem.zero(3)) + c.scale(half)
-        acc[(j, i)] = acc.get((j, i), AlgElem.zero(3)) - c.scale(half)
+        acc[(i, j)] = acc.get((i, j), AlgElem.zero()) + c.scale(half)
+        acc[(j, i)] = acc.get((j, i), AlgElem.zero()) - c.scale(half)
     return TensorElem._make(2, acc)
 
 
@@ -495,7 +438,7 @@ def _basis_differentials_from_presentations() -> tuple[TwoForm, TwoForm, TwoForm
     Each presentation is a * db, so its differential is the represented
     product of d(a) and d(b) pushed to the two-form quotient.
     """
-    s1, s2, s3 = (AlgElem.generator(i, 3) for i in (1, 2, 3))
+    s1, s2, s3 = (AlgElem.generator(i) for i in (1, 2, 3))
     de1 = junk_project(represented_product(d0(s2.adjoint()), d0(s3)))
     de2 = junk_project(represented_product(d0(s1.adjoint()), d0(s3)))
     de3 = -junk_project(represented_product(d0(s1.adjoint()), d0(s2)))

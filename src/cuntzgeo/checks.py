@@ -58,7 +58,7 @@ def _check(ident: str, anchor: str, expected: str, computed) -> CheckResult:
 
 
 def _gens() -> tuple[AlgElem, AlgElem, AlgElem]:
-    return tuple(AlgElem.generator(i, 3) for i in _INDICES)
+    return tuple(AlgElem.generator(i) for i in _INDICES)
 
 
 def _tensor_table(t: TensorElem) -> str:
@@ -78,7 +78,7 @@ def run_checks() -> list[CheckResult]:
         out.append(_check(
             f"cuntz.isometry.{i}", f"S{i}* S{i} = 1", "1",
             s[i - 1].adjoint() * s[i - 1]))
-    total = sum((s[i - 1] * s[i - 1].adjoint() for i in _INDICES), AlgElem.zero(3))
+    total = sum((s[i - 1] * s[i - 1].adjoint() for i in _INDICES), AlgElem.zero())
     out.append(_check(
         "cuntz.completeness", "S1 S1* + S2 S2* + S3 S3* = 1", "1", total))
 

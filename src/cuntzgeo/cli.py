@@ -16,13 +16,16 @@ byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 resource
 cap exceeded, 4 invalid metric, 5 internal error (any other exception,
-reported as one ``internal error: <type>: <message>`` line on stderr).
+reported as one ``internal error: <type>: <message>`` line on stderr), 141
+stdout closed by its reader before all output was written (no message; a
+shell reports 141 for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import AlgElem, CapacityError
@@ -40,10 +43,6 @@ from .geometry import (
 )
 
 _INDICES = (1, 2, 3)
-
-
-def _scalar_doc(c, decimal: bool) -> str:
-    return print_canonical(c, decimal)
 
 
 def _tensor_doc(t, decimal: bool) -> list[dict]:
@@ -157,7 +156,7 @@ def cmd_levi_civita(args) -> int:
                 f"{print_canonical(residual[i - 1][j - 1], dec)}")
 
     doc = {
-        "metric": [[_scalar_doc(g.entry(i, j), dec) for j in _INDICES]
+        "metric": [[print_canonical(g.entry(i, j), dec) for j in _INDICES]
                    for i in _INDICES],
         "connection": {
             f"e{i}": _tensor_doc(conn.value(i), dec) for i in _INDICES
@@ -195,7 +194,7 @@ def cmd_curvature(args) -> int:
             *key, print_canonical(report.theta[key], dec)))
 
     doc = {
-        "metric": [[_scalar_doc(g.entry(i, j), dec) for j in _INDICES]
+        "metric": [[print_canonical(g.entry(i, j), dec) for j in _INDICES]
                    for i in _INDICES],
         "scalar": print_canonical(report.scalar, dec),
         "ricci": _tensor_doc(report.ric, dec),
@@ -298,7 +297,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -312,6 +316,18 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 5
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at os.devnull, so that what is still
+    buffered does not fail again when the interpreter flushes it on exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except ValueError:  # io.UnsupportedOperation: an in-process StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -69,18 +69,11 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
 def curvature_operator(
     curv: tuple[TensorElem, TensorElem, TensorElem],
 ) -> ThetaMap:
-    """Attach the dual index and swap the middle legs:
-    entry (a, c, b, k) collects the (a, b, c) coefficient of curv[k]."""
-    out: ThetaMap = {}
-    for k in _INDICES:
-        for (a, b, c), coeff in curv[k - 1].entries:
-            key = (a, c, b, k)
-            total = out.get(key, AlgElem.zero(3)) + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    """Attach the dual index and swap the middle legs: entry (a, c, b, k)
+    is the (a, b, c) coefficient of curv[k].  The swap is a bijection, so
+    the nonzero entries carry over one to one."""
+    return {(a, c, b, k): coeff
+            for k in _INDICES for (a, b, c), coeff in curv[k - 1].entries}
 
 
 def ricci(theta: ThetaMap) -> TensorElem:
@@ -93,7 +86,7 @@ def ricci(theta: ThetaMap) -> TensorElem:
     for (a, b, c, k), coeff in theta.items():
         if c != k:
             continue
-        acc[(a, b)] = acc.get((a, b), AlgElem.zero(3)) + coeff
+        acc[(a, b)] = acc.get((a, b), AlgElem.zero()) + coeff
     return TensorElem.from_entries(2, acc)
 
 

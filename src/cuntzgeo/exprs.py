@@ -292,9 +292,9 @@ def _degree(v) -> int:
 
 def _eval(node: _Node, mode: str | None):
     if isinstance(node, Lit):
-        return AlgElem.scalar(node.value, 3)
+        return AlgElem.scalar(node.value)
     if isinstance(node, Gen):
-        g = AlgElem.generator(node.index, 3)
+        g = AlgElem.generator(node.index)
         return g.adjoint() if node.star else g
     if isinstance(node, Form1):
         if mode == "alg":
@@ -501,7 +501,7 @@ _TWO_LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
 def print_canonical(x, decimal: bool = False) -> str:
     """Deterministic text for scalars, algebra elements and forms."""
     if isinstance(x, GScalar):
-        return _alg_text(AlgElem.scalar(x, 3), decimal)
+        return _alg_text(AlgElem.scalar(x), decimal)
     if isinstance(x, AlgElem):
         return _alg_text(x, decimal)
     if isinstance(x, OneForm):

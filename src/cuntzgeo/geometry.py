@@ -41,6 +41,7 @@ from .calculus import (
     OneForm,
     TensorElem,
     TwoForm,
+    _det3,
     derive,
     sym_project,
     wedge,
@@ -91,16 +92,13 @@ class Metric:
         return self.rows[i - 1][j - 1]
 
     def det(self) -> GScalar:
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+        return _det3(self.rows)
 
     def apply(self, t: TensorElem) -> AlgElem:
         """Pair a rank-2 tensor: sum of g(e_a ⊗ e_b) times the coefficient."""
         if t.rank != 2:
             raise ValueError("the metric pairs rank-2 tensors")
-        acc = AlgElem.zero(3)
+        acc = AlgElem.zero()
         for (a, b), c in t.entries:
             acc = acc + c.scale(self.entry(a, b))
         return acc

@@ -101,7 +101,7 @@ def random_metric(rng: random.Random) -> Metric:
 
 def _pair_first_two_legs(g: Metric, t: TensorElem) -> OneForm:
     """(g ⊗ id) on a rank-3 tensor: pair legs 1, 2 and keep leg 3."""
-    comps = [AlgElem.zero(3) for _ in range(3)]
+    comps = [AlgElem.zero() for _ in range(3)]
     for (a, b, c), coeff in t.entries:
         comps[c - 1] = comps[c - 1] + coeff.scale(g.entry(a, b))
     return OneForm(tuple(comps))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from cuntzgeo import (
     AlgElem,
-    AlphabetMismatchError,
     CapacityError,
     Monomial,
     get_caps,
@@ -114,11 +113,17 @@ def test_tree_action_word_validation():
         UNIT.tree_action((4,))
 
 
-def test_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatchError):
-        AlgElem.unit(2) + AlgElem.unit(3)
-    with pytest.raises(AlphabetMismatchError):
-        AlgElem.unit(2) * AlgElem.unit(3)
+@pytest.mark.parametrize("mono", [monomial((0,)), monomial((4,)),
+                                  monomial((1,), (4,)), monomial((1, 0), (2,))])
+def test_letters_outside_the_alphabet_are_rejected(mono):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        AlgElem.from_terms({mono: 1})
+
+
+@pytest.mark.parametrize("i", [0, 4])
+def test_generator_index_is_checked(i):
+    with pytest.raises(ValueError, match="outside 1..3"):
+        AlgElem.generator(i)
 
 
 def test_caps_word_length():
@@ -167,7 +172,7 @@ def test_normalize_idempotent(x):
 def test_homogenization_preserves_element_under_oracle(x):
     level = max((len(m.nu) for m, _ in x.terms), default=0)
     h = list(homogenize_terms(x, level).items())
-    for w in words_of_length(3, level + 1):
+    for w in words_of_length(level + 1):
         assert tree_action_of(x.terms, w) == tree_action_of(h, w)
 
 
@@ -177,7 +182,7 @@ def test_equality_agrees_with_tree_oracle(x, y):
     level = max((len(m.nu) for m, _ in (x - y).terms), default=0)
     oracle = all(
         x.tree_action(w) == y.tree_action(w)
-        for w in words_of_length(3, level + 1)
+        for w in words_of_length(level + 1)
     )
     assert x.equals(y) == oracle
 
@@ -205,6 +210,6 @@ def test_seeded_oracle_agreement_counts():
         level = max((len(m.nu) for m, _ in (x - y).terms), default=0)
         oracle = all(
             x.tree_action(w) == y.tree_action(w)
-            for w in words_of_length(3, level + 1)
+            for w in words_of_length(level + 1)
         )
         assert x.equals(y) == oracle

@@ -190,6 +190,24 @@ def test_basis_differentials_two_ways():
     assert BASIS_DIFFERENTIALS[2] == TwoForm.basis(1, 2)
 
 
+def test_forms_of_different_degree_do_not_mix():
+    assert OneForm.zero() != TwoForm.zero()
+    assert not OneForm.zero().equals(TwoForm.zero())
+    with pytest.raises(TypeError):
+        OneForm.basis(1) + TwoForm.basis(1, 2)
+    with pytest.raises(TypeError):
+        TwoForm.basis(1, 2) - OneForm.basis(1)
+    with pytest.raises(TypeError):
+        TwoForm.basis(1, 2) * OneForm.basis(1)
+
+
+def test_one_form_product_is_a_two_form():
+    product = OneForm.basis(1) * OneForm.basis(2)
+    assert type(product) is TwoForm
+    assert product == TwoForm.basis(1, 2)
+    assert OneForm.basis(2) * OneForm.basis(1) == -TwoForm.basis(1, 2)
+
+
 def test_two_form_component_antisymmetry():
     w = TwoForm.basis(1, 2)
     assert w.component(1, 2) == AlgElem.unit()

@@ -140,6 +140,28 @@ def test_internal_error_is_exit_5(monkeypatch, capsys):
     assert captured.err == "internal error: RuntimeError: boom second line\n"
 
 
+def test_closed_stdout_is_exit_141_without_message():
+    p = subprocess.Popen(CMD + ["verify-paper"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_broken_pipe_leaves_an_in_process_stdout_alone(monkeypatch, capsys):
+    def broken(args):
+        print("partial")
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    assert cli.main(["eval", "S1"]) == 141
+    captured = capsys.readouterr()
+    assert captured.out == "partial\n"
+    assert captured.err == ""
+
+
 def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
     def interrupt(args):
         raise KeyboardInterrupt
