@@ -58,7 +58,6 @@ from .geometry import (
     SymTensorMap,
     base_connection,
     christoffel,
-    compatibility_coefficients,
     compatibility_map,
     koszul_correction,
     levi_civita,
@@ -91,7 +90,6 @@ __all__ = [
     "antisym_lift",
     "base_connection",
     "christoffel",
-    "compatibility_coefficients",
     "compatibility_map",
     "curvature",
     "curvature_operator",

@@ -201,12 +201,6 @@ class AlgElem:
     def term_map(self) -> dict[Monomial, GScalar]:
         return dict(self.terms)
 
-    def coefficient(self, m: Monomial) -> GScalar:
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return ZERO
-
     def is_zero(self) -> bool:
         """True iff the canonical form is empty (sufficient, not necessary,
         for mathematical zero; see :meth:`equals`)."""

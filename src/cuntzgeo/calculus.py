@@ -10,14 +10,20 @@ rank 3 with central basis symbols ``e1, e2, e3`` and ``e12, e13, e23``;
 coefficients are stored on the right, and centrality makes left and right
 scalar multiples agree.
 
-The degree-0 differential is ``d0(a) = sum_i e_i * derive(i, a)``.  Products
-of one-forms are computed through :func:`represented_product`, which keeps
-the identity component ("junk") separate from the antisymmetric part; the
-two-form product drops the junk.  The degree-1 differential ``d1`` is
-determined by the hard-coded differentials of the basis one-forms (checked
-at import time against the represented products of their defining
-presentations ``e1 = S2* d(S3)``, ``e2 = S1* d(S3)``, ``e3 = -S1* d(S2)``)
-together with the graded Leibniz rule.
+The degree-0 differential is ``d0(a) = sum_i e_i * derive(i, a)``.  The
+product of one-forms ``omega * eta`` is the two-form with components
+``a_i b_j - a_j b_i`` on ``e_ij``: in the operator representation the
+symmetric part of ``e_i e_j`` collapses onto the identity ("junk"), which
+the two-form quotient drops, so the product never forms it.
+:func:`represented_product` adds the junk component back beside that same
+two-form.  The degree-1 differential is the graded Leibniz rule on forms,
+
+    d1(sum_i e_i a_i) = sum_i d(e_i) a_i - e_i d0(a_i),
+
+from the fixed differentials of the basis one-forms; those agree with the
+products ``d(S2*) d(S3)``, ``d(S1*) d(S3)`` and ``-d(S1*) d(S2)`` of their
+presentations ``e1 = S2* d(S3)``, ``e2 = S1* d(S3)``, ``e3 = -S1* d(S2)``,
+which the acceptance gate and ``verify-paper`` recompute.
 
 Rank-2 and rank-3 tensors over the one-form module support the structural
 maps used by the geometry layer: the symmetrizer :func:`sym_project`, the
@@ -201,8 +207,12 @@ class OneForm(_Form):
         return self.c[i - 1]
 
     def __mul__(self, other: object) -> "OneForm | TwoForm":
+        """A one-form times a one-form is the two-form ``e_i e_j -> e_ij``:
+        the antisymmetric part survives, the junk is never formed."""
         if isinstance(other, OneForm):
-            return junk_project(represented_product(self, other))
+            a, b = self.c, other.c
+            return TwoForm(tuple(a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+                                 for i, j in WEDGE_PAIRS))
         return super().__mul__(other)
 
 
@@ -247,8 +257,7 @@ def represented_product(omega: OneForm, eta: OneForm) -> RepTwoForm:
     """
     a, b = omega.c, eta.c
     junk = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    comps = tuple(a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for i, j in WEDGE_PAIRS)
-    return RepTwoForm(junk, comps)
+    return RepTwoForm(junk, (omega * eta).c)
 
 
 def junk_project(r: RepTwoForm) -> TwoForm:
@@ -342,9 +351,6 @@ class TensorElem:
     def scale(self, s: GScalar) -> "TensorElem":
         return TensorElem._make(self.rank, {idx: c.scale(s) for idx, c in self.entries})
 
-    def tensor(self, other: "TensorElem | OneForm") -> "TensorElem":
-        return tensor_product(self, other)
-
     def flip_legs(self, a: int, b: int) -> "TensorElem":
         """Swap tensor positions a and b (0-based); valid since the basis is
         central and coefficients stay on the right."""
@@ -435,14 +441,12 @@ def wedge(t: TensorElem) -> TwoForm:
 def _basis_differentials_from_presentations() -> tuple[TwoForm, TwoForm, TwoForm]:
     """Recompute d(e_i) from e1 = S2* d(S3), e2 = S1* d(S3), e3 = -S1* d(S2).
 
-    Each presentation is a * db, so its differential is the represented
-    product of d(a) and d(b) pushed to the two-form quotient.
+    Each presentation is a * db, so its differential is d(a) d(b).
     """
     s1, s2, s3 = (AlgElem.generator(i) for i in (1, 2, 3))
-    de1 = junk_project(represented_product(d0(s2.adjoint()), d0(s3)))
-    de2 = junk_project(represented_product(d0(s1.adjoint()), d0(s3)))
-    de3 = -junk_project(represented_product(d0(s1.adjoint()), d0(s2)))
-    return de1, de2, de3
+    return (d0(s2.adjoint()) * d0(s3),
+            d0(s1.adjoint()) * d0(s3),
+            -(d0(s1.adjoint()) * d0(s2)))
 
 
 BASIS_DIFFERENTIALS: tuple[TwoForm, TwoForm, TwoForm] = (
@@ -452,27 +456,15 @@ BASIS_DIFFERENTIALS: tuple[TwoForm, TwoForm, TwoForm] = (
 )
 
 
-def _check_basis_differentials() -> None:
-    computed = _basis_differentials_from_presentations()
-    for fixed, calc in zip(BASIS_DIFFERENTIALS, computed):
-        if fixed != calc:
-            raise RuntimeError(
-                "basis one-form differentials disagree with their presentations")
-
-
-_check_basis_differentials()
-
-
 def d1(omega: OneForm) -> TwoForm:
-    """Degree-1 differential, extended from the basis by the graded rule:
-    d(e_i * a) = d(e_i) * a - wedge(e_i ⊗ d0(a))."""
+    """Degree-1 differential, extended from the basis by the graded Leibniz
+    rule: d(e_i * a) = d(e_i) * a - e_i * d0(a)."""
     out = TwoForm.zero()
     for i in (1, 2, 3):
         a = omega.component(i)
         if a.is_zero():
             continue
-        out = out + BASIS_DIFFERENTIALS[i - 1] * a
-        out = out - wedge(tensor_product(TensorElem.basis(i), d0(a)))
+        out = out + BASIS_DIFFERENTIALS[i - 1] * a - OneForm.basis(i) * d0(a)
     return out
 
 

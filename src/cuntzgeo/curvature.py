@@ -109,9 +109,8 @@ class CurvatureReport:
     scalar: AlgElem
 
 
-def curvature_report(g: Metric, conn: Connection | None = None) -> CurvatureReport:
-    if conn is None:
-        conn = levi_civita(g)
+def curvature_report(g: Metric) -> CurvatureReport:
+    conn = levi_civita(g)
     curv = curvature(conn)
     theta = curvature_operator(curv)
     ric = ricci(theta)

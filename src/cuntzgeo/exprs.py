@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import AlgElem, Monomial
 from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
-from .scalars import GScalar, I, ONE
+from .scalars import GScalar, I
 
 
 # Each level of nesting costs the recursive-descent parser three stack
@@ -413,11 +413,9 @@ def _mag_text(mag: GScalar, decimal: bool) -> str:
 
 
 def _mixed_text(c: GScalar, decimal: bool) -> str:
-    re_part = _frac_text(c.re, decimal)
-    op = "-" if c.im < 0 else "+"
-    im_mag = -c.im if c.im < 0 else c.im
-    im_part = "i" if im_mag == 1 else _frac_text(im_mag, decimal) + "i"
-    return f"{re_part} {op} {im_part}"
+    sign, im_mag = _sign_mag(GScalar(Fraction(0), c.im))
+    op = "-" if sign < 0 else "+"
+    return f"{_frac_text(c.re, decimal)} {op} {_mag_text(im_mag, decimal)}"
 
 
 def _mono_text(m: Monomial) -> str:
@@ -426,21 +424,18 @@ def _mono_text(m: Monomial) -> str:
     return " ".join(parts)
 
 
-def _alg_term(m: Monomial, c: GScalar, decimal: bool) -> tuple[int, str]:
+def _term(c: GScalar, symbol: str, decimal: bool) -> tuple[int, str]:
+    """(sign, body) of the term ``c * symbol``; an empty symbol is the unit."""
     sm = _sign_mag(c)
     if sm is None:
         body = f"({_mixed_text(c, decimal)})"
-        if not m.is_unit:
-            body += " " + _mono_text(m)
-        return 1, body
+        return 1, f"{body} {symbol}" if symbol else body
     sign, mag = sm
-    if m.is_unit:
+    if not symbol:
         return sign, _mag_text(mag, decimal)
     if mag.im == 0 and mag.re == 1:
-        prefix = ""
-    else:
-        prefix = _mag_text(mag, decimal) + " "
-    return sign, prefix + _mono_text(m)
+        return sign, symbol
+    return sign, _mag_text(mag, decimal) + " " + symbol
 
 
 def _join_terms(parts: list[tuple[int, str]]) -> str:
@@ -456,30 +451,13 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
 def _alg_text(x: AlgElem, decimal: bool) -> str:
     if not x.terms:
         return "0"
-    return _join_terms([_alg_term(m, c, decimal) for m, c in x.terms])
+    return _join_terms([_term(c, _mono_text(m), decimal) for m, c in x.terms])
 
 
 def _form_term(label: str, a: AlgElem, decimal: bool) -> tuple[int, str]:
-    sc = a.as_scalar()
-    if sc is not None:
-        sm = _sign_mag(sc)
-        if sm is None:
-            return 1, f"({_mixed_text(sc, decimal)}) {label}"
-        sign, mag = sm
-        if mag.im == 0 and mag.re == 1:
-            return sign, label
-        return sign, _mag_text(mag, decimal) + " " + label
     if len(a.terms) == 1:
         m, c = a.terms[0]
-        sm = _sign_mag(c)
-        if sm is not None:
-            sign, mag = sm
-            if mag.im == 0 and mag.re == 1:
-                prefix = ""
-            else:
-                prefix = _mag_text(mag, decimal) + " "
-            return sign, prefix + label + " " + _mono_text(m)
-        return 1, f"({_mixed_text(c, decimal)}) {label} {_mono_text(m)}"
+        return _term(c, label if m.is_unit else f"{label} {_mono_text(m)}", decimal)
     return 1, f"{label} ({_alg_text(a, decimal)})"
 
 
@@ -514,10 +492,5 @@ def print_canonical(x, decimal: bool = False) -> str:
 def print_tensor(t, decimal: bool = False) -> str:
     """Display text for tensors; entries read ``e_a(x)e_b`` with the usual
     coefficient placement.  (Display only — tensors are not in the grammar.)"""
-    if not t.entries:
-        return "0"
-    parts = [
-        _form_term("(x)".join(f"e{i}" for i in idx), c, decimal)
-        for idx, c in t.entries
-    ]
-    return _join_terms(parts)
+    labels = tuple("(x)".join(f"e{i}" for i in idx) for idx, _ in t.entries)
+    return _form_text(labels, [c for _, c in t.entries], decimal)

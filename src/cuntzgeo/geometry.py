@@ -328,14 +328,6 @@ def christoffel(conn: Connection) -> dict[tuple[int, int, int], AlgElem]:
             for i in _INDICES for j in _INDICES for k in _INDICES}
 
 
-def compatibility_coefficients(g: Metric) -> dict[tuple[int, int, int], GScalar]:
-    """Read the scalar table t[(m, i, j)] with
-    compatibility_map(g, base)(e_i, e_j) = -sum_m e_m * t[(m, i, j)]."""
-    c = _compatibility(_BASE_TABLE, g.rows)
-    return {(m, i, j): GScalar.of(-c[i - 1][j - 1][m - 1])
-            for i in _INDICES for j in _INDICES for m in _INDICES}
-
-
 def koszul_correction(g: Metric) -> SymTensorMap:
     """The symmetric correction L that makes the base connection unitary.
 

@@ -118,10 +118,6 @@ class GScalar:
     def is_real(self) -> bool:
         return self.im == 0
 
-    @property
-    def is_imaginary(self) -> bool:
-        return self.re == 0 and self.im != 0
-
     def __repr__(self) -> str:
         return f"GScalar({self.re}, {self.im})"
 

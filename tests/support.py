@@ -20,10 +20,13 @@ from cuntzgeo import (
     OneForm,
     SymTensorMap,
     TensorElem,
+    TwoForm,
     antisym_lift,
     base_connection,
+    d0,
     solve_exact,
     tensor_product,
+    wedge,
 )
 from cuntzgeo.calculus import sym_project_legs
 from cuntzgeo.scalars import ZERO
@@ -96,8 +99,21 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
-# references: the compatibility pairing and the curvature by tensor algebra
+# references: d1, the compatibility pairing and the curvature by tensor algebra
 # ---------------------------------------------------------------------------
+
+def reference_d1(omega: OneForm) -> TwoForm:
+    """The degree-1 differential with e_i d0(a) formed as the wedge of the
+    tensor e_i ⊗ d0(a): sum_i d(e_i) a_i - wedge(e_i ⊗ d0(a_i))."""
+    out = TwoForm.zero()
+    for i in (1, 2, 3):
+        a = omega.component(i)
+        if a.is_zero():
+            continue
+        out = out + BASIS_DIFFERENTIALS[i - 1] * a
+        out = out - wedge(tensor_product(TensorElem.basis(i), d0(a)))
+    return out
+
 
 def _pair_first_two_legs(g: Metric, t: TensorElem) -> OneForm:
     """(g ⊗ id) on a rank-3 tensor: pair legs 1, 2 and keep leg 3."""

@@ -26,7 +26,7 @@ from cuntzgeo import (
 )
 from cuntzgeo.scalars import GScalar, rational
 
-from support import one_forms, rank2_tensors, small_alg_elems
+from support import one_forms, rank2_tensors, reference_d1, small_alg_elems
 
 S1, S2, S3 = (AlgElem.generator(i) for i in (1, 2, 3))
 
@@ -258,6 +258,13 @@ def test_wedge_matches_represented_product(u, v):
     via_tensor = wedge(tensor_product(one_form_tensor(u), v))
     direct = u * v
     assert via_tensor.equals(direct)
+
+
+@given(one_forms, one_forms)
+@settings(max_examples=40)
+def test_d1_and_product_match_the_tensor_references(u, v):
+    assert d1(u) == reference_d1(u)
+    assert u * v == junk_project(represented_product(u, v))
 
 
 @given(one_forms, one_forms)

@@ -16,7 +16,6 @@ from cuntzgeo import (
     TensorElem,
     base_connection,
     christoffel,
-    compatibility_coefficients,
     compatibility_map,
     curvature,
     flip,
@@ -281,14 +280,6 @@ def test_koszul_matches_solver_at_identity():
     solved = levi_civita(g)
     for i in (1, 2, 3):
         assert shortcut.value(i).equals(solved.value(i))
-
-
-def test_compatibility_coefficients_at_identity():
-    t = compatibility_coefficients(Metric.identity())
-    nonzero = {(1, 2, 3): -1, (1, 3, 2): -1, (2, 1, 3): -1,
-               (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): -1}
-    for key, val in t.items():
-        assert val == g_of(nonzero.get(key, 0))
 
 
 def test_connection_apply_right_leibniz():
