@@ -18,12 +18,22 @@ With that convention the product rule is prefix matching:
 The stored form is canonical under two rewrites, applied to a fixed point:
 zero coefficients are dropped, and any complete equal-coefficient family
 ``{(mu.j, nu.j) : j = 1, 2, 3}`` collapses to ``(mu, nu)`` (the second Cuntz
-relation read right-to-left).  Canonical forms make printing deterministic;
-they do *not* decide equality on their own.  Mathematical equality is decided
-by :meth:`AlgElem.equals`, which homogenizes the difference so that all
-``nu``-words share one length — monomials with a fixed ``nu``-length are
-linearly independent, so the difference is zero iff the homogenized form is
-empty.
+relation read right-to-left).  A canonical form is empty iff the element is
+0, so :meth:`AlgElem.equals` only tests that the difference is empty.
+
+Proof.  Strip from each term the longest common suffix u of its words: the
+term is ``S_mu0 (S_u S_u^*) S_nu0^*`` with a root ``(mu0, nu0)`` whose words
+do not end in one letter, and it sends the word ``nu0.z`` to ``mu0.z``.  If
+terms of two roots sent one word to one image, the roots would be
+``(mu0, nu0)`` and ``(mu0.r, nu0.r)``, and a nonempty r would make the
+second no root.  So x = 0 iff for every root the projection sum
+``P = sum_u c_u S_u S_u^*`` is 0, that is, iff on every long enough word w
+the sum of c_u over the prefixes u of w is 0.  Suppose P = 0 has a term
+(every c_u is nonzero) and take a longest u with a term.  It is not empty,
+as ``c 1`` is not 0; write u = v.j and let s sum c over the prefixes of v.
+Words through u give s + c_u = 0.  A sibling v.k without a term would give
+s = 0 on words through it, hence c_u = 0; so all three siblings carry the
+coefficient -s, a complete family, which a canonical form does not contain.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .scalars import GScalar, ONE, ZERO
 
@@ -202,8 +212,8 @@ class AlgElem:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
-        """True iff the canonical form is empty (sufficient, not necessary,
-        for mathematical zero; see :meth:`equals`)."""
+        """True iff the element is 0: a canonical form is empty exactly
+        then (see the module docstring)."""
         return not self.terms
 
     def as_scalar(self) -> GScalar | None:
@@ -271,14 +281,9 @@ class AlgElem:
     # -- equality decision ---------------------------------------------------
 
     def equals(self, other: "AlgElem | int | GScalar") -> bool:
-        """Mathematical equality modulo the Cuntz relations."""
-        if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other))
-        diff = self - other
-        if not diff.terms:
-            return True
-        level = max(len(m.nu) for m, _ in diff.terms)
-        return not homogenize_terms(diff, level)
+        """Mathematical equality modulo the Cuntz relations: the canonical
+        difference is empty (see the module docstring for why that suffices)."""
+        return not (self - other).terms
 
     # -- representation on the word tree -------------------------------------
 
@@ -292,57 +297,19 @@ class AlgElem:
         for letter in word:
             if not 1 <= letter <= 3:
                 raise ValueError(f"letter {letter} outside alphabet 1..3")
-        return tree_action_of(self.terms, word)
+        out: dict[Word, GScalar] = {}
+        for m, c in self.terms:
+            k = len(m.nu)
+            if word[:k] == m.nu:
+                img = m.mu + word[k:]
+                total = out.get(img, ZERO) + c
+                if total:
+                    out[img] = total
+                else:
+                    out.pop(img, None)
+        return out
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{m!r}: {c!r}" for m, c in self.terms)
         return f"AlgElem({{{inner}}})"
 
-
-def tree_action_of(
-    terms: Iterable[tuple[Monomial, GScalar]], word: Word
-) -> dict[Word, GScalar]:
-    """Tree action of a raw term list (not necessarily canonical)."""
-    out: dict[Word, GScalar] = {}
-    for m, c in terms:
-        k = len(m.nu)
-        if len(word) >= k and word[:k] == m.nu:
-            img = m.mu + word[k:]
-            total = out.get(img, ZERO) + c
-            if total:
-                out[img] = total
-            else:
-                out.pop(img, None)
-    return out
-
-
-def homogenize_terms(x: AlgElem, level: int) -> dict[Monomial, GScalar]:
-    """Rewrite x so every ``nu``-word has length ``level``.
-
-    Each term ``(mu, nu)`` with ``|nu| < level`` becomes the sum of
-    ``(mu+w, nu+w)`` over all words w of the missing length (inserting
-    ``sum_j S_j S_j^* = 1`` repeatedly).  The result is a raw term map, not
-    an AlgElem — re-normalizing would just collapse it back.
-    """
-    out: dict[Monomial, GScalar] = {}
-    count = 0
-    for m, c in x.terms:
-        gap = level - len(m.nu)
-        if gap < 0:
-            raise ValueError("level below an existing nu-length")
-        count += 3 ** gap
-        if count > _MAX_TERMS:
-            raise CapacityError(
-                f"homogenization needs more than {_MAX_TERMS} terms")
-        for w in words_of_length(gap):
-            key = Monomial(m.mu + w, m.nu + w)
-            total = out.get(key, ZERO) + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return out
-
-
-def words_of_length(length: int) -> Iterator[Word]:
-    return itertools.product(_LETTERS, repeat=length)

@@ -55,7 +55,8 @@ def derive(i: int, a: AlgElem) -> AlgElem:
 
     Replacing one letter at a time implements the Leibniz rule on the word
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
-    transform by the same rows.
+    transform by the same rows.  Their entries are 0 and ±1, so each entry
+    is applied as a sign.
     """
     if i not in (1, 2, 3):
         raise ValueError("derivation index must be 1, 2 or 3")
@@ -70,18 +71,15 @@ def derive(i: int, a: AlgElem) -> AlgElem:
             acc.pop(key, None)
 
     for m, c in a.terms:
+        signed = {1: c, -1: -c}
         for p, letter in enumerate(m.mu):
-            row = mat[letter - 1]
-            for k in (1, 2, 3):
-                f = row[k - 1]
+            for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c * f)
+                    _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), signed[f])
         for p, letter in enumerate(m.nu):
-            row = mat[letter - 1]
-            for k in (1, 2, 3):
-                f = row[k - 1]
+            for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c * f)
+                    _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), signed[f])
     return AlgElem.from_terms(acc)
 
 
@@ -184,8 +182,7 @@ class _Form:
         return all(a.is_zero() for a in self.c)
 
     def equals(self, other) -> bool:
-        return type(other) is type(self) and all(
-            a.equals(b) for a, b in zip(self.c, other.c))
+        return type(other) is type(self) and (self - other).is_zero()
 
 
 class OneForm(_Form):
@@ -368,10 +365,7 @@ class TensorElem:
         return not self.entries
 
     def equals(self, other: "TensorElem") -> bool:
-        if self.rank != other.rank:
-            return False
-        keys = {idx for idx, _ in self.entries} | {idx for idx, _ in other.entries}
-        return all(self.entry(*k).equals(other.entry(*k)) for k in keys)
+        return self.rank == other.rank and (self - other).is_zero()
 
 
 def one_form_tensor(omega: OneForm) -> TensorElem:

@@ -3,6 +3,7 @@ hypothesis strategies sized to keep exact arithmetic fast."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -45,6 +46,12 @@ def random_gscalar(rng: random.Random, nonzero: bool = False) -> GScalar:
                     random_fraction(rng) if rng.random() < 0.3 else Fraction(0))
         if c or not nonzero:
             return c
+
+
+def words_of_length(length: int):
+    """Every word of the given length over {1, 2, 3}, the tree-action
+    oracle's test inputs."""
+    return itertools.product((1, 2, 3), repeat=length)
 
 
 def random_word(rng: random.Random, max_len: int = 3) -> tuple[int, ...]:

@@ -12,8 +12,6 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 from cuntzgeo import (
     AlgElem,
     Metric,
@@ -40,7 +38,7 @@ from cuntzgeo import (
     unitarity_residual,
     wedge,
 )
-from cuntzgeo.scalars import GScalar, rational
+from cuntzgeo.scalars import rational
 
 from support import random_elem, random_metric, random_rank2
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzgeo import (
     AlgElem,
@@ -13,10 +14,9 @@ from cuntzgeo import (
     monomial,
     set_caps,
 )
-from cuntzgeo.algebra import homogenize_terms, tree_action_of, words_of_length
 from cuntzgeo.scalars import GScalar, ONE, rational
 
-from support import alg_elems, random_elem, small_alg_elems
+from support import alg_elems, random_elem, small_alg_elems, words_of_length
 
 S1 = AlgElem.generator(1)
 S2 = AlgElem.generator(2)
@@ -81,6 +81,17 @@ def test_equals_vs_structural():
     y = UNIT - S3 * S3.adjoint()
     assert x.equals(y)
     assert x != y  # canonical forms differ even though the elements agree
+    # the canonical form depends on the order of the additions:
+    # (S1S1S1*S1* + S1S2S2*S1* + S1S3S3*S1*) - S1S1S1*S1* folds to
+    # S1S1* - S1S1S1*S1*; the four summands in one map give S1S2S2*S1* + S1S3S3*S1*
+    terms = {monomial((1, j), (1, j)): 1 for j in (1, 2, 3)}
+    fold = AlgElem.from_terms(terms) - AlgElem.from_terms({monomial((1, 1), (1, 1)): 1})
+    terms[monomial((1, 1), (1, 1))] -= 1
+    batch = AlgElem.from_terms(terms)
+    assert fold == AlgElem.from_terms({monomial((1,), (1,)): 1, monomial((1, 1), (1, 1)): -1})
+    assert batch == AlgElem.from_terms({monomial((1, 2), (1, 2)): 1, monomial((1, 3), (1, 3)): 1})
+    assert fold != batch
+    assert fold.equals(batch)
 
 
 def test_equals_with_scalar():
@@ -137,13 +148,22 @@ def test_caps_word_length():
         set_caps(*old)
 
 
-def test_caps_homogenize():
+def test_deep_nu_is_decided_within_caps():
+    # a shallow term spread to the deep nu-length would be 3^depth terms,
+    # beyond the default cap of 100,000
+    for depth in (11, 16):
+        x = AlgElem.from_terms({
+            monomial(()): 1,
+            monomial((1,)): 2,
+            monomial((2,), (3,)): rational(-1, 2),
+            monomial((1, 2), (1,) * depth): GScalar.of(0, 1),
+        })
+        assert not x.equals(0)
     old = get_caps()
     try:
         set_caps(max_terms=10)
         long_nu = AlgElem.from_terms({monomial((), (1, 1, 1)): 1})
-        with pytest.raises(CapacityError):
-            UNIT.equals(long_nu)  # homogenizing the unit to level 3 needs 27 terms
+        assert not UNIT.equals(long_nu)
     finally:
         set_caps(*old)
 
@@ -168,14 +188,6 @@ def test_normalize_idempotent(x):
     assert AlgElem.from_terms(dict(x.terms)) == x
 
 
-@given(alg_elems)
-def test_homogenization_preserves_element_under_oracle(x):
-    level = max((len(m.nu) for m, _ in x.terms), default=0)
-    h = list(homogenize_terms(x, level).items())
-    for w in words_of_length(level + 1):
-        assert tree_action_of(x.terms, w) == tree_action_of(h, w)
-
-
 @given(alg_elems, alg_elems)
 @settings(max_examples=100)
 def test_equality_agrees_with_tree_oracle(x, y):
@@ -187,20 +199,28 @@ def test_equality_agrees_with_tree_oracle(x, y):
     assert x.equals(y) == oracle
 
 
-@given(small_alg_elems)
-def test_constructed_equal_pairs(x):
-    """Splitting one term through the completeness relation must not change
-    the element."""
-    rewritten = x.term_map()
-    if x.terms:
-        m, c = x.terms[0]
-        del rewritten[m]
-        y = AlgElem.from_terms(rewritten)
-        expansion = AlgElem.from_terms(
-            {Monomial(m.mu + (j,), m.nu + (j,)): c for j in (1, 2, 3)})
-        assert (y + expansion).equals(x)
-    else:
-        assert x.equals(AlgElem.zero())
+@given(small_alg_elems, st.randoms(use_true_random=False))
+def test_constructed_equal_pairs(x, rng):
+    """Splitting terms through sum_j S_j S_j^* = 1 to uneven depths and
+    adding the pieces back one at a time, in shuffled order, must not change
+    the element, whatever canonical form the fold ends in."""
+    pieces = []
+
+    def split(m, c, depth):
+        if depth and rng.random() < 0.6:
+            for j in (1, 2, 3):
+                split(Monomial(m.mu + (j,), m.nu + (j,)), c, depth - 1)
+        else:
+            pieces.append(AlgElem.from_terms({m: c}))
+
+    for m, c in x.terms:
+        split(m, c, 3)
+    rng.shuffle(pieces)
+    y = sum(pieces, AlgElem.zero())
+    assert x.equals(y) and y.equals(x)
+    level = max((len(m.nu) for m, _ in x.terms + y.terms), default=0)
+    assert all(x.tree_action(w) == y.tree_action(w)
+               for w in words_of_length(level + 1))
 
 
 def test_seeded_oracle_agreement_counts():

@@ -1,7 +1,6 @@
 """Curvature of the Levi-Civita connection, Ricci contraction, scalar value."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -18,11 +18,9 @@ from cuntzgeo import (
     christoffel,
     compatibility_map,
     curvature,
-    flip,
     koszul_correction,
     levi_civita,
     load_metric,
-    sym_project,
     torsion,
     unitarity_residual,
 )
@@ -34,11 +32,9 @@ from support import (
     levi_civita_by_solve,
     metrics,
     random_metric,
-    random_rank2,
     reference_compatibility,
     reference_curvature,
     scalar_connections,
-    small_fractions,
 )
 
 
