@@ -169,13 +169,12 @@ class AlgElem:
 
     @staticmethod
     def _make(mapping: dict[Monomial, GScalar]) -> "AlgElem":
+        """Canonical form of terms over the alphabet (operations keep them on
+        it); only the word-length cap, which products can break, is checked."""
         for m in mapping:
             if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
                 raise CapacityError(
                     f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
-            for letter in itertools.chain(m.mu, m.nu):
-                if not 1 <= letter <= 3:
-                    raise ValueError(f"letter {letter} outside alphabet 1..3")
         cleaned = {m: c for m, c in mapping.items() if c}
         _collapse(cleaned)
         if len(cleaned) > _MAX_TERMS:
@@ -186,6 +185,11 @@ class AlgElem:
 
     @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
+        """The canonical element of outside terms; every letter is checked."""
+        for m in mapping:
+            for letter in itertools.chain(m.mu, m.nu):
+                if not 1 <= letter <= 3:
+                    raise ValueError(f"letter {letter} outside alphabet 1..3")
         return AlgElem._make({m: GScalar.of(c) for m, c in mapping.items()})
 
     @staticmethod

@@ -80,7 +80,7 @@ def derive(i: int, a: AlgElem) -> AlgElem:
             for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
                     _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), signed[f])
-    return AlgElem.from_terms(acc)
+    return AlgElem._make(acc)
 
 
 def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:

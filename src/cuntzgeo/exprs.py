@@ -11,10 +11,14 @@ explicit product):
     scalar  := INT ('/' INT)? 'i'?  |  'i'
 
 ``*`` is only the postfix adjoint; division exists only inside scalar
-literals.  Parse and evaluation problems raise :class:`ParseError` carrying
-the character offset — they never abort the process.  That includes input
-beyond the parser's bounds: groups and ``d(...)`` nested deeper than
-``MAX_NESTING``, and integer literals longer than ``MAX_LITERAL_DIGITS``.
+literals.  The text is tokenized in full, then parsed and evaluated in one
+recursive-descent pass that folds sums and multiplies products left to
+right.  Problems raise :class:`ParseError` carrying the character offset —
+they never abort the process.  That includes input beyond the parser's
+bounds: groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and
+integer literals longer than ``MAX_LITERAL_DIGITS``.  Lexical faults come
+first; syntax, context and degree faults and resource caps
+(``CapacityError``) follow in the order the parser reaches them.
 
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
@@ -33,7 +37,7 @@ from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
 from .scalars import GScalar, I
 
 
-# Each level of nesting costs the recursive-descent parser three stack
+# Each level of nesting costs the recursive-descent parser four stack
 # frames; 100 levels stay well inside Python's default recursion limit.
 MAX_NESTING = 100
 # CPython's default cap on int-from-string conversion; Python 3.10 has none.
@@ -127,56 +131,28 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# parsing and evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Node:
-    pos: int
-
-
-@dataclass(frozen=True)
-class Lit(_Node):
-    value: GScalar
-
-
-@dataclass(frozen=True)
-class Gen(_Node):
-    index: int
-    star: bool
-
-
-@dataclass(frozen=True)
-class Form1(_Node):
-    index: int
-
-
-@dataclass(frozen=True)
-class Form2(_Node):
-    pair: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Diff(_Node):
-    arg: _Node
-
-
-@dataclass(frozen=True)
-class Prod(_Node):
-    factors: tuple[_Node, ...]
-
-
-@dataclass(frozen=True)
-class Sum(_Node):
-    items: tuple[tuple[int, _Node], ...]
-
 
 _FACTOR_START = {"num", "gen", "form1", "form2", "d", "lparen"}
 
 
+def _degree(v) -> int:
+    if isinstance(v, AlgElem):
+        return 0
+    if isinstance(v, OneForm):
+        return 1
+    return 2
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the tokens that evaluates as it reads.  The
+    ``parse_*`` methods return ``(value, pos)``: ``pos`` is where a degree
+    fault about the value is reported (for a lone group, inside it)."""
+
+    def __init__(self, tokens: list[_Token], mode: str | None):
         self.tokens = tokens
+        self.mode = mode
         self.i = 0
         self.depth = 0
 
@@ -194,68 +170,76 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return self.take()
 
-    def parse_expr(self) -> _Node:
-        start = self.peek().pos
-        items: list[tuple[int, _Node]] = []
-        sign = 1
-        if self.peek().kind in ("plus", "minus"):
-            sign = -1 if self.take().kind == "minus" else 1
-        items.append((sign, self.parse_term()))
-        while self.peek().kind in ("plus", "minus"):
-            sign = -1 if self.take().kind == "minus" else 1
-            items.append((sign, self.parse_term()))
-        if len(items) == 1 and items[0][0] == 1:
-            return items[0][1]
-        return Sum(start, tuple(items))
+    def take_sign(self) -> int:
+        """1 or -1 for a consumed '+' or '-'; 0, consuming nothing, otherwise."""
+        if self.peek().kind not in ("plus", "minus"):
+            return 0
+        return -1 if self.take().kind == "minus" else 1
 
-    def parse_term(self) -> _Node:
+    def parse_expr(self):
         start = self.peek().pos
-        factors = [self.parse_factor()]
+        sign = self.take_sign()
+        acc, pos = self.parse_term()
+        if sign < 0:
+            acc, pos = -acc, start
+        while sign := self.take_sign():
+            val, item_pos = self.parse_term()
+            if _degree(acc) != _degree(val):
+                raise ParseError("cannot add terms of different degree", item_pos)
+            acc, pos = (acc - val if sign < 0 else acc + val), start
+        return acc, pos
+
+    def parse_term(self):
+        start = self.peek().pos
+        acc, pos = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "dot":
                 self.take()
-                factors.append(self.parse_factor())
-                continue
-            if tok.kind in _FACTOR_START:
-                factors.append(self.parse_factor())
-                continue
-            if tok.kind == "star":
+            elif tok.kind == "star":
                 raise ParseError("adjoint '*' may only follow a generator", tok.pos)
-            break
-        if len(factors) == 1:
-            return factors[0]
-        return Prod(start, tuple(factors))
+            elif tok.kind not in _FACTOR_START:
+                return acc, pos
+            val, factor_pos = self.parse_factor()
+            if _degree(acc) + _degree(val) > 2:
+                raise ParseError("product exceeds form degree 2", factor_pos)
+            acc, pos = acc * val, start
 
-    def parse_factor(self) -> _Node:
-        tok = self.peek()
+    def parse_factor(self):
+        tok = self.take()
         if tok.kind == "num":
-            self.take()
-            return Lit(tok.pos, tok.value)
+            return AlgElem.scalar(tok.value), tok.pos
         if tok.kind == "gen":
-            self.take()
-            star = False
+            g = AlgElem.generator(tok.value)
             if self.peek().kind == "star":
                 self.take()
-                star = True
-            return Gen(tok.pos, tok.value, star)
+                g = g.adjoint()
+            return g, tok.pos
         if tok.kind == "form1":
-            self.take()
-            return Form1(tok.pos, tok.value)
+            if self.mode == "alg":
+                raise ParseError("one-form symbol in algebra context", tok.pos)
+            return OneForm.basis(tok.value), tok.pos
         if tok.kind == "form2":
-            self.take()
-            return Form2(tok.pos, tok.value)
+            if self.mode == "alg":
+                raise ParseError("two-form symbol in algebra context", tok.pos)
+            if self.mode == "one":
+                raise ParseError("two-form symbol in one-form context", tok.pos)
+            return TwoForm.basis(*tok.value), tok.pos
         if tok.kind == "d":
-            self.take()
+            if self.mode == "alg":
+                raise ParseError("differential in algebra context", tok.pos)
             self.expect("lparen", "'(' after 'd'")
-            return Diff(tok.pos, self.parse_group(tok.pos))
+            inner, _ = self.parse_group(tok.pos)
+            deg = _degree(inner)
+            if deg == 2:
+                raise ParseError("d of a two-form is outside this calculus", tok.pos)
+            return (d1(inner) if deg else d0(inner)), tok.pos
         if tok.kind == "lparen":
-            self.take()
             return self.parse_group(tok.pos)
         raise ParseError("expected a scalar, generator, form symbol, d(...) or group",
                          tok.pos)
 
-    def parse_group(self, pos: int) -> _Node:
+    def parse_group(self, pos: int):
         """The expression after an opening '(' and its closing ')'."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
@@ -266,94 +250,28 @@ class _Parser:
         return inner
 
 
-def _parse_ast(text: str) -> _Node:
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+def _parse(text: str, mode: str | None):
+    parser = _Parser(_tokenize(text), mode)
+    value, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError("unexpected trailing input", tok.pos)
-    return node
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-Value = "AlgElem | OneForm | TwoForm"
-
-
-def _degree(v) -> int:
-    if isinstance(v, AlgElem):
-        return 0
-    if isinstance(v, OneForm):
-        return 1
-    return 2
-
-
-def _eval(node: _Node, mode: str | None):
-    if isinstance(node, Lit):
-        return AlgElem.scalar(node.value)
-    if isinstance(node, Gen):
-        g = AlgElem.generator(node.index)
-        return g.adjoint() if node.star else g
-    if isinstance(node, Form1):
-        if mode == "alg":
-            raise ParseError("one-form symbol in algebra context", node.pos)
-        return OneForm.basis(node.index)
-    if isinstance(node, Form2):
-        if mode == "alg":
-            raise ParseError("two-form symbol in algebra context", node.pos)
-        if mode == "one":
-            raise ParseError("two-form symbol in one-form context", node.pos)
-        return TwoForm.basis(*node.pair)
-    if isinstance(node, Diff):
-        inner = _eval(node.arg, mode)
-        deg = _degree(inner)
-        if deg == 0:
-            return d0(inner)
-        if deg == 1:
-            return d1(inner)
-        raise ParseError("d of a two-form is outside this calculus", node.pos)
-    if isinstance(node, Prod):
-        acc = None
-        for factor in node.factors:
-            val = _eval(factor, mode)
-            if acc is None:
-                acc = val
-                continue
-            if _degree(acc) + _degree(val) > 2:
-                raise ParseError("product exceeds form degree 2", factor.pos)
-            acc = acc * val
-        return acc
-    if isinstance(node, Sum):
-        acc = None
-        for sign, item in node.items:
-            val = _eval(item, mode)
-            if sign < 0:
-                val = -val
-            if acc is None:
-                acc = val
-            elif _degree(acc) != _degree(val):
-                raise ParseError("cannot add terms of different degree", item.pos)
-            else:
-                acc = acc + val
-        return acc
-    raise AssertionError(f"unhandled node {node!r}")
+    return value
 
 
 def parse_expr(text: str):
     """Parse and evaluate; result is an AlgElem, OneForm or TwoForm."""
-    return _eval(_parse_ast(text), None)
+    return _parse(text, None)
 
 
 def parse_alg(text: str) -> AlgElem:
     """Parse text that must denote an algebra element."""
-    return _eval(_parse_ast(text), "alg")
+    return _parse(text, "alg")
 
 
 def parse_one_form(text: str) -> OneForm:
     """Parse text that must denote a one-form (e_i symbols and d(algebra))."""
-    value = _eval(_parse_ast(text), "one")
+    value = _parse(text, "one")
     if isinstance(value, AlgElem):
         raise ParseError("expected a one-form, got an algebra element", 0)
     if not isinstance(value, OneForm):

@@ -120,13 +120,15 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise MetricError(f"cannot read metric file: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MetricError(f"metric file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MetricError("metric file nests too deeply to decode") from exc
     else:
         data = source
     if not isinstance(data, list) or len(data) != 3 or any(

@@ -58,6 +58,12 @@ def test_derive_leibniz_example():
     assert r.stdout == "- S3 S2\n"
 
 
+def test_derive_of_a_differential_is_exit_2():
+    r = run("derive", "1", "d(S1)")
+    assert r.returncode == 2
+    assert "differential in algebra context (at offset 0)" in r.stderr
+
+
 def test_d_subcommand():
     assert run("d", "S1").stdout == "- e2 S3 + e3 S2\n"
     r = run("d", "S2* d(S3)")  # d(e1) = e23
@@ -127,6 +133,24 @@ def test_float_metric_is_exit_4(tmp_path):
 def test_missing_metric_file_is_exit_4(tmp_path):
     r = run("levi-civita", str(tmp_path / "nope.json"))
     assert r.returncode == 4
+
+
+def test_undecodable_metric_file_is_exit_4(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'[["\xe9", 0, 0], [0, 1, 0], [0, 0, 1]]')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path, fragment in ((bad, "can't decode"), (deep, "nests too deeply")):
+        r = run("levi-civita", str(path))
+        assert r.returncode == 4
+        assert fragment in r.stderr
+
+
+def test_differential_in_metric_entry_is_exit_4(tmp_path):
+    path = write_metric(tmp_path, [["d(S1)", 0, 0], [0, 1, 0], [0, 0, 1]])
+    r = run("levi-civita", path)
+    assert r.returncode == 4
+    assert "differential in algebra context" in r.stderr
 
 
 def test_internal_error_is_exit_5(monkeypatch, capsys):

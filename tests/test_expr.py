@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from cuntzgeo import (
     AlgElem,
+    CapacityError,
     OneForm,
     ParseError,
     TwoForm,
@@ -19,6 +20,7 @@ from cuntzgeo import (
     parse_scalar,
     print_canonical,
 )
+from cuntzgeo import cli
 from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
 from cuntzgeo.scalars import GScalar, rational
 
@@ -137,6 +139,27 @@ def test_context_errors():
         parse_expr("d(d(d(S1)))")
     with pytest.raises(ParseError, match="expected a scalar"):
         parse_scalar("S1")
+    for parse in (parse_alg, parse_scalar):
+        with pytest.raises(ParseError, match="differential in algebra context") as err:
+            parse("S1 + d(S1)")
+        assert err.value.position == 5
+
+
+def test_faults_are_reported_in_text_order(capsys):
+    # a context fault is reported before a later syntax fault ...
+    with pytest.raises(ParseError, match="one-form symbol in algebra context") as err:
+        parse_alg("e1 + (S1")
+    assert err.value.position == 0
+    # ... and so is an exceeded cap (the word cap is 16 letters) ...
+    text = "S1 " * 17 + ")"
+    with pytest.raises(CapacityError):
+        parse_expr(text)
+    assert cli.main(["eval", text]) == 3
+    assert capsys.readouterr().err.startswith("resource cap exceeded:")
+    # ... but lexical faults still come first
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_alg("e1 + S4")
+    assert err.value.position == 5
 
 
 def test_nesting_is_bounded():
