@@ -35,6 +35,24 @@ Words through u give s + c_u = 0.  A sibling v.k without a term would give
 s = 0 on words through it, hence c_u = 0; so all three siblings carry the
 coefficient -s, a complete family, which a canonical form does not contain.
 
+The collapse merges families deepest first, by the length |mu| + |nu| of
+their members.  A merge deletes its three members and changes only the
+parent term, which is shallower, so the merges of one level commute and the
+canonical form is a function of the terms alone.  (Taking families in the
+order of a hash set instead would let unrelated terms decide the result
+whenever a family and the family of one of its members complete at once.)
+
+Lemma (accumulating a sum).  Let A be canonical and add terms with keys T.
+A family with no key in T keeps its coefficients from A, so it is not
+complete.  A merge changes only its parent term and then examines the
+parent's family.  So a collapse seeded from the families of T examines
+every family that is complete when its level is reached, as a collapse
+seeded from every term does, and both merge the same families.  Every
+prefix of a left fold of ``+`` and ``-`` is canonical, so a mutable fold
+that updates the touched keys and collapses from them alone (``_Sum``) ends
+in the fold's result exactly.  Its work is linear in the summands' terms
+and the merges they cause, plus one sort at the end.
+
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
 every other word.  Two elements are equal iff their actions agree on all
@@ -47,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import GScalar, ONE, ZERO
 
@@ -80,6 +98,19 @@ def get_caps() -> tuple[int, int]:
     return _MAX_WORD_LEN, _MAX_TERMS
 
 
+def _check_word_lengths(monos: Iterable[Monomial]) -> None:
+    for m in monos:
+        if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
+            raise CapacityError(
+                f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
+
+
+def _check_term_count(n: int) -> None:
+    if n > _MAX_TERMS:
+        raise CapacityError(
+            f"term count {n} exceeds cap {_MAX_TERMS} (raise it via set_caps)")
+
+
 def _as_word(w: Sequence[int] | str) -> Word:
     if isinstance(w, str):
         return tuple(int(ch) for ch in w)
@@ -107,6 +138,9 @@ class Monomial:
         return f"Monomial({self.mu}, {self.nu})"
 
 
+_UNIT = Monomial((), ())
+
+
 def monomial(mu: Sequence[int] | str, nu: Sequence[int] | str = ()) -> Monomial:
     return Monomial(_as_word(mu), _as_word(nu))
 
@@ -123,34 +157,86 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
     return None
 
 
-def _collapse(terms: dict[Monomial, GScalar]) -> None:
+def _family_coefficient(terms: dict[Monomial, GScalar], mu: Word, nu: Word):
+    """The coefficient shared by all three children ``(mu.j, nu.j)``, or
+    None when the family is not complete."""
+    first = terms.get(Monomial(mu + (1,), nu + (1,)))
+    if (first is None or terms.get(Monomial(mu + (2,), nu + (2,))) != first
+            or terms.get(Monomial(mu + (3,), nu + (3,))) != first):
+        return None
+    return first
+
+
+def _collapse(terms: dict[Monomial, GScalar],
+              seeds: Iterable[Monomial] | None = None) -> None:
     """Apply the full-family collapse rewrite in place, to a fixed point.
 
     Whenever all three children ``(mu.j, nu.j)`` are present with one shared
     coefficient, they merge into ``(mu, nu)``.  Each merge can complete the
-    family one level up, so candidates cascade until exhausted.
+    family one level up, so candidates cascade until exhausted, deepest
+    level first.  The first candidates are the families of ``seeds``
+    (default: every term); the module docstring says when fewer suffice.
     """
     pending = {
         (m.mu[:-1], m.nu[:-1])
-        for m in terms
+        for m in (terms if seeds is None else seeds)
         if m.mu and m.nu and m.mu[-1] == m.nu[-1]
     }
-    while pending:
-        mu, nu = pending.pop()
-        children = [Monomial(mu + (j,), nu + (j,)) for j in _LETTERS]
-        first = terms.get(children[0])
-        if first is None or any(terms.get(c) != first for c in children[1:]):
-            continue
-        for c in children:
-            del terms[c]
-        parent = Monomial(mu, nu)
-        total = terms.get(parent, ZERO) + first
-        if total:
-            terms[parent] = total
-            if mu and nu and mu[-1] == nu[-1]:
-                pending.add((mu[:-1], nu[:-1]))
-        else:
-            terms.pop(parent, None)
+    # only complete families and the families a merge changes need a visit
+    levels: dict[int, list[tuple[Word, Word]]] = {}
+    for mu, nu in pending:
+        if _family_coefficient(terms, mu, nu) is not None:
+            levels.setdefault(len(mu) + len(nu), []).append((mu, nu))
+    while levels:
+        level = max(levels)
+        for mu, nu in levels.pop(level):
+            first = _family_coefficient(terms, mu, nu)
+            if first is None:
+                continue
+            for j in _LETTERS:
+                del terms[Monomial(mu + (j,), nu + (j,))]
+            parent = Monomial(mu, nu)
+            total = terms.get(parent, ZERO) + first
+            if total:
+                terms[parent] = total
+                if mu and nu and mu[-1] == nu[-1]:
+                    levels.setdefault(level - 2, []).append((mu[:-1], nu[:-1]))
+            else:
+                terms.pop(parent, None)
+
+
+def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
+    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu)."""
+    return tuple(sorted(items, key=lambda kv: kv[0].sort_key()))
+
+
+class _Sum:
+    """A left fold of ``+`` and ``-`` over AlgElems, in one mutable dict.
+
+    ``add(x, sign)`` leaves the terms of ``acc + x`` (``acc - x`` for a
+    negative sign), term cap included, but touches only the keys of ``x``
+    and the families they complete; ``value`` sorts once.  The lemma in the
+    module docstring says why the result is the fold's exactly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self) -> None:
+        self.terms: dict[Monomial, GScalar] = {}
+
+    def add(self, x: "AlgElem", sign: int = 1) -> None:
+        terms = self.terms
+        for m, c in x.terms:
+            total = terms.get(m, ZERO) - c if sign < 0 else terms.get(m, ZERO) + c
+            if total:
+                terms[m] = total
+            else:
+                del terms[m]
+        _collapse(terms, [m for m, _ in x.terms])
+        _check_term_count(len(terms))
+
+    def value(self) -> "AlgElem":
+        return AlgElem(_ordered(self.terms.items()))
 
 
 @dataclass(frozen=True)
@@ -171,17 +257,11 @@ class AlgElem:
     def _make(mapping: dict[Monomial, GScalar]) -> "AlgElem":
         """Canonical form of terms over the alphabet (operations keep them on
         it); only the word-length cap, which products can break, is checked."""
-        for m in mapping:
-            if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
-                raise CapacityError(
-                    f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
+        _check_word_lengths(mapping)
         cleaned = {m: c for m, c in mapping.items() if c}
         _collapse(cleaned)
-        if len(cleaned) > _MAX_TERMS:
-            raise CapacityError(
-                f"term count {len(cleaned)} exceeds cap {_MAX_TERMS} (raise it via set_caps)")
-        ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key()))
-        return AlgElem(ordered)
+        _check_term_count(len(cleaned))
+        return AlgElem(_ordered(cleaned.items()))
 
     @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
@@ -198,11 +278,12 @@ class AlgElem:
 
     @staticmethod
     def unit() -> "AlgElem":
-        return AlgElem.from_terms({Monomial((), ()): ONE})
+        return AlgElem(((_UNIT, ONE),))
 
     @staticmethod
     def scalar(c: "GScalar | int") -> "AlgElem":
-        return AlgElem.from_terms({Monomial((), ()): GScalar.of(c)})
+        c = GScalar.of(c)
+        return AlgElem(((_UNIT, c),)) if c else AlgElem(())
 
     @staticmethod
     def generator(i: int) -> "AlgElem":
@@ -260,6 +341,16 @@ class AlgElem:
             return self.scale(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
+        if len(self.terms) == 1 == len(other.terms):
+            # One term is canonical and a product of nonzero scalars is
+            # nonzero, so only the word cap needs checking.
+            (ma, ca), = self.terms
+            (mb, cb), = other.terms
+            prod = _mul_monomials(ma, mb)
+            if prod is None:
+                return AlgElem(())
+            _check_word_lengths((prod,))
+            return AlgElem(((prod, cb if ca == ONE else ca if cb == ONE else ca * cb),))
         acc: dict[Monomial, GScalar] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
@@ -280,7 +371,9 @@ class AlgElem:
         return AlgElem(tuple((m, c * coeff) for m, coeff in self.terms))
 
     def adjoint(self) -> "AlgElem":
-        return AlgElem._make({m.adjoint(): c.conjugate() for m, c in self.terms})
+        # The adjoint maps complete families to complete families, so the
+        # adjoint of a canonical form is canonical once re-sorted.
+        return AlgElem(_ordered((m.adjoint(), c.conjugate()) for m, c in self.terms))
 
     # -- equality decision ---------------------------------------------------
 

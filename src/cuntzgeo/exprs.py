@@ -13,12 +13,16 @@ explicit product):
 ``*`` is only the postfix adjoint; division exists only inside scalar
 literals.  The text is tokenized in full, then parsed and evaluated in one
 recursive-descent pass that folds sums and multiplies products left to
-right.  Problems raise :class:`ParseError` carrying the character offset —
-they never abort the process.  That includes input beyond the parser's
-bounds: groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and
-integer literals longer than ``MAX_LITERAL_DIGITS``.  Lexical faults come
-first; syntax, context and degree faults and resource caps
-(``CapacityError``) follow in the order the parser reaches them.
+right.  A sum folds into one mutable accumulator (one per component for
+forms) that touches only each summand's terms and ends in the left fold's
+result exactly, so parsing takes time linear in the number of summands; a
+product of one-term factors is formed directly.  Problems raise
+:class:`ParseError` carrying the character offset — they never abort the
+process.  That includes input beyond the parser's bounds: groups and
+``d(...)`` nested deeper than ``MAX_NESTING``, and integer literals longer
+than ``MAX_LITERAL_DIGITS``.  Lexical faults come first; syntax, context and
+degree faults and resource caps (``CapacityError``) follow in the order the
+parser reaches them.
 
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
@@ -32,7 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElem, Monomial
+from .algebra import AlgElem, Monomial, _Sum
 from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
 from .scalars import GScalar, I
 
@@ -145,6 +149,10 @@ def _degree(v) -> int:
     return 2
 
 
+def _components(v) -> tuple[AlgElem, ...]:
+    return (v,) if isinstance(v, AlgElem) else v.c
+
+
 class _Parser:
     """Recursive descent over the tokens that evaluates as it reads.  The
     ``parse_*`` methods return ``(value, pos)``: ``pos`` is where a degree
@@ -179,15 +187,21 @@ class _Parser:
     def parse_expr(self):
         start = self.peek().pos
         sign = self.take_sign()
-        acc, pos = self.parse_term()
-        if sign < 0:
-            acc, pos = -acc, start
-        while sign := self.take_sign():
+        first, pos = self.parse_term()
+        if self.peek().kind not in ("plus", "minus"):
+            return (-first, start) if sign < 0 else (first, pos)
+        sums = [_Sum() for _ in _components(first)]
+        val = first
+        while True:
+            for acc, a in zip(sums, _components(val)):
+                acc.add(a, sign)
+            if not (sign := self.take_sign()):
+                break
             val, item_pos = self.parse_term()
-            if _degree(acc) != _degree(val):
+            if _degree(val) != _degree(first):
                 raise ParseError("cannot add terms of different degree", item_pos)
-            acc, pos = (acc - val if sign < 0 else acc + val), start
-        return acc, pos
+        values = tuple(acc.value() for acc in sums)
+        return (values[0] if isinstance(first, AlgElem) else type(first)(values)), start
 
     def parse_term(self):
         start = self.peek().pos

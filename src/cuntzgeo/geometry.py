@@ -127,6 +127,9 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MetricError(f"metric file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past the int-string digit limit
+            raise MetricError(
+                f"metric file holds an integer too long to decode: {exc}") from exc
         except RecursionError as exc:
             raise MetricError("metric file nests too deeply to decode") from exc
     else:

@@ -58,6 +58,24 @@ def random_word(rng: random.Random, max_len: int = 3) -> tuple[int, ...]:
     return tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_len)))
 
 
+def split_terms(x: AlgElem, rng: random.Random,
+                depth: int = 3) -> list[tuple[Monomial, GScalar]]:
+    """The terms of x split through sum_j S_j S_j^* = 1 to uneven depths, as
+    one-term pieces; adding them back completes equal-coefficient families."""
+    pieces = []
+
+    def split(m, c, depth):
+        if depth and rng.random() < 0.6:
+            for j in (1, 2, 3):
+                split(Monomial(m.mu + (j,), m.nu + (j,)), c, depth - 1)
+        else:
+            pieces.append((m, c))
+
+    for m, c in x.terms:
+        split(m, c, depth)
+    return pieces
+
+
 def random_elem(rng: random.Random, max_terms: int = 4,
                 max_len: int = 3, max_degree: int | None = None) -> AlgElem:
     terms = {}

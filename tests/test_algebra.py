@@ -14,9 +14,16 @@ from cuntzgeo import (
     monomial,
     set_caps,
 )
+from cuntzgeo.algebra import _Sum
 from cuntzgeo.scalars import GScalar, ONE, rational
 
-from support import alg_elems, random_elem, small_alg_elems, words_of_length
+from support import (
+    alg_elems,
+    random_elem,
+    small_alg_elems,
+    split_terms,
+    words_of_length,
+)
 
 S1 = AlgElem.generator(1)
 S2 = AlgElem.generator(2)
@@ -204,23 +211,68 @@ def test_constructed_equal_pairs(x, rng):
     """Splitting terms through sum_j S_j S_j^* = 1 to uneven depths and
     adding the pieces back one at a time, in shuffled order, must not change
     the element, whatever canonical form the fold ends in."""
-    pieces = []
-
-    def split(m, c, depth):
-        if depth and rng.random() < 0.6:
-            for j in (1, 2, 3):
-                split(Monomial(m.mu + (j,), m.nu + (j,)), c, depth - 1)
-        else:
-            pieces.append(AlgElem.from_terms({m: c}))
-
-    for m, c in x.terms:
-        split(m, c, 3)
+    pieces = [AlgElem.from_terms({m: c}) for m, c in split_terms(x, rng)]
     rng.shuffle(pieces)
     y = sum(pieces, AlgElem.zero())
     assert x.equals(y) and y.equals(x)
     level = max((len(m.nu) for m, _ in x.terms + y.terms), default=0)
     assert all(x.tree_action(w) == y.tree_action(w)
                for w in words_of_length(level + 1))
+
+
+def _child(m, j):
+    return Monomial(m.mu + (j,), m.nu + (j,))
+
+
+@given(small_alg_elems, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_sum_is_the_left_fold(x, rng):
+    """The accumulator gives the left fold of + and - exactly, prefix by
+    prefix, on summands that complete families and then break some of them
+    again.  For some terms one summand completes a family and the family of
+    one of its members at once."""
+    pieces = split_terms(x, rng)
+    rng.shuffle(pieces)
+    pieces += [(m, -c) for m, c in rng.sample(pieces, rng.randint(0, len(pieces)))]
+    chunks = []
+    while pieces:
+        k = rng.randint(1, 4)
+        chunks.append(pieces[:k])
+        pieces = pieces[k:]
+    for m, c in x.terms:
+        if rng.random() < 0.5:
+            j, k = rng.randint(1, 3), rng.randint(1, 3)
+            member, f = _child(m, j), c * rng.choice((1, 2, -1))
+            for piece in ([(_child(m, i), c) for i in (1, 2, 3) if i != j]
+                          + [(_child(member, i), f) for i in (1, 2, 3) if i != k]):
+                chunks.insert(rng.randint(0, len(chunks)), [piece])
+            chunks.append([(member, c), (_child(member, k), f)])
+    acc, fold = _Sum(), AlgElem.zero()
+    for chunk in chunks:
+        sign = rng.choice((1, -1))
+        summand = sum((AlgElem.from_terms({m: sign * c}) for m, c in chunk),
+                      AlgElem.zero())
+        acc.add(summand, sign)
+        fold = fold - summand if sign < 0 else fold + summand
+        assert acc.value() == fold
+
+
+def test_nested_families_merge_deepest_first():
+    """A family and the family of its parent complete in one step: the deeper
+    merges first, and terms elsewhere do not change the outcome."""
+    before = AlgElem.from_terms({monomial("2", "2"): 1, monomial("3", "3"): 1,
+                                 monomial("11", "11"): 1, monomial("12", "12"): 1})
+    step = AlgElem.from_terms({monomial("1", "1"): 1, monomial("13", "13"): 1})
+    merged = {monomial("1", "1"): rational(2), monomial("2", "2"): ONE,
+              monomial("3", "3"): ONE}
+    assert (before + step).term_map() == merged
+    other = AlgElem.from_terms({monomial("231", "1"): 7})
+    with_other = {**merged, monomial("231", "1"): rational(7)}
+    assert (before + other + step).term_map() == with_other
+    acc = _Sum()
+    for summand in (other, before, step):
+        acc.add(summand)
+    assert acc.value().term_map() == with_other
 
 
 def test_seeded_oracle_agreement_counts():

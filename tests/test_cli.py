@@ -146,6 +146,17 @@ def test_undecodable_metric_file_is_exit_4(tmp_path):
         assert fragment in r.stderr
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-string digit limit")
+def test_long_json_integer_in_metric_file_is_exit_4(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text("[[" + "1" * 5000 + ", 0, 0], [0, 1, 0], [0, 0, 1]]")
+    r = run("levi-civita", str(path))
+    assert r.returncode == 4
+    assert r.stderr.startswith("invalid metric:")
+    assert "too long to decode" in r.stderr
+
+
 def test_differential_in_metric_entry_is_exit_4(tmp_path):
     path = write_metric(tmp_path, [["d(S1)", 0, 0], [0, 1, 0], [0, 0, 1]])
     r = run("levi-civita", path)

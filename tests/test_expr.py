@@ -1,9 +1,11 @@
 """Grammar, diagnostics and the parse/print round trip."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuntzgeo import (
     AlgElem,
@@ -13,18 +15,20 @@ from cuntzgeo import (
     TwoForm,
     d0,
     d1,
+    get_caps,
     monomial,
     parse_alg,
     parse_expr,
     parse_one_form,
     parse_scalar,
     print_canonical,
+    set_caps,
 )
-from cuntzgeo import cli
+from cuntzgeo import algebra, cli
 from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
 from cuntzgeo.scalars import GScalar, rational
 
-from support import alg_elems, one_forms, small_alg_elems
+from support import alg_elems, one_forms, small_alg_elems, split_terms
 
 
 def test_parse_monomials():
@@ -186,6 +190,118 @@ def test_error_never_exits(capsys):
     except ParseError as exc:
         assert exc.position == 2
     assert capsys.readouterr().out == ""
+
+
+# -- sums ---------------------------------------------------------------------
+
+def _sum_text(signed) -> str:
+    """``(v1) - (v2) + ...`` for (sign, value) pairs."""
+    return " ".join(f"{'-' if sign < 0 else '+'} ({print_canonical(v)})"
+                    for sign, v in signed)
+
+
+@given(small_alg_elems, st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_one_form_sum_is_the_left_fold(x, rng):
+    """A parsed sum of one-forms is the left fold of + and - of its summands:
+    the pieces of x go into each component, and families complete there."""
+    pieces = [(k, m, c) for k in (1, 2, 3) for m, c in split_terms(x, rng)]
+    rng.shuffle(pieces)
+    breaking = rng.sample(pieces, rng.randint(0, len(pieces)))
+    pieces += [(k, m, -c) for k, m, c in breaking]
+    signed = []
+    while pieces:
+        n = rng.randint(1, 4)
+        coeffs = [{} for _ in range(3)]
+        for k, m, c in pieces[:n]:
+            coeffs[k - 1][m] = coeffs[k - 1].get(m, 0) + c
+        pieces = pieces[n:]
+        v = OneForm(tuple(AlgElem.from_terms(d) for d in coeffs))
+        if not v.is_zero():
+            signed.append((rng.choice((1, -1)), v))
+    assume(signed)
+    fold = OneForm.zero()
+    for sign, v in signed:
+        fold = fold - v if sign < 0 else fold + v
+    assert parse_expr(_sum_text(signed)) == fold
+    assert parse_one_form(_sum_text(signed)) == fold
+
+
+@given(small_alg_elems, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_term_cap_applies_to_each_prefix_of_a_sum(x, rng):
+    """A sum exceeds max_terms=k exactly when a prefix of its fold has more
+    than k terms; a collapse that briefly holds more is no fault."""
+    pieces = split_terms(x, rng)
+    rng.shuffle(pieces)
+    summands = [AlgElem.from_terms({m: c}) for m, c in pieces]
+    assume(summands)
+    text = _sum_text((1, s) for s in summands)
+    fold, peak = AlgElem.zero(), 0
+    for s in summands:
+        fold = fold + s
+        peak = max(peak, len(fold.terms))
+    old = get_caps()
+    try:
+        for k in {max(peak - 1, 1), peak}:
+            set_caps(max_terms=k)
+            if peak > k:
+                with pytest.raises(CapacityError):
+                    parse_alg(text)
+            else:
+                assert parse_alg(text) == fold
+    finally:
+        set_caps(*old)
+
+
+def test_term_cap_through_the_cli(capsys):
+    # prefixes of 1, 2 and 1 terms; the last addition holds 3 before collapsing
+    text = "S1 S1* + S2 S2* + S3 S3*"
+    old = get_caps()
+    try:
+        set_caps(max_terms=2)
+        assert cli.main(["eval", text]) == 0
+        assert capsys.readouterr().out == "1\n"
+        set_caps(max_terms=1)
+        assert cli.main(["eval", text]) == 3
+        assert capsys.readouterr().err.startswith("resource cap exceeded:")
+    finally:
+        set_caps(*old)
+
+
+def _distinct_terms_text(n: int) -> str:
+    """n summands ``c S_mu S_nu*`` with distinct words and coefficients."""
+    k = 1
+    while 3 ** k < n:
+        k += 1
+    words = itertools.islice(itertools.product((1, 2, 3), repeat=k), n)
+    return " + ".join(
+        f"{c} " + " ".join([f"S{a}" for a in w[:2]] + [f"S{a}*" for a in w[2:]])
+        for c, w in enumerate(words, start=1))
+
+
+def test_parse_work_is_linear_in_the_summands(monkeypatch):
+    """Count the monomials handed to canonicalization: a fold that
+    re-canonicalizes its accumulator at every summand counts about N^2."""
+    count = 0
+    make, collapse = AlgElem._make, algebra._collapse
+
+    def counting_make(mapping):
+        nonlocal count
+        count += len(mapping)
+        return make(mapping)
+
+    def counting_collapse(terms, *seeds):
+        nonlocal count
+        count += len(seeds[0]) if seeds else len(terms)
+        collapse(terms, *seeds)
+
+    monkeypatch.setattr(AlgElem, "_make", staticmethod(counting_make))
+    monkeypatch.setattr(algebra, "_collapse", counting_collapse)
+    for n in (243, 2187):
+        count = 0
+        assert len(parse_alg(_distinct_terms_text(n)).terms) == n
+        assert count <= 4 * n
 
 
 # -- round trips ---------------------------------------------------------------
