@@ -20,10 +20,23 @@ two-form.  The degree-1 differential is the graded Leibniz rule on forms,
 
     d1(sum_i e_i a_i) = sum_i d(e_i) a_i - e_i d0(a_i),
 
-from the fixed differentials of the basis one-forms; those agree with the
-products ``d(S2*) d(S3)``, ``d(S1*) d(S3)`` and ``-d(S1*) d(S2)`` of their
+from the fixed differentials ``d(e1) = e23``, ``d(e2) = -e13`` and
+``d(e3) = e12`` of the basis one-forms; those agree with the products
+``d(S2*) d(S3)``, ``d(S1*) d(S3)`` and ``-d(S1*) d(S2)`` of their
 presentations ``e1 = S2* d(S3)``, ``e2 = S1* d(S3)``, ``e3 = -S1* d(S2)``,
-which the acceptance gate and ``verify-paper`` recompute.
+which the acceptance gate and ``verify-paper`` recompute.  As ``e_i d0(a)``
+is ``D_q(a)`` on ``e_iq`` and ``-D_p(a)`` on ``e_pi``, where
+``D_k = derive(k, .)``, the component on ``e_pq`` is
+
+    d1(omega)_pq = sum_i d(e_i)_pq a_i - D_q(a_p) + D_p(a_q),
+
+which :func:`d1` sums in this order:
+
+    e12:  - D2(a1) + D1(a2) + a3
+    e13:  - D3(a1) - a2     + D1(a3)
+    e23:    a1     - D3(a2) + D2(a3)
+
+``D_i(a_i)`` never occurs, so a nonzero ``a_i`` costs two derivations.
 
 Rank-2 and rank-3 tensors over the one-form module support the structural
 maps used by the geometry layer: the symmetrizer :func:`sym_project`, the
@@ -36,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import AlgElem, Monomial
+from .algebra import AlgElem, Monomial, _Sum
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -452,14 +465,28 @@ BASIS_DIFFERENTIALS: tuple[TwoForm, TwoForm, TwoForm] = (
 
 def d1(omega: OneForm) -> TwoForm:
     """Degree-1 differential, extended from the basis by the graded Leibniz
-    rule: d(e_i * a) = d(e_i) * a - e_i * d0(a)."""
-    out = TwoForm.zero()
-    for i in (1, 2, 3):
-        a = omega.component(i)
+    rule d(e_i * a) = d(e_i) * a - e_i * d0(a).
+
+    Each component is one left fold (``_Sum``) of the summands in the
+    module docstring, taken in the order of i and, for one i, the d(e_i)
+    term first: the ±1 entry of ``BASIS_DIFFERENTIALS[i - 1]`` adds or
+    subtracts a_i, and e_pq subtracts ``derive(q, a_i)`` when p = i and adds
+    ``derive(p, a_i)`` when q = i.  So the result is the same canonical form
+    as the fold of TwoForm sums over i, with two ``derive`` calls and one
+    sort per component.
+    """
+    sums = [_Sum() for _ in WEDGE_PAIRS]
+    for i, a in zip((1, 2, 3), omega.c):
         if a.is_zero():
             continue
-        out = out + BASIS_DIFFERENTIALS[i - 1] * a - OneForm.basis(i) * d0(a)
-    return out
+        for acc, e, (p, q) in zip(sums, BASIS_DIFFERENTIALS[i - 1].c, WEDGE_PAIRS):
+            if e.terms:
+                acc.add(a, 1 if e.as_scalar() == ONE else -1)
+            if p == i:
+                acc.add(derive(q, a), -1)
+            elif q == i:
+                acc.add(derive(p, a))
+    return TwoForm(tuple(acc.value() for acc in sums))
 
 
 def differential(x: "AlgElem | OneForm") -> "OneForm | TwoForm":

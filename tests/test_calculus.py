@@ -1,5 +1,6 @@
 """Derivations, rotations, forms and the two differentials."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from cuntzgeo import (
     BASIS_DIFFERENTIALS,
     AlgElem,
+    Monomial,
     OneForm,
     TensorElem,
     TwoForm,
@@ -17,6 +19,7 @@ from cuntzgeo import (
     derive,
     flip,
     junk_project,
+    monomial,
     one_form_tensor,
     represented_product,
     rotate,
@@ -24,9 +27,17 @@ from cuntzgeo import (
     tensor_product,
     wedge,
 )
+from cuntzgeo import calculus
 from cuntzgeo.scalars import GScalar, rational
 
-from support import one_forms, rank2_tensors, reference_d1, small_alg_elems
+from support import (
+    one_forms,
+    random_gscalar,
+    random_word,
+    rank2_tensors,
+    reference_d1,
+    small_alg_elems,
+)
 
 S1, S2, S3 = (AlgElem.generator(i) for i in (1, 2, 3))
 
@@ -265,6 +276,72 @@ def test_wedge_matches_represented_product(u, v):
 def test_d1_and_product_match_the_tensor_references(u, v):
     assert d1(u) == reference_d1(u)
     assert u * v == junk_project(represented_product(u, v))
+
+
+def _mix_elem(rng, n):
+    """n distinct terms with words of length at most 4, as in the
+    calculus-mix benchmark (the canonical form may merge a few)."""
+    terms = {}
+    while len(terms) < n:
+        terms[Monomial(random_word(rng, 4), random_word(rng, 4))] = (
+            random_gscalar(rng, nonzero=True))
+    return AlgElem.from_terms(terms)
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 12])
+def test_d1_matches_the_reference_on_benchmark_sized_forms(n):
+    rng = random.Random(9000 + n)
+    for _ in range(2):
+        x, y = _mix_elem(rng, n), _mix_elem(rng, n)
+        omega = x * d0(y)
+        assert d1(omega) == reference_d1(omega)
+
+
+def _planted_forms(c, c2, d):
+    """One-forms whose e23 component is completed by a summand from another i.
+
+    ``nested``: a1 holds two members of the family F = {(1.j, 2.j)} and two
+    of G = {(12.l, 22.l)}, the family of F's member M = (12, 22); D2(a3) =
+    c M + c2 (122, 222) completes both at once, and the deeper G must merge
+    first.  ``ordered``: a1 holds two members of F' = {(2.j, 3.j)}, -D3(a2)
+    adds the third, M' = (23, 33), so F' merges, and D2(a3) then adds d M'
+    beside it; another order of the summands gives another canonical form.
+    """
+    zero = AlgElem.zero()
+    nested = OneForm.of(
+        AlgElem.from_terms({monomial("11", "21"): c, monomial("13", "23"): c,
+                            monomial("121", "221"): c2, monomial("123", "223"): c2}),
+        zero,
+        AlgElem.from_terms({monomial("32", "22"): c, monomial("322", "222"): c2}))
+    ordered = OneForm.of(
+        AlgElem.from_terms({monomial("21", "31"): c, monomial("22", "32"): c}),
+        AlgElem.from_terms({monomial("13", "33"): -c}),
+        AlgElem.from_terms({monomial("21", "33"): -d}))
+    return nested, ordered
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_d1_keeps_the_summand_order_and_the_deepest_first_collapse(seed):
+    rng = random.Random(seed)
+    c, c2, d = (random_gscalar(rng, nonzero=True) for _ in range(3))
+    for omega in _planted_forms(c, c2, d):
+        assert d1(omega) == reference_d1(omega)
+
+
+def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
+    calls = []
+    derive_once = calculus.derive
+
+    def counted(i, a):
+        calls.append(i)
+        return derive_once(i, a)
+
+    monkeypatch.setattr(calculus, "derive", counted)
+    d1(OneForm.of(S1 + S2.adjoint(), S3 * S1.adjoint(), S2 - S1))
+    assert len(calls) == 6
+    calls.clear()
+    d1(OneForm.of(0, S1, 0))
+    assert sorted(calls) == [1, 3]
 
 
 @given(one_forms, one_forms)
