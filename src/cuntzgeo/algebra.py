@@ -351,12 +351,6 @@ class AlgElem:
                 return AlgElem(())
             _check_word_lengths((prod,))
             return AlgElem(((prod, cb if ca == ONE else ca if cb == ONE else ca * cb),))
-        for factor, rest in ((self, other), (other, self)):
-            if len(factor.terms) == 1 and factor.terms[0][0].is_unit:
-                # c*1 keeps every word, and a nonzero c neither zeroes a
-                # coefficient nor completes a family: rest.scale(c) is canonical.
-                c = factor.terms[0][1]
-                return rest if c == ONE else rest.scale(c)
         acc: dict[Monomial, GScalar] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:

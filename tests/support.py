@@ -29,7 +29,6 @@ from cuntzgeo import (
     tensor_product,
     wedge,
 )
-from cuntzgeo.algebra import _mul_monomials
 from cuntzgeo.calculus import sym_project_legs
 from cuntzgeo.scalars import ZERO
 
@@ -125,20 +124,8 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
-# references: products, d1, compatibility and curvature by tensor algebra
+# references: d1, the compatibility pairing and the curvature by tensor algebra
 # ---------------------------------------------------------------------------
-
-def reference_mul(a: AlgElem, b: AlgElem) -> AlgElem:
-    """The product by the plain double loop over terms, canonicalized once
-    by ``_make``: no shortcut for one-term or scalar factors."""
-    acc = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            prod = _mul_monomials(ma, mb)
-            if prod is not None:
-                acc[prod] = acc.get(prod, ZERO) + ca * cb
-    return AlgElem._make(acc)
-
 
 def reference_d1(omega: OneForm) -> TwoForm:
     """The degree-1 differential with e_i d0(a) formed as the wedge of the

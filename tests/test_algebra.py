@@ -19,9 +19,7 @@ from cuntzgeo.scalars import GScalar, ONE, rational
 
 from support import (
     alg_elems,
-    nonzero_gscalars,
     random_elem,
-    reference_mul,
     small_alg_elems,
     split_terms,
     words_of_length,
@@ -190,17 +188,6 @@ def test_adjoint_antihomomorphism(x, y):
 def test_associativity_and_distributivity(x, y, z):
     assert ((x * y) * z).equals(x * (y * z))
     assert (x * (y + z)).equals(x * y + x * z)
-
-
-@given(alg_elems, st.one_of(st.just(ONE), nonzero_gscalars))
-def test_scalar_factor_products_match_the_double_loop(x, c):
-    """c*1 times an element, on either side, is the element scaled by c (or
-    the element itself for c = 1): the canonical form of the double loop."""
-    s = AlgElem.scalar(c)
-    assert s * x == reference_mul(s, x)
-    assert x * s == reference_mul(x, s)
-    if c == ONE and len(x.terms) > 1:
-        assert s * x is x is x * s
 
 
 @given(alg_elems)
