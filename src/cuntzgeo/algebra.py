@@ -53,6 +53,12 @@ that updates the touched keys and collapses from them alone (``_Sum``) ends
 in the fold's result exactly.  Its work is linear in the summands' terms
 and the merges they cause, plus one sort at the end.
 
+Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
+words, so keys hash and compare in C.  Every accumulator (``_Sum``, ``+``,
+products, a merge's parent term, ``tree_action`` and ``calculus.derive``)
+stores the coefficient of a key it does not hold yet as it comes, or its
+negation, and adds only onto a key it holds.
+
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
 every other word.  Two elements are equal iff their actions agree on all
@@ -65,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import GScalar, ONE, ZERO
 
@@ -117,9 +123,12 @@ def _as_word(w: Sequence[int] | str) -> Word:
     return tuple(int(x) for x in w)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """The monomial ``S_mu S_nu^*``; ``mu == nu == ()`` is the unit."""
+class Monomial(NamedTuple):
+    """The monomial ``S_mu S_nu^*``; ``mu == nu == ()`` is the unit.
+
+    A tuple ``(mu, nu)``, so dict keys hash and compare in C; it equals the
+    plain tuple of its two words.
+    """
 
     mu: Word
     nu: Word
@@ -196,7 +205,8 @@ def _collapse(terms: dict[Monomial, GScalar],
             for j in _LETTERS:
                 del terms[Monomial(mu + (j,), nu + (j,))]
             parent = Monomial(mu, nu)
-            total = terms.get(parent, ZERO) + first
+            old = terms.get(parent)
+            total = first if old is None else old + first
             if total:
                 terms[parent] = total
                 if mu and nu and mu[-1] == nu[-1]:
@@ -227,7 +237,11 @@ class _Sum:
     def add(self, x: "AlgElem", sign: int = 1) -> None:
         terms = self.terms
         for m, c in x.terms:
-            total = terms.get(m, ZERO) - c if sign < 0 else terms.get(m, ZERO) + c
+            old = terms.get(m)
+            if old is None:
+                terms[m] = -c if sign < 0 else c
+                continue
+            total = old - c if sign < 0 else old + c
             if total:
                 terms[m] = total
             else:
@@ -318,7 +332,8 @@ class AlgElem:
             return NotImplemented
         acc = self.term_map()
         for m, c in other.terms:
-            acc[m] = acc.get(m, ZERO) + c
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
         return AlgElem._make(acc)
 
     __radd__ = __add__
@@ -357,7 +372,8 @@ class AlgElem:
                 prod = _mul_monomials(ma, mb)
                 if prod is None:
                     continue
-                acc[prod] = acc.get(prod, ZERO) + ca * cb
+                old = acc.get(prod)
+                acc[prod] = ca * cb if old is None else old + ca * cb
         return AlgElem._make(acc)
 
     def __rmul__(self, other: object) -> "AlgElem":
@@ -399,11 +415,15 @@ class AlgElem:
             k = len(m.nu)
             if word[:k] == m.nu:
                 img = m.mu + word[k:]
-                total = out.get(img, ZERO) + c
+                old = out.get(img)
+                if old is None:
+                    out[img] = c
+                    continue
+                total = old + c
                 if total:
                     out[img] = total
                 else:
-                    out.pop(img, None)
+                    del out[img]
         return out
 
     def __repr__(self) -> str:

@@ -77,22 +77,30 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     acc: dict[Monomial, GScalar] = {}
 
     def _bump(key: Monomial, c: GScalar) -> None:
-        total = acc.get(key, ZERO) + c
+        old = acc.get(key)
+        if old is None:
+            acc[key] = c
+            return
+        total = old + c
         if total:
             acc[key] = total
         else:
-            acc.pop(key, None)
+            del acc[key]
 
     for m, c in a.terms:
-        signed = {1: c, -1: -c}
+        neg = None  # -c, made at the first -1 entry
         for p, letter in enumerate(m.mu):
             for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), signed[f])
+                    if f < 0 and neg is None:
+                        neg = -c
+                    _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c if f > 0 else neg)
         for p, letter in enumerate(m.nu):
             for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), signed[f])
+                    if f < 0 and neg is None:
+                        neg = -c
+                    _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c if f > 0 else neg)
     return AlgElem._make(acc)
 
 

@@ -4,12 +4,23 @@ Every coefficient in the package is a ``GScalar``: a complex number
 ``re + im*i`` whose parts are :class:`fractions.Fraction` values.  All
 arithmetic is exact; floats are rejected at construction time so no rounding
 can creep in anywhere downstream.
+
+Most coefficients of the algebra and the calculus are real, so ``+``, ``-``,
+unary ``-`` and ``*`` take a real fast path: when both operands have a zero
+imaginary part they skip the imaginary arithmetic, and a product with one
+real side takes two ``Fraction`` products instead of four plus two sums.
+Each path gives the value of the full complex formula, and both parts of
+every result are ``Fraction`` values (a real result shares one
+``Fraction(0)``), so results are structurally identical either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+# the imaginary part of every real result the arithmetic makes
+_ZERO_PART = Fraction(0)
 
 
 def _frac(x: int | Fraction) -> Fraction:
@@ -47,38 +58,48 @@ class GScalar:
         if isinstance(other, GScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return GScalar(_frac(other), Fraction(0))
+            return GScalar(_frac(other), _ZERO_PART)
         return None
 
     def __add__(self, other: object) -> "GScalar":
-        o = self._coerce(other)
+        o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GScalar(self.re + o.re, _ZERO_PART)
         return GScalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "GScalar":
-        o = self._coerce(other)
+        o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GScalar(self.re - o.re, _ZERO_PART)
         return GScalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: object) -> "GScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GScalar(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __neg__(self) -> "GScalar":
+        if not self.im:
+            return GScalar(-self.re, _ZERO_PART)
         return GScalar(-self.re, -self.im)
 
     def __mul__(self, other: object) -> "GScalar":
-        o = self._coerce(other)
+        o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GScalar(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            return GScalar(a * c, a * d if d else _ZERO_PART)
+        if not d:
+            return GScalar(a * c, b * c)
+        return GScalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -122,12 +143,12 @@ class GScalar:
         return f"GScalar({self.re}, {self.im})"
 
 
-ZERO = GScalar(Fraction(0), Fraction(0))
-ONE = GScalar(Fraction(1), Fraction(0))
-MINUS_ONE = GScalar(Fraction(-1), Fraction(0))
+ZERO = GScalar(_ZERO_PART, _ZERO_PART)
+ONE = GScalar(Fraction(1), _ZERO_PART)
+MINUS_ONE = GScalar(Fraction(-1), _ZERO_PART)
 I = GScalar(Fraction(0), Fraction(1))
 
 
 def rational(p: int, q: int = 1) -> GScalar:
     """Shorthand for the real scalar ``p/q``."""
-    return GScalar(Fraction(p, q), Fraction(0))
+    return GScalar(Fraction(p, q), _ZERO_PART)

@@ -1,5 +1,6 @@
 """Normal forms, products, adjoints, equality and the word-tree oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from cuntzgeo import (
     monomial,
     set_caps,
 )
+import cuntzgeo
 from cuntzgeo.algebra import _Sum
+from cuntzgeo.calculus import derive
 from cuntzgeo.scalars import GScalar, ONE, rational
 
 from support import (
@@ -273,6 +276,67 @@ def test_nested_families_merge_deepest_first():
     for summand in (other, before, step):
         acc.add(summand)
     assert acc.value().term_map() == with_other
+
+
+def test_monomial_is_a_tuple_of_its_words():
+    """Monomial hashes as the tuple of its words (as the frozen dataclass it
+    replaced did) and keeps its order, adjoint, unit test, repr and export."""
+    m = monomial("12", "3")
+    assert m == ((1, 2), (3,)) and (m.mu, m.nu) == ((1, 2), (3,))
+    assert hash(m) == hash(((1, 2), (3,)))
+    assert repr(m) == "Monomial((1, 2), (3,))"
+    assert m.adjoint() == Monomial((3,), (1, 2)) and type(m.adjoint()) is Monomial
+    assert Monomial((), ()).is_unit and not m.is_unit and not monomial("", "1").is_unit
+    ordered = [monomial("", ""), monomial("2", ""), monomial("11", ""),
+               monomial("", "1"), monomial("3", "1"), monomial("", "2"),
+               monomial("1", "11")]
+    shuffled = ordered[:]
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled, key=Monomial.sort_key) == ordered
+    assert cuntzgeo.Monomial is Monomial and "Monomial" in cuntzgeo.__all__
+
+
+@pytest.fixture
+def scalar_additions(monkeypatch):
+    """A one-item list counting GScalar.__add__ and __sub__ calls."""
+    count = [0]
+    for name in ("__add__", "__sub__"):
+        def counting(self, other, _original=getattr(GScalar, name)):
+            count[0] += 1
+            return _original(self, other)
+        monkeypatch.setattr(GScalar, name, counting)
+    return count
+
+
+def test_fresh_keys_take_no_scalar_additions(scalar_additions):
+    """An accumulator stores the coefficient of a key it does not hold yet
+    as it comes, or its negation, instead of computing 0 + c or 0 - c."""
+    words = itertools.product(["1", "23", "312"], ["", "2", "13", "321"])
+    summands = [AlgElem.from_terms({monomial(mu, nu): k + 1})
+                for k, (mu, nu) in enumerate(words)]
+    term = AlgElem.from_terms({monomial("123", "21"): rational(2, 3)})
+    x = AlgElem.from_terms({monomial("1"): 1, monomial("2"): 2})
+    y = AlgElem.from_terms({monomial("3"): 3, monomial("", "1"): 5})
+    scalar_additions[0] = 0
+
+    acc = _Sum()
+    for k, summand in enumerate(summands):
+        acc.add(summand, 1 if k % 2 else -1)
+    assert len(acc.value().terms) == len(summands)
+    assert scalar_additions[0] == 0
+
+    for i in (1, 2, 3):
+        # one letter replaced per image, so a single term's images differ
+        assert len(derive(i, term).terms) == 3 + (i == 3)
+    assert scalar_additions[0] == 0
+
+    assert len((x * y).terms) == 4
+    assert scalar_additions[0] == 0
+
+    # a complete family merges into a parent the terms do not hold
+    family = {monomial(f"1{j}", f"3{j}"): 7 for j in "123"}
+    assert AlgElem.from_terms(family).term_map() == {monomial("1", "3"): rational(7)}
+    assert scalar_additions[0] == 0
 
 
 def test_seeded_oracle_agreement_counts():

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cuntzgeo.scalars import GScalar, I, MINUS_ONE, ONE, ZERO, rational
 
-from support import gscalars, nonzero_gscalars
+from support import gscalars, nonzero_gscalars, small_fractions
 
 
 def test_construction_reduces():
@@ -59,3 +60,43 @@ def test_conjugate_is_multiplicative(a, b):
 @given(nonzero_gscalars)
 def test_inverse_roundtrip(a):
     assert (ONE / a) * a == ONE
+
+
+# operands by kind: the real fast path, the one-side-real product and the
+# full complex formula must all give the same values, with Fraction parts
+_OPERANDS = {
+    "real": st.builds(GScalar, small_fractions, st.just(Fraction(0))),
+    "complex": st.builds(GScalar, small_fractions, small_fractions.filter(bool)),
+    "int": st.integers(min_value=-5, max_value=5),
+}
+
+
+def _parts(x: GScalar | int) -> tuple[Fraction, Fraction]:
+    return (x.re, x.im) if isinstance(x, GScalar) else (Fraction(x), Fraction(0))
+
+
+def _is_exact(x: GScalar) -> bool:
+    return type(x.re) is Fraction and type(x.im) is Fraction
+
+
+@pytest.mark.parametrize("left, right", [
+    ("real", "real"), ("real", "complex"), ("complex", "real"),
+    ("complex", "complex"), ("int", "real"), ("int", "complex"),
+    ("real", "int"), ("complex", "int"),
+])
+@given(data=st.data())
+def test_fast_paths_match_the_complex_formula(left, right, data):
+    a, b = data.draw(_OPERANDS[left]), data.draw(_OPERANDS[right])
+    (p, q), (r, s) = _parts(a), _parts(b)
+    expected = {
+        "+": GScalar(p + r, q + s),
+        "-": GScalar(p - r, q - s),
+        "*": GScalar(p * r - q * s, p * s + q * r),
+    }
+    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert got == expected[op], op
+        assert _is_exact(got), op
+    for x in (a, b):
+        if isinstance(x, GScalar):
+            re, im = _parts(x)
+            assert -x == GScalar(-re, -im) and _is_exact(-x)
