@@ -55,7 +55,7 @@ and the merges they cause, plus one sort at the end.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
 words, so keys hash and compare in C.  Every accumulator (``_Sum``, ``+``,
-products, a merge's parent term, ``tree_action`` and ``calculus.derive``)
+products, a merge's parent term and ``calculus.derive``)
 stores the coefficient of a key it does not hold yet as it comes, or its
 negation, and adds only onto a key it holds.
 
@@ -415,15 +415,11 @@ class AlgElem:
             k = len(m.nu)
             if word[:k] == m.nu:
                 img = m.mu + word[k:]
-                old = out.get(img)
-                if old is None:
-                    out[img] = c
-                    continue
-                total = old + c
+                total = out.get(img, ZERO) + c
                 if total:
                     out[img] = total
                 else:
-                    del out[img]
+                    out.pop(img, None)
         return out
 
     def __repr__(self) -> str:

@@ -88,18 +88,14 @@ def derive(i: int, a: AlgElem) -> AlgElem:
             del acc[key]
 
     for m, c in a.terms:
-        neg = None  # -c, made at the first -1 entry
+        neg = -c
         for p, letter in enumerate(m.mu):
             for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    if f < 0 and neg is None:
-                        neg = -c
                     _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c if f > 0 else neg)
         for p, letter in enumerate(m.nu):
             for k, f in zip((1, 2, 3), mat[letter - 1]):
                 if f:
-                    if f < 0 and neg is None:
-                        neg = -c
                     _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c if f > 0 else neg)
     return AlgElem._make(acc)
 

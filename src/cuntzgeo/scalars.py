@@ -7,11 +7,10 @@ can creep in anywhere downstream.
 
 Most coefficients of the algebra and the calculus are real, so ``+``, ``-``,
 unary ``-`` and ``*`` take a real fast path: when both operands have a zero
-imaginary part they skip the imaginary arithmetic, and a product with one
-real side takes two ``Fraction`` products instead of four plus two sums.
-Each path gives the value of the full complex formula, and both parts of
-every result are ``Fraction`` values (a real result shares one
-``Fraction(0)``), so results are structurally identical either way.
+imaginary part they skip the imaginary arithmetic.  The fast path gives the
+value of the full complex formula, and both parts of every result are
+``Fraction`` values (a real result shares one ``Fraction(0)``), so results
+are structurally identical either way.
 """
 
 from __future__ import annotations
@@ -95,10 +94,8 @@ class GScalar:
         if o is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, o.re, o.im
-        if not b:
-            return GScalar(a * c, a * d if d else _ZERO_PART)
-        if not d:
-            return GScalar(a * c, b * c)
+        if not b and not d:
+            return GScalar(a * c, _ZERO_PART)
         return GScalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -62,8 +62,8 @@ def test_inverse_roundtrip(a):
     assert (ONE / a) * a == ONE
 
 
-# operands by kind: the real fast path, the one-side-real product and the
-# full complex formula must all give the same values, with Fraction parts
+# operands by kind: the real fast path and the full complex formula must
+# give the same values, with Fraction parts
 _OPERANDS = {
     "real": st.builds(GScalar, small_fractions, st.just(Fraction(0))),
     "complex": st.builds(GScalar, small_fractions, small_fractions.filter(bool)),
