@@ -54,10 +54,10 @@ in the fold's result exactly.  Its work is linear in the summands' terms
 and the merges they cause, plus one sort at the end.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
-words, so keys hash and compare in C.  Every accumulator (``_Sum``, ``+``,
-products, a merge's parent term and ``calculus.derive``)
-stores the coefficient of a key it does not hold yet as it comes, or its
-negation, and adds only onto a key it holds.
+words, so keys hash and compare in C.  The accumulators of sums (``_Sum``,
+``+``), products, a merge's parent term and ``calculus.derive`` store the
+coefficient of a key they do not hold yet as it comes, or its negation, and
+add only onto a key they hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
