@@ -24,6 +24,7 @@ shell reports 141 for a process ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -247,7 +248,10 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand names
+    its handler, which ``main`` looks up in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="cuntzgeo",
         description="Exact differential geometry on the Cuntz algebra O_3.",
@@ -263,32 +267,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate an expression and print its canonical form")
     p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("derive", parents=[common],
                        help="apply a basis derivation to an algebra element")
     p.add_argument("index", metavar="INDEX", type=int, choices=(1, 2, 3))
     p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func=cmd_derive)
+    p.set_defaults(func="cmd_derive")
 
     p = sub.add_parser("d", parents=[common],
                        help="apply the exterior differential to an expression")
     p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func=cmd_d)
+    p.set_defaults(func="cmd_d")
 
     p = sub.add_parser("levi-civita", parents=[common],
                        help="solve for the Levi-Civita connection of a metric")
     p.add_argument("metric", metavar="METRIC_JSON")
-    p.set_defaults(func=cmd_levi_civita)
+    p.set_defaults(func="cmd_levi_civita")
 
     p = sub.add_parser("curvature", parents=[common],
                        help="curvature tensor, Ricci and scalar for a metric")
     p.add_argument("metric", metavar="METRIC_JSON")
-    p.set_defaults(func=cmd_curvature)
+    p.set_defaults(func="cmd_curvature")
 
     p = sub.add_parser("verify-paper", parents=[common],
                        help="recompute the canonical identity table and report")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     return parser
 
@@ -297,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[args.func](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -11,12 +11,14 @@ explicit product):
     scalar  := INT ('/' INT)? 'i'?  |  'i'
 
 ``*`` is only the postfix adjoint; division exists only inside scalar
-literals.  The text is tokenized in full, then parsed and evaluated in one
-recursive-descent pass that folds sums and multiplies products left to
-right.  A sum folds into one mutable accumulator (one per component for
-forms) that touches only each summand's terms and ends in the left fold's
-result exactly, so parsing takes time linear in the number of summands; a
-product of one-term factors is formed directly.  Problems raise
+literals.  One regular expression scans the whole text into tokens; a
+generator token takes a following ``*`` (whitespace may come between) as its
+adjoint, so it carries its one-letter monomial.  The tokens are then parsed
+and evaluated in one recursive-descent pass that folds sums and multiplies
+products left to right.  A sum folds into one mutable accumulator (one per
+component for forms) that touches only each summand's terms and ends in the
+left fold's result exactly, so parsing takes time linear in the number of
+summands; a product of one-term factors is formed directly.  Problems raise
 :class:`ParseError` carrying the character offset — they never abort the
 process.  That includes input beyond the parser's bounds: groups and
 ``d(...)`` nested deeper than ``MAX_NESTING``, and integer literals longer
@@ -33,12 +35,11 @@ that parses back to the same canonical form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgElem, Monomial, _Sum
 from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
-from .scalars import GScalar, I
+from .scalars import GScalar, I, ONE
 
 
 # Each level of nesting costs the recursive-descent parser four stack
@@ -61,76 +62,57 @@ class ParseError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    pos: int
-    value: object = None
+# The name of the alternative that matched is the token kind.  A ``.`` between
+# two ``\d`` digits is a decimal literal; any other character is unexpected.
+_TOKEN = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<gen>S(?P<letter>[123])(?P<star>\s*\*)?)
+  | (?P<form2>e(?:1[23]|23))
+  | (?P<form1>e[123])
+  | (?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?(?P<imag>i?))
+  | (?P<decimal>(?<=\d)\.(?=\d))
+  | (?P<imag_unit>i)
+  | (?P<op>[()+\-*.d])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
-_WS = re.compile(r"\s+")
-_NUM = re.compile(r"(\d+)(?:/(\d+))?(i?)")
-_FORM = re.compile(r"e(12|13|23|[123])")
-_GEN = re.compile(r"S([123])")
-_PUNCT = {"(": "lparen", ")": "rparen", "+": "plus", "-": "minus",
-          "*": "star", ".": "dot"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        ws = _WS.match(text, pos)
-        if ws:
-            pos = ws.end()
+def _tokenize(text: str) -> list[tuple[str, int, object]]:
+    """``(kind, pos, value)`` tokens, ending in ``("eof", len(text), None)``;
+    punctuation and ``d`` are their own kind."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "ws":
             continue
-        m = _FORM.match(text, pos)
-        if m:
-            digits = m.group(1)
-            if len(digits) == 1:
-                tokens.append(_Token("form1", pos, int(digits)))
-            else:
-                tokens.append(_Token("form2", pos, (int(digits[0]), int(digits[1]))))
-            pos = m.end()
-            continue
-        m = _GEN.match(text, pos)
-        if m:
-            tokens.append(_Token("gen", pos, int(m.group(1))))
-            pos = m.end()
-            continue
-        m = _NUM.match(text, pos)
-        if m:
-            num, den, imag = m.groups()
+        if kind == "gen":
+            letter = (int(m["letter"]),)
+            value = Monomial((), letter) if m["star"] else Monomial(letter, ())
+        elif kind == "form1":
+            value = int(text[pos + 1])
+        elif kind == "form2":
+            value = (int(text[pos + 1]), int(text[pos + 2]))
+        elif kind == "num":
+            num, den = m["numer"], m["den"]
             if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
             if den is not None and int(den) == 0:
                 raise ParseError("zero denominator in scalar", pos)
             fr = Fraction(int(num), int(den)) if den is not None else Fraction(int(num))
-            value = GScalar(Fraction(0), fr) if imag else GScalar(fr, Fraction(0))
-            tokens.append(_Token("num", pos, value))
-            pos = m.end()
-            continue
-        ch = text[pos]
-        if ch == "i":
-            tokens.append(_Token("num", pos, I))
-            pos += 1
-            continue
-        if ch == "d":
-            tokens.append(_Token("d", pos))
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            if (ch == "." and pos + 1 < len(text) and text[pos + 1].isdigit()
-                    and pos > 0 and text[pos - 1].isdigit()):
-                raise ParseError(
-                    "decimal literals are not supported; use an exact fraction "
-                    "like 3/2", pos)
-            tokens.append(_Token(_PUNCT[ch], pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("eof", len(text)))
+            value = GScalar(Fraction(0), fr) if m["imag"] else GScalar(fr, Fraction(0))
+        elif kind == "imag_unit":
+            kind, value = "num", I
+        elif kind == "op":
+            kind, value = m[0], None
+        elif kind == "decimal":
+            raise ParseError(
+                "decimal literals are not supported; use an exact fraction "
+                "like 3/2", pos)
+        else:
+            raise ParseError(f"unexpected character {m[0]!r}", pos)
+        tokens.append((kind, pos, value))
+    tokens.append(("eof", len(text), None))
     return tokens
 
 
@@ -138,7 +120,7 @@ def _tokenize(text: str) -> list[_Token]:
 # parsing and evaluation
 # ---------------------------------------------------------------------------
 
-_FACTOR_START = {"num", "gen", "form1", "form2", "d", "lparen"}
+_FACTOR_START = {"num", "gen", "form1", "form2", "d", "("}
 
 
 def _degree(v) -> int:
@@ -158,37 +140,38 @@ class _Parser:
     ``parse_*`` methods return ``(value, pos)``: ``pos`` is where a degree
     fault about the value is reported (for a lone group, inside it)."""
 
-    def __init__(self, tokens: list[_Token], mode: str | None):
+    def __init__(self, tokens: list[tuple[str, int, object]], mode: str | None):
         self.tokens = tokens
         self.mode = mode
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, int, object]:
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, int, object]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self.take()
+    def expect(self, kind: str, what: str) -> None:
+        tok_kind, pos, _ = self.take()
+        if tok_kind != kind:
+            raise ParseError(f"expected {what}", pos)
 
     def take_sign(self) -> int:
         """1 or -1 for a consumed '+' or '-'; 0, consuming nothing, otherwise."""
-        if self.peek().kind not in ("plus", "minus"):
+        kind = self.peek()[0]
+        if kind not in ("+", "-"):
             return 0
-        return -1 if self.take().kind == "minus" else 1
+        self.i += 1
+        return -1 if kind == "-" else 1
 
     def parse_expr(self):
-        start = self.peek().pos
+        start = self.peek()[1]
         sign = self.take_sign()
         first, pos = self.parse_term()
-        if self.peek().kind not in ("plus", "minus"):
+        if self.peek()[0] not in ("+", "-"):
             return (-first, start) if sign < 0 else (first, pos)
         sums = [_Sum() for _ in _components(first)]
         val = first
@@ -204,15 +187,15 @@ class _Parser:
         return (values[0] if isinstance(first, AlgElem) else type(first)(values)), start
 
     def parse_term(self):
-        start = self.peek().pos
+        start = self.peek()[1]
         acc, pos = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "dot":
-                self.take()
-            elif tok.kind == "star":
-                raise ParseError("adjoint '*' may only follow a generator", tok.pos)
-            elif tok.kind not in _FACTOR_START:
+            kind, tok_pos, _ = self.peek()
+            if kind == ".":
+                self.i += 1
+            elif kind == "*":
+                raise ParseError("adjoint '*' may only follow a generator", tok_pos)
+            elif kind not in _FACTOR_START:
                 return acc, pos
             val, factor_pos = self.parse_factor()
             if _degree(acc) + _degree(val) > 2:
@@ -220,38 +203,34 @@ class _Parser:
             acc, pos = acc * val, start
 
     def parse_factor(self):
-        tok = self.take()
-        if tok.kind == "num":
-            return AlgElem.scalar(tok.value), tok.pos
-        if tok.kind == "gen":
-            g = AlgElem.generator(tok.value)
-            if self.peek().kind == "star":
-                self.take()
-                g = g.adjoint()
-            return g, tok.pos
-        if tok.kind == "form1":
+        kind, pos, value = self.take()
+        if kind == "num":
+            return AlgElem.scalar(value), pos
+        if kind == "gen":
+            return AlgElem(((value, ONE),)), pos
+        if kind == "form1":
             if self.mode == "alg":
-                raise ParseError("one-form symbol in algebra context", tok.pos)
-            return OneForm.basis(tok.value), tok.pos
-        if tok.kind == "form2":
+                raise ParseError("one-form symbol in algebra context", pos)
+            return OneForm.basis(value), pos
+        if kind == "form2":
             if self.mode == "alg":
-                raise ParseError("two-form symbol in algebra context", tok.pos)
+                raise ParseError("two-form symbol in algebra context", pos)
             if self.mode == "one":
-                raise ParseError("two-form symbol in one-form context", tok.pos)
-            return TwoForm.basis(*tok.value), tok.pos
-        if tok.kind == "d":
+                raise ParseError("two-form symbol in one-form context", pos)
+            return TwoForm.basis(*value), pos
+        if kind == "d":
             if self.mode == "alg":
-                raise ParseError("differential in algebra context", tok.pos)
-            self.expect("lparen", "'(' after 'd'")
-            inner, _ = self.parse_group(tok.pos)
+                raise ParseError("differential in algebra context", pos)
+            self.expect("(", "'(' after 'd'")
+            inner, _ = self.parse_group(pos)
             deg = _degree(inner)
             if deg == 2:
-                raise ParseError("d of a two-form is outside this calculus", tok.pos)
-            return (d1(inner) if deg else d0(inner)), tok.pos
-        if tok.kind == "lparen":
-            return self.parse_group(tok.pos)
+                raise ParseError("d of a two-form is outside this calculus", pos)
+            return (d1(inner) if deg else d0(inner)), pos
+        if kind == "(":
+            return self.parse_group(pos)
         raise ParseError("expected a scalar, generator, form symbol, d(...) or group",
-                         tok.pos)
+                         pos)
 
     def parse_group(self, pos: int):
         """The expression after an opening '(' and its closing ')'."""
@@ -259,7 +238,7 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
         self.depth += 1
         inner = self.parse_expr()
-        self.expect("rparen", "closing ')'")
+        self.expect(")", "closing ')'")
         self.depth -= 1
         return inner
 
@@ -267,9 +246,9 @@ class _Parser:
 def _parse(text: str, mode: str | None):
     parser = _Parser(_tokenize(text), mode)
     value, _ = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("unexpected trailing input", tok.pos)
+    kind, pos, _ = parser.peek()
+    if kind != "eof":
+        raise ParseError("unexpected trailing input", pos)
     return value
 
 

@@ -197,6 +197,10 @@ def test_broken_pipe_leaves_an_in_process_stdout_alone(monkeypatch, capsys):
     assert captured.err == ""
 
 
+def test_argument_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
     def interrupt(args):
         raise KeyboardInterrupt

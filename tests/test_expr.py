@@ -51,6 +51,10 @@ def test_parse_scalars():
 def test_adjoint_and_dot_product():
     assert parse_alg("S1* S1") == AlgElem.unit()
     assert parse_alg("S1.S2") == parse_alg("S1 S2")
+    # whitespace may come between a generator and its '*'
+    assert parse_alg("S1 *") == parse_alg("S1*")
+    assert parse_alg("S1\n*") == parse_alg("S1*")
+    assert parse_alg("S2 *S2") == AlgElem.unit()
 
 
 def test_juxtaposition_without_space():
@@ -120,6 +124,13 @@ def test_decimal_mode():
     ("1/0", "zero denominator", 0),
     ("1.5", "decimal literals", 1),
     ("S1 ^ S2", "unexpected character", 3),
+    ("S1 . *", "expected a scalar", 5),
+    ("e1 *", "adjoint '*'", 3),
+    ("(S1)*", "adjoint '*'", 4),
+    ("S1 * *", "adjoint '*'", 5),
+    ("d(S1) *", "adjoint '*'", 6),
+    # a superscript digit is not a digit of a literal
+    ("1.²", "unexpected character", 2),
 ])
 def test_parse_errors_carry_offsets(text, fragment, offset):
     with pytest.raises(ParseError) as err:
