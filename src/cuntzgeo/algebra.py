@@ -47,15 +47,22 @@ A family with no key in T keeps its coefficients from A, so it is not
 complete.  A merge changes only its parent term and then examines the
 parent's family.  So a collapse seeded from the families of T examines
 every family that is complete when its level is reached, as a collapse
-seeded from every term does, and both merge the same families.  Every
-prefix of a left fold of ``+`` and ``-`` is canonical, so a mutable fold
-that updates the touched keys and collapses from them alone (``_Sum``) ends
-in the fold's result exactly.  Its work is linear in the summands' terms
-and the merges they cause, plus one sort at the end.
+seeded from every term does, and both merge the same families.  Hence a
+mutable fold that starts from a canonical element, updates the touched keys
+and collapses from them alone (``_Sum``) stays canonical: each step gives
+the canonical form of the merged terms, as a collapse from every term would.
+
+``_Sum`` is the one code that adds canonical elements.  ``+`` and ``-`` are
+a one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
+their summands into one accumulator, so their work is linear in the
+summands' terms and the merges they cause, plus one sort at the end.
+``AlgElem._make`` canonicalizes everything else with a collapse from every
+term: products, derivations and outside terms (``from_terms``).  A sum
+makes no new word, so only ``_make`` checks the word-length cap.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
-words, so keys hash and compare in C.  The accumulators of sums (``_Sum``,
-``+``), products, a merge's parent term and ``calculus.derive`` store the
+words, so keys hash and compare in C.  The accumulators of sums (``_Sum``),
+products, a merge's parent term and ``calculus.derive`` store the
 coefficient of a key they do not hold yet as it comes, or its negation, and
 add only onto a key they hold.
 
@@ -221,18 +228,19 @@ def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
 
 
 class _Sum:
-    """A left fold of ``+`` and ``-`` over AlgElems, in one mutable dict.
+    """A left fold of ``+`` and ``-`` over AlgElems, in one mutable dict
+    that starts from the canonical ``start`` (default 0).
 
     ``add(x, sign)`` leaves the terms of ``acc + x`` (``acc - x`` for a
     negative sign), term cap included, but touches only the keys of ``x``
     and the families they complete; ``value`` sorts once.  The lemma in the
-    module docstring says why the result is the fold's exactly.
+    module docstring says why the result is the canonical form exactly.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self) -> None:
-        self.terms: dict[Monomial, GScalar] = {}
+    def __init__(self, start: "AlgElem | None" = None) -> None:
+        self.terms: dict[Monomial, GScalar] = {} if start is None else dict(start.terms)
 
     def add(self, x: "AlgElem", sign: int = 1) -> None:
         terms = self.terms
@@ -325,25 +333,23 @@ class AlgElem:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: object) -> "AlgElem":
+    def _fold(self, other: object, sign: int) -> "AlgElem":
+        """``self + other`` (``self - other`` for a negative sign) by ``_Sum``."""
         if isinstance(other, (int, GScalar)):
             other = AlgElem.scalar(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
-        acc = self.term_map()
-        for m, c in other.terms:
-            old = acc.get(m)
-            acc[m] = c if old is None else old + c
-        return AlgElem._make(acc)
+        acc = _Sum(self)
+        acc.add(other, sign)
+        return acc.value()
+
+    def __add__(self, other: object) -> "AlgElem":
+        return self._fold(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "AlgElem":
-        if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other))
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        return self + (-other)
+        return self._fold(other, -1)
 
     def __rsub__(self, other: object) -> "AlgElem":
         return (-self) + other

@@ -178,7 +178,7 @@ class _Form:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return type(self)(tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.c))
@@ -336,20 +336,24 @@ class TensorElem:
     def entry_map(self) -> dict[Index, AlgElem]:
         return dict(self.entries)
 
-    def __add__(self, other: "TensorElem") -> "TensorElem":
+    def _fold(self, other: object, sign: int) -> "TensorElem":
+        """``self + other`` (``self - other`` for a negative sign), entry by entry."""
         if not isinstance(other, TensorElem):
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("tensor ranks differ")
         acc = self.entry_map()
+        zero = AlgElem.zero()
         for idx, c in other.entries:
-            acc[idx] = acc.get(idx, AlgElem.zero()) + c
+            old = acc.get(idx, zero)
+            acc[idx] = old - c if sign < 0 else old + c
         return TensorElem._make(self.rank, acc)
 
+    def __add__(self, other: "TensorElem") -> "TensorElem":
+        return self._fold(other, 1)
+
     def __sub__(self, other: "TensorElem") -> "TensorElem":
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self + (-other)
+        return self._fold(other, -1)
 
     def __neg__(self) -> "TensorElem":
         return TensorElem(self.rank, tuple((idx, -c) for idx, c in self.entries))

@@ -305,28 +305,9 @@ def _frac_text(fr: Fraction, decimal: bool) -> str:
     return f"{sign}{digits // 10**k}.{digits % 10**k:0{k}d}"
 
 
-def _sign_mag(c: GScalar) -> tuple[int, GScalar] | None:
-    """(sign, magnitude) for pure-real or pure-imaginary scalars, else None."""
-    if c.im == 0:
-        return (1, c) if c.re >= 0 else (-1, -c)
-    if c.re == 0:
-        return (1, c) if c.im >= 0 else (-1, -c)
-    return None
-
-
-def _mag_text(mag: GScalar, decimal: bool) -> str:
-    """Standalone text of a nonneg pure-real or pure-imaginary magnitude."""
-    if mag.im == 0:
-        return _frac_text(mag.re, decimal)
-    if mag.im == 1:
-        return "i"
-    return _frac_text(mag.im, decimal) + "i"
-
-
-def _mixed_text(c: GScalar, decimal: bool) -> str:
-    sign, im_mag = _sign_mag(GScalar(Fraction(0), c.im))
-    op = "-" if sign < 0 else "+"
-    return f"{_frac_text(c.re, decimal)} {op} {_mag_text(im_mag, decimal)}"
+def _imag_text(y: Fraction, decimal: bool) -> str:
+    """Text of the imaginary scalar ``y i`` for y > 0."""
+    return "i" if y == 1 else _frac_text(y, decimal) + "i"
 
 
 def _mono_text(m: Monomial) -> str:
@@ -336,17 +317,22 @@ def _mono_text(m: Monomial) -> str:
 
 
 def _term(c: GScalar, symbol: str, decimal: bool) -> tuple[int, str]:
-    """(sign, body) of the term ``c * symbol``; an empty symbol is the unit."""
-    sm = _sign_mag(c)
-    if sm is None:
-        body = f"({_mixed_text(c, decimal)})"
+    """(sign, body) of the term ``c * symbol``; an empty symbol is the unit.
+    A scalar with two nonzero parts prints in parentheses with sign 1."""
+    x, y = c.re, c.im
+    if not y:
+        sign, mag = (-1, -x) if x < 0 else (1, x)
+        if symbol and mag == 1:
+            return sign, symbol
+        text = _frac_text(mag, decimal)
+    elif not x:
+        sign, mag = (-1, -y) if y < 0 else (1, y)
+        text = _imag_text(mag, decimal)
+    else:
+        op = "-" if y < 0 else "+"
+        body = f"({_frac_text(x, decimal)} {op} {_imag_text(abs(y), decimal)})"
         return 1, f"{body} {symbol}" if symbol else body
-    sign, mag = sm
-    if not symbol:
-        return sign, _mag_text(mag, decimal)
-    if mag.im == 0 and mag.re == 1:
-        return sign, symbol
-    return sign, _mag_text(mag, decimal) + " " + symbol
+    return sign, f"{text} {symbol}" if symbol else text
 
 
 def _join_terms(parts: list[tuple[int, str]]) -> str:

@@ -124,8 +124,20 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
-# references: d1, the compatibility pairing and the curvature by tensor algebra
+# references: sums, d1, the compatibility pairing and the curvature by tensor
+# algebra
 # ---------------------------------------------------------------------------
+
+def reference_sum(a: AlgElem, b: AlgElem, sign: int = 1) -> AlgElem:
+    """a + b (a - b for a negative sign) without the accumulator that + and
+    - use: merge the terms of a and of ±b, then canonicalize the lot with
+    ``AlgElem._make``, whose collapse starts from every term."""
+    acc = a.term_map()
+    for m, c in (b if sign > 0 else -b).terms:
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
+    return AlgElem._make(acc)
+
 
 def reference_d1(omega: OneForm) -> TwoForm:
     """The degree-1 differential with e_i d0(a) formed as the wedge of the

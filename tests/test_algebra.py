@@ -11,6 +11,8 @@ from cuntzgeo import (
     AlgElem,
     CapacityError,
     Monomial,
+    OneForm,
+    TensorElem,
     get_caps,
     monomial,
     set_caps,
@@ -23,6 +25,7 @@ from cuntzgeo.scalars import GScalar, ONE, rational
 from support import (
     alg_elems,
     random_elem,
+    reference_sum,
     small_alg_elems,
     split_terms,
     words_of_length,
@@ -230,10 +233,11 @@ def _child(m, j):
 @given(small_alg_elems, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_sum_is_the_left_fold(x, rng):
-    """The accumulator gives the left fold of + and - exactly, prefix by
-    prefix, on summands that complete families and then break some of them
-    again.  For some terms one summand completes a family and the family of
-    one of its members at once."""
+    """The accumulator, and + and - (which fold through it), give the
+    merge-then-canonicalize sum exactly, prefix by prefix, on summands that
+    complete families and then break some of them again.  For some terms one
+    summand completes a family and the family of one of its members at
+    once."""
     pieces = split_terms(x, rng)
     rng.shuffle(pieces)
     pieces += [(m, -c) for m, c in rng.sample(pieces, rng.randint(0, len(pieces)))]
@@ -250,14 +254,15 @@ def test_sum_is_the_left_fold(x, rng):
                           + [(_child(member, i), f) for i in (1, 2, 3) if i != k]):
                 chunks.insert(rng.randint(0, len(chunks)), [piece])
             chunks.append([(member, c), (_child(member, k), f)])
-    acc, fold = _Sum(), AlgElem.zero()
+    acc, fold, ref = _Sum(), AlgElem.zero(), AlgElem.zero()
     for chunk in chunks:
         sign = rng.choice((1, -1))
         summand = sum((AlgElem.from_terms({m: sign * c}) for m, c in chunk),
                       AlgElem.zero())
         acc.add(summand, sign)
         fold = fold - summand if sign < 0 else fold + summand
-        assert acc.value() == fold
+        ref = reference_sum(ref, summand, sign)
+        assert acc.value() == fold == ref
 
 
 def test_nested_families_merge_deepest_first():
@@ -276,6 +281,10 @@ def test_nested_families_merge_deepest_first():
     for summand in (other, before, step):
         acc.add(summand)
     assert acc.value().term_map() == with_other
+    # the same terms in one mapping: _make's collapse from every term
+    terms = {**before.term_map(), **step.term_map()}
+    assert AlgElem.from_terms(terms).term_map() == merged
+    assert AlgElem.from_terms({**terms, **other.term_map()}).term_map() == with_other
 
 
 def test_monomial_is_a_tuple_of_its_words():
@@ -337,6 +346,33 @@ def test_fresh_keys_take_no_scalar_additions(scalar_additions):
     family = {monomial(f"1{j}", f"3{j}"): 7 for j in "123"}
     assert AlgElem.from_terms(family).term_map() == {monomial("1", "3"): rational(7)}
     assert scalar_additions[0] == 0
+
+
+@pytest.fixture
+def scalar_negations(monkeypatch):
+    """A one-item list counting GScalar.__neg__ calls."""
+    count = [0]
+
+    def counting(self, _original=GScalar.__neg__):
+        count[0] += 1
+        return _original(self)
+
+    monkeypatch.setattr(GScalar, "__neg__", counting)
+    return count
+
+
+def test_subtraction_builds_no_negated_copy(scalar_negations):
+    """x - y subtracts y's coefficients in place, so x.equals(x) cancels
+    every term without negating one; forms and tensors subtract entry by
+    entry the same way."""
+    x = AlgElem.from_terms({monomial("12", "3"): rational(2, 3), monomial("", "1"): 5,
+                            monomial("2"): GScalar.of(1, -1)})
+    omega = OneForm.of(x, 0, x * S2)
+    t = TensorElem.from_entries(2, {(1, 2): x, (3, 1): x.adjoint()})
+    scalar_negations[0] = 0
+    assert x.equals(x) and omega.equals(omega) and t.equals(t)
+    assert (x - x).is_zero() and (omega - omega).is_zero() and (t - t).is_zero()
+    assert scalar_negations[0] == 0
 
 
 def test_seeded_oracle_agreement_counts():

@@ -86,6 +86,19 @@ def test_parse_error_is_exit_2():
     assert "offset 4" in r.stderr
 
 
+def test_leading_minus_needs_the_separator():
+    """argparse reads "-S1" as an option: a usage error, exit 2 without an
+    offset.  After "--" every argument is positional."""
+    for argv in (("eval", "-S1"), ("derive", "1", "-S2")):
+        r = run(*argv)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage:") and "offset" not in r.stderr
+    r = run("eval", "--", "-S1")
+    assert (r.returncode, r.stdout) == (0, "- S1\n")
+    assert run("derive", "1", "--", "-S2").stdout == "S3\n"
+
+
 def test_deep_nesting_is_exit_2():
     r = run("eval", "(" * 2000 + "S1" + ")" * 2000)
     assert r.returncode == 2
