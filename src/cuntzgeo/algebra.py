@@ -56,15 +56,16 @@ the canonical form of the merged terms, as a collapse from every term would.
 a one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
 their summands into one accumulator, so their work is linear in the
 summands' terms and the merges they cause, plus one sort at the end.
-``AlgElem._make`` canonicalizes everything else with a collapse from every
-term: products, derivations and outside terms (``from_terms``).  A sum
-makes no new word, so only ``_make`` checks the word-length cap.
+Everything else is a stream of (monomial, coefficient) pairs that need not
+be canonical: products, derivations and outside terms (``from_terms``).
+``AlgElem._make`` adds the coefficients of a repeated monomial, then
+canonicalizes with a collapse from every term.  A sum makes no new word, so
+only ``_make`` checks the word-length cap.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
-words, so keys hash and compare in C.  The accumulators of sums (``_Sum``),
-products, a merge's parent term and ``calculus.derive`` store the
-coefficient of a key they do not hold yet as it comes, or its negation, and
-add only onto a key they hold.
+words, so keys hash and compare in C.  ``_make``, ``_Sum`` and a merge's
+parent term store the coefficient of a key they do not hold yet as it
+comes, or its negation, and add only onto a key they hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -276,11 +277,17 @@ class AlgElem:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(mapping: dict[Monomial, GScalar]) -> "AlgElem":
-        """Canonical form of terms over the alphabet (operations keep them on
-        it); only the word-length cap, which products can break, is checked."""
-        _check_word_lengths(mapping)
-        cleaned = {m: c for m, c in mapping.items() if c}
+    def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
+        """Canonical form of the sum of (monomial, coefficient) pairs over the
+        alphabet (operations keep them on it): a repeated monomial adds its
+        coefficients.  Only the word-length cap, which products can break,
+        is checked."""
+        merged: dict[Monomial, GScalar] = {}
+        for m, c in pairs:
+            old = merged.get(m)
+            merged[m] = c if old is None else old + c
+        _check_word_lengths(merged)
+        cleaned = {m: c for m, c in merged.items() if c}
         _collapse(cleaned)
         _check_term_count(len(cleaned))
         return AlgElem(_ordered(cleaned.items()))
@@ -292,7 +299,7 @@ class AlgElem:
             for letter in itertools.chain(m.mu, m.nu):
                 if not 1 <= letter <= 3:
                     raise ValueError(f"letter {letter} outside alphabet 1..3")
-        return AlgElem._make({m: GScalar.of(c) for m, c in mapping.items()})
+        return AlgElem._make((m, GScalar.of(c)) for m, c in mapping.items())
 
     @staticmethod
     def zero() -> "AlgElem":
@@ -372,15 +379,9 @@ class AlgElem:
                 return AlgElem(())
             _check_word_lengths((prod,))
             return AlgElem(((prod, cb if ca == ONE else ca if cb == ONE else ca * cb),))
-        acc: dict[Monomial, GScalar] = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                prod = _mul_monomials(ma, mb)
-                if prod is None:
-                    continue
-                old = acc.get(prod)
-                acc[prod] = ca * cb if old is None else old + ca * cb
-        return AlgElem._make(acc)
+        return AlgElem._make((prod, ca * cb)
+                             for ma, ca in self.terms for mb, cb in other.terms
+                             if (prod := _mul_monomials(ma, mb)) is not None)
 
     def __rmul__(self, other: object) -> "AlgElem":
         if isinstance(other, (int, GScalar)):

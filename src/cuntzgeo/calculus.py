@@ -47,7 +47,7 @@ the wedge map itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import AlgElem, Monomial, _Sum
 from .scalars import GScalar, ONE, ZERO, rational
@@ -69,35 +69,26 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     Replacing one letter at a time implements the Leibniz rule on the word
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
     transform by the same rows.  Their entries are 0 and ±1, so each entry
-    is applied as a sign.
+    is applied as a sign, and ``AlgElem._make`` adds the images that land on
+    one monomial.
     """
     if i not in (1, 2, 3):
         raise ValueError("derivation index must be 1, 2 or 3")
-    mat = GENERATOR_MATRICES[i]
-    acc: dict[Monomial, GScalar] = {}
+    # per letter, the (image letter, entry is +1) pairs of its nonzero entries
+    rows = [[(k, f > 0) for k, f in zip((1, 2, 3), row) if f]
+            for row in GENERATOR_MATRICES[i]]
 
-    def _bump(key: Monomial, c: GScalar) -> None:
-        old = acc.get(key)
-        if old is None:
-            acc[key] = c
-            return
-        total = old + c
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
+    def images():
+        for m, c in a.terms:
+            neg = -c
+            for p, letter in enumerate(m.mu):
+                for k, pos in rows[letter - 1]:
+                    yield Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c if pos else neg
+            for p, letter in enumerate(m.nu):
+                for k, pos in rows[letter - 1]:
+                    yield Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c if pos else neg
 
-    for m, c in a.terms:
-        neg = -c
-        for p, letter in enumerate(m.mu):
-            for k, f in zip((1, 2, 3), mat[letter - 1]):
-                if f:
-                    _bump(Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c if f > 0 else neg)
-        for p, letter in enumerate(m.nu):
-            for k, f in zip((1, 2, 3), mat[letter - 1]):
-                if f:
-                    _bump(Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c if f > 0 else neg)
-    return AlgElem._make(acc)
+    return AlgElem._make(images())
 
 
 def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:
@@ -303,21 +294,26 @@ class TensorElem:
     entries: tuple[tuple[Index, AlgElem], ...]
 
     @staticmethod
-    def _make(rank: int, mapping: dict[Index, AlgElem]) -> "TensorElem":
-        cleaned = {}
-        for idx, c in mapping.items():
+    def _make(rank: int, pairs: Iterable[tuple[Index, AlgElem]]) -> "TensorElem":
+        """The tensor summing (index, coefficient) pairs: a repeated index
+        adds its coefficients, and zero entries are dropped."""
+        merged: dict[Index, AlgElem] = {}
+        for idx, c in pairs:
+            old = merged.get(idx)
+            merged[idx] = c if old is None else old + c
+        for idx in merged:
             if len(idx) != rank:
                 raise ValueError(f"index {idx} does not have rank {rank}")
             if any(not 1 <= i <= 3 for i in idx):
                 raise ValueError(f"index {idx} outside 1..3")
-            if not c.is_zero():
-                cleaned[idx] = c
-        return TensorElem(rank, tuple(sorted(cleaned.items(), key=lambda kv: kv[0])))
+        return TensorElem(rank, tuple(sorted(
+            ((idx, c) for idx, c in merged.items() if not c.is_zero()),
+            key=lambda kv: kv[0])))
 
     @staticmethod
     def from_entries(rank: int,
                      mapping: Mapping[Index, AlgElem | GScalar | int]) -> "TensorElem":
-        return TensorElem._make(rank, {tuple(k): _coeff(v) for k, v in mapping.items()})
+        return TensorElem._make(rank, ((tuple(k), _coeff(v)) for k, v in mapping.items()))
 
     @staticmethod
     def zero(rank: int) -> "TensorElem":
@@ -328,6 +324,8 @@ class TensorElem:
         return TensorElem.from_entries(len(indices), {tuple(indices): ONE})
 
     def entry(self, *indices: int) -> AlgElem:
+        if len(indices) != self.rank or any(not 1 <= i <= 3 for i in indices):
+            raise ValueError(f"index {indices} is not a rank-{self.rank} index over 1..3")
         for idx, c in self.entries:
             if idx == indices:
                 return c
@@ -347,7 +345,7 @@ class TensorElem:
         for idx, c in other.entries:
             old = acc.get(idx, zero)
             acc[idx] = old - c if sign < 0 else old + c
-        return TensorElem._make(self.rank, acc)
+        return TensorElem._make(self.rank, acc.items())
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         return self._fold(other, 1)
@@ -362,31 +360,30 @@ class TensorElem:
         """Right multiplication on the coefficient."""
         if isinstance(other, (AlgElem, GScalar, int)):
             b = _coeff(other)
-            return TensorElem._make(
-                self.rank, {idx: c * b for idx, c in self.entries})
+            return TensorElem._make(self.rank, ((idx, c * b) for idx, c in self.entries))
         return NotImplemented
 
     def scale(self, s: GScalar) -> "TensorElem":
-        return TensorElem._make(self.rank, {idx: c.scale(s) for idx, c in self.entries})
+        return TensorElem._make(self.rank, ((idx, c.scale(s)) for idx, c in self.entries))
 
     def flip_legs(self, a: int, b: int) -> "TensorElem":
         """Swap tensor positions a and b (0-based); valid since the basis is
         central and coefficients stay on the right."""
         if not (0 <= a < self.rank and 0 <= b < self.rank):
             raise ValueError("leg positions out of range")
-        acc: dict[Index, AlgElem] = {}
+        pairs = []
         for idx, c in self.entries:
             lst = list(idx)
             lst[a], lst[b] = lst[b], lst[a]
-            key = tuple(lst)
-            acc[key] = acc.get(key, AlgElem.zero()) + c
-        return TensorElem._make(self.rank, acc)
+            pairs.append((tuple(lst), c))
+        return TensorElem._make(self.rank, pairs)
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def equals(self, other: "TensorElem") -> bool:
-        return self.rank == other.rank and (self - other).is_zero()
+    def equals(self, other: object) -> bool:
+        return (isinstance(other, TensorElem) and self.rank == other.rank
+                and (self - other).is_zero())
 
 
 def one_form_tensor(omega: OneForm) -> TensorElem:
@@ -398,13 +395,9 @@ def one_form_tensor(omega: OneForm) -> TensorElem:
 def tensor_product(t: TensorElem, u: "TensorElem | OneForm") -> TensorElem:
     if isinstance(u, OneForm):
         u = one_form_tensor(u)
-    acc: dict[Index, AlgElem] = {}
-    for idx_a, ca in t.entries:
-        for idx_b, cb in u.entries:
-            key = idx_a + idx_b
-            prod = ca * cb
-            acc[key] = acc.get(key, AlgElem.zero()) + prod
-    return TensorElem._make(t.rank + u.rank, acc)
+    return TensorElem._make(t.rank + u.rank, ((idx_a + idx_b, ca * cb)
+                                              for idx_a, ca in t.entries
+                                              for idx_b, cb in u.entries))
 
 
 def sym_project_legs(t: TensorElem, a: int, b: int) -> TensorElem:
@@ -430,13 +423,11 @@ def flip(t: TensorElem) -> TensorElem:
 def antisym_lift(w: TwoForm) -> TensorElem:
     """Section of the wedge map: e_ij -> (e_i⊗e_j - e_j⊗e_i)/2."""
     half = rational(1, 2)
-    acc: dict[Index, AlgElem] = {}
+    pairs = []
     for (i, j), c in zip(WEDGE_PAIRS, w.c):
-        if c.is_zero():
-            continue
-        acc[(i, j)] = acc.get((i, j), AlgElem.zero()) + c.scale(half)
-        acc[(j, i)] = acc.get((j, i), AlgElem.zero()) - c.scale(half)
-    return TensorElem._make(2, acc)
+        h = c.scale(half)
+        pairs += [((i, j), h), ((j, i), -h)]
+    return TensorElem._make(2, pairs)
 
 
 def wedge(t: TensorElem) -> TwoForm:
@@ -478,10 +469,12 @@ def d1(omega: OneForm) -> TwoForm:
     Each component is one left fold (``_Sum``) of the summands in the
     module docstring, taken in the order of i and, for one i, the d(e_i)
     term first: the ±1 entry of ``BASIS_DIFFERENTIALS[i - 1]`` adds or
-    subtracts a_i, and e_pq subtracts ``derive(q, a_i)`` when p = i and adds
-    ``derive(p, a_i)`` when q = i.  So the result is the same canonical form
-    as the fold of TwoForm sums over i, with two ``derive`` calls and one
-    sort per component.
+    subtracts a_i, and e_pq adds ``derive(q, -a_i)`` when p = i and
+    ``derive(p, a_i)`` when q = i.  ``derive`` is linear, so negating a_i
+    gives the same canonical form as subtracting ``derive(q, a_i)``, and each
+    term's coefficient is negated once.  So the result is the same canonical
+    form as the fold of TwoForm sums over i, with two ``derive`` calls and
+    one sort per component.
     """
     sums = [_Sum() for _ in WEDGE_PAIRS]
     for i, a in zip((1, 2, 3), omega.c):
@@ -491,7 +484,7 @@ def d1(omega: OneForm) -> TwoForm:
             if e.terms:
                 acc.add(a, 1 if e.as_scalar() == ONE else -1)
             if p == i:
-                acc.add(derive(q, a), -1)
+                acc.add(derive(q, -a))
             elif q == i:
                 acc.add(derive(p, a))
     return TwoForm(tuple(acc.value() for acc in sums))

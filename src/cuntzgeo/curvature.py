@@ -82,12 +82,8 @@ def ricci(theta: ThetaMap) -> TensorElem:
     Moving e_k^* past e_c and evaluating kills every entry with c != k and
     leaves the first two legs.
     """
-    acc: dict[tuple[int, int], AlgElem] = {}
-    for (a, b, c, k), coeff in theta.items():
-        if c != k:
-            continue
-        acc[(a, b)] = acc.get((a, b), AlgElem.zero()) + coeff
-    return TensorElem.from_entries(2, acc)
+    return TensorElem._make(
+        2, (((a, b), coeff) for (a, b, c, k), coeff in theta.items() if c == k))
 
 
 def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:

@@ -110,7 +110,7 @@ class Metric:
 
 
 def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
-    """Build a metric from a JSON file path or an already-decoded 3x3 array.
+    """Build a metric from a JSON file path or a 3x3 array of lists or tuples.
 
     Entries are expression strings in the scalar grammar or plain ints;
     floats are rejected (the engine is exact).
@@ -134,8 +134,8 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
             raise MetricError("metric file nests too deeply to decode") from exc
     else:
         data = source
-    if not isinstance(data, list) or len(data) != 3 or any(
-            not isinstance(row, list) or len(row) != 3 for row in data):
+    if not isinstance(data, (list, tuple)) or len(data) != 3 or any(
+            not isinstance(row, (list, tuple)) or len(row) != 3 for row in data):
         raise MetricError("metric must be a 3x3 array")
     rows = []
     for row in data:

@@ -128,6 +128,15 @@ def random_metric(rng: random.Random) -> Metric:
 # algebra
 # ---------------------------------------------------------------------------
 
+def merge_pairs(pairs) -> dict:
+    """(key, value) pairs merged by hand into a dict: a repeated key adds
+    its values.  The oracle for the merge in the ``_make`` constructors."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return out
+
+
 def reference_sum(a: AlgElem, b: AlgElem, sign: int = 1) -> AlgElem:
     """a + b (a - b for a negative sign) without the accumulator that + and
     - use: merge the terms of a and of ±b, then canonicalize the lot with
@@ -136,7 +145,7 @@ def reference_sum(a: AlgElem, b: AlgElem, sign: int = 1) -> AlgElem:
     for m, c in (b if sign > 0 else -b).terms:
         old = acc.get(m)
         acc[m] = c if old is None else old + c
-    return AlgElem._make(acc)
+    return AlgElem._make(acc.items())
 
 
 def reference_d1(omega: OneForm) -> TwoForm:

@@ -24,7 +24,10 @@ from cuntzgeo.scalars import GScalar, ONE, rational
 
 from support import (
     alg_elems,
+    merge_pairs,
     random_elem,
+    random_gscalar,
+    random_word,
     reference_sum,
     small_alg_elems,
     split_terms,
@@ -199,6 +202,42 @@ def test_associativity_and_distributivity(x, y, z):
 @given(alg_elems)
 def test_normalize_idempotent(x):
     assert AlgElem.from_terms(dict(x.terms)) == x
+
+
+def test_make_adds_repeated_monomials():
+    """A repeated monomial adds its coefficients before the collapse: a
+    cancelling pair vanishes, and the family of S1 completes only once the
+    two halves of S1 S1 S1* are merged."""
+    half = rational(1, 2)
+    pairs = [(monomial("1", "2"), ONE), (monomial("11", "1"), half),
+             (monomial("12", "2"), ONE), (monomial("1", "2"), -ONE),
+             (monomial("13", "3"), ONE), (monomial("11", "1"), half)]
+    assert AlgElem._make(pairs) == AlgElem.from_terms(merge_pairs(pairs)) == S1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_make_equals_from_terms_of_the_merged_pairs(seed):
+    """Pieces of x split through sum_j S_j S_j^* = 1, some of them cut in
+    two halves, in shuffled order beside pairs that cancel: ``_make`` gives
+    the canonical form of the hand-merged terms, and that is x."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        x = random_elem(rng)
+        pairs = []
+        for m, c in split_terms(x, rng):
+            if rng.random() < 0.5:
+                part = random_gscalar(rng)
+                pairs += [(m, part), (m, c - part)]
+            else:
+                pairs.append((m, c))
+            if rng.random() < 0.2:
+                d = random_gscalar(rng, nonzero=True)
+                other = Monomial(random_word(rng), random_word(rng))
+                pairs += [(other, d), (other, -d)]
+        rng.shuffle(pairs)
+        made = AlgElem._make(pairs)
+        assert made == AlgElem.from_terms(merge_pairs(pairs))
+        assert made.equals(x)
 
 
 @given(alg_elems, alg_elems)

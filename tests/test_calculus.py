@@ -31,7 +31,9 @@ from cuntzgeo import calculus
 from cuntzgeo.scalars import GScalar, rational
 
 from support import (
+    merge_pairs,
     one_forms,
+    random_elem,
     random_gscalar,
     random_word,
     rank2_tensors,
@@ -255,6 +257,38 @@ def test_wedge_after_antisym_lift(t):
     assert wedge(antisym_lift(w)).equals(w)
 
 
+def test_tensor_make_adds_repeated_indices():
+    """A repeated index adds its coefficients: x and -x cancel to no entry,
+    and S_j S_j^* on one index add up to 1."""
+    x = S1 * S2.adjoint() + 3
+    pairs = [((1, 2), x), ((2, 1), S1 * S1.adjoint()), ((1, 2), -x),
+             ((2, 1), S2 * S2.adjoint()), ((2, 1), S3 * S3.adjoint())]
+    assert TensorElem._make(2, pairs) == TensorElem.basis(2, 1)
+    rng = random.Random(5)
+    for _ in range(100):
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            idx, y = (rng.randint(1, 3), rng.randint(1, 3)), random_elem(rng)
+            pairs += [(idx, y), (idx, -y)] if rng.random() < 0.3 else [(idx, y)]
+        rng.shuffle(pairs)
+        assert TensorElem._make(2, pairs) == TensorElem.from_entries(2, merge_pairs(pairs))
+
+
+def test_tensor_entry_checks_its_index():
+    t = TensorElem.basis(1, 2)
+    assert t.entry(1, 2) == AlgElem.unit() and t.entry(2, 1).is_zero()
+    for bad in ((1,), (1, 2, 3), (0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="index"):
+            t.entry(*bad)
+
+
+def test_tensor_equals_is_false_for_other_types():
+    t = TensorElem.basis(1, 2)
+    assert not t.equals(OneForm.zero())
+    assert not t.equals(AlgElem.unit())
+    assert not t.equals(TensorElem.basis(1, 2, 3))
+
+
 def test_antisym_lift_of_basis():
     t = antisym_lift(TwoForm.basis(1, 2))
     half = GScalar.of(rational(1, 2).re)
@@ -342,6 +376,24 @@ def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
     calls.clear()
     d1(OneForm.of(0, S1, 0))
     assert sorted(calls) == [1, 3]
+
+
+def test_d1_negates_each_coefficient_once(monkeypatch):
+    """d1 adds derive(q, -a) rather than subtracting derive(q, a), so the
+    scalar negations do not grow with the number of images derive makes:
+    S1^L has L of them under each derivation."""
+    counts = []
+    negate = GScalar.__neg__
+
+    def counting(self):
+        counts[-1] += 1
+        return negate(self)
+
+    monkeypatch.setattr(GScalar, "__neg__", counting)
+    for length in (2, 8):
+        counts.append(0)
+        d1(OneForm.of(AlgElem.from_terms({monomial("1" * length): 1}), 0, 0))
+    assert counts[1] <= counts[0]
 
 
 @given(one_forms, one_forms)

@@ -297,10 +297,11 @@ def test_parse_work_is_linear_in_the_summands(monkeypatch):
     count = 0
     make, collapse = AlgElem._make, algebra._collapse
 
-    def counting_make(mapping):
+    def counting_make(pairs):
         nonlocal count
-        count += len(mapping)
-        return make(mapping)
+        pairs = list(pairs)
+        count += len(pairs)
+        return make(pairs)
 
     def counting_collapse(terms, *seeds):
         nonlocal count

@@ -81,6 +81,15 @@ def test_load_metric_from_list():
     assert g.entry(1, 2) == g_of(Fraction(1, 2))
 
 
+def test_load_metric_from_tuples():
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, "3/2"))
+    g = load_metric(rows)
+    assert g == load_metric([list(row) for row in rows])
+    assert g.entry(3, 3) == g_of(Fraction(3, 2))
+    with pytest.raises(MetricError, match="3x3"):
+        load_metric(((1, 0), (0, 1)))
+
+
 def test_load_metric_from_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, "3/2"]]))
