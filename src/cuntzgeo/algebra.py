@@ -59,8 +59,12 @@ summands' terms and the merges they cause, plus one sort at the end.
 Everything else is a stream of (monomial, coefficient) pairs that need not
 be canonical: products, derivations and outside terms (``from_terms``).
 ``AlgElem._make`` adds the coefficients of a repeated monomial, then
-canonicalizes with a collapse from every term.  A sum makes no new word, so
-only ``_make`` checks the word-length cap.
+canonicalizes with a collapse from every term.  Every product of two
+elements is one ``_make``, whatever their sizes.  A sum makes no new word,
+so the word-length cap is checked by ``_make`` and by the one other place
+that makes words: the parser, which multiplies a written run of generators
+into a one-term product by folding its word with ``_mul_monomials``, and
+checks each letter with ``_check_word_lengths``.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
 words, so keys hash and compare in C.  ``_make``, ``_Sum`` and a merge's
@@ -99,12 +103,12 @@ def set_caps(max_word_len: int | None = None, max_terms: int | None = None) -> N
     """Adjust the global resource caps (word length / stored term count)."""
     global _MAX_WORD_LEN, _MAX_TERMS
     if max_word_len is not None:
-        if max_word_len < 1:
-            raise ValueError("max_word_len must be positive")
+        if type(max_word_len) is not int or max_word_len < 1:
+            raise ValueError("max_word_len must be a positive int")
         _MAX_WORD_LEN = max_word_len
     if max_terms is not None:
-        if max_terms < 1:
-            raise ValueError("max_terms must be positive")
+        if type(max_terms) is not int or max_terms < 1:
+            raise ValueError("max_terms must be a positive int")
         _MAX_TERMS = max_terms
 
 
@@ -297,8 +301,8 @@ class AlgElem:
         """The canonical element of outside terms; every letter is checked."""
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
-                if not 1 <= letter <= 3:
-                    raise ValueError(f"letter {letter} outside alphabet 1..3")
+                if type(letter) is not int or not 1 <= letter <= 3:
+                    raise ValueError(f"letter {letter!r} outside alphabet 1..3")
         return AlgElem._make((m, GScalar.of(c)) for m, c in mapping.items())
 
     @staticmethod
@@ -316,8 +320,8 @@ class AlgElem:
 
     @staticmethod
     def generator(i: int) -> "AlgElem":
-        if not 1 <= i <= 3:
-            raise ValueError(f"generator index {i} outside 1..3")
+        if type(i) is not int or not 1 <= i <= 3:
+            raise ValueError(f"generator index {i!r} outside 1..3")
         return AlgElem(((Monomial((i,), ()), ONE),))
 
     # -- views --------------------------------------------------------------
@@ -369,16 +373,6 @@ class AlgElem:
             return self.scale(GScalar.of(other))
         if not isinstance(other, AlgElem):
             return NotImplemented
-        if len(self.terms) == 1 == len(other.terms):
-            # One term is canonical and a product of nonzero scalars is
-            # nonzero, so only the word cap needs checking.
-            (ma, ca), = self.terms
-            (mb, cb), = other.terms
-            prod = _mul_monomials(ma, mb)
-            if prod is None:
-                return AlgElem(())
-            _check_word_lengths((prod,))
-            return AlgElem(((prod, cb if ca == ONE else ca if cb == ONE else ca * cb),))
         return AlgElem._make((prod, ca * cb)
                              for ma, ca in self.terms for mb, cb in other.terms
                              if (prod := _mul_monomials(ma, mb)) is not None)

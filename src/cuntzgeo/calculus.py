@@ -176,14 +176,12 @@ class _Form:
 
     def __mul__(self, other: object):
         if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return type(self)(tuple(a * b for a in self.c))
+            return type(self)(tuple(a * other for a in self.c))
         return NotImplemented
 
     def __rmul__(self, other: object):
         if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return type(self)(tuple(b * a for a in self.c))
+            return type(self)(tuple(other * a for a in self.c))
         return NotImplemented
 
     def is_zero(self) -> bool:
@@ -195,6 +193,8 @@ class _Form:
 
 class OneForm(_Form):
     """Element of the rank-3 free module: ``e1*c[0] + e2*c[1] + e3*c[2]``."""
+
+    LABELS = ("e1", "e2", "e3")  # the basis symbols, in the order of c
 
     @staticmethod
     def of(c1, c2, c3) -> "OneForm":
@@ -223,6 +223,8 @@ class OneForm(_Form):
 
 class TwoForm(_Form):
     """``e12*c[0] + e13*c[1] + e23*c[2]`` with the basis order of WEDGE_PAIRS."""
+
+    LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
 
     @staticmethod
     def of(c12, c13, c23) -> "TwoForm":
@@ -304,7 +306,7 @@ class TensorElem:
         for idx in merged:
             if len(idx) != rank:
                 raise ValueError(f"index {idx} does not have rank {rank}")
-            if any(not 1 <= i <= 3 for i in idx):
+            if any(type(i) is not int or not 1 <= i <= 3 for i in idx):
                 raise ValueError(f"index {idx} outside 1..3")
         return TensorElem(rank, tuple(sorted(
             ((idx, c) for idx, c in merged.items() if not c.is_zero()),
@@ -324,7 +326,8 @@ class TensorElem:
         return TensorElem.from_entries(len(indices), {tuple(indices): ONE})
 
     def entry(self, *indices: int) -> AlgElem:
-        if len(indices) != self.rank or any(not 1 <= i <= 3 for i in indices):
+        if len(indices) != self.rank or any(type(i) is not int or not 1 <= i <= 3
+                                            for i in indices):
             raise ValueError(f"index {indices} is not a rank-{self.rank} index over 1..3")
         for idx, c in self.entries:
             if idx == indices:
@@ -359,8 +362,7 @@ class TensorElem:
     def __mul__(self, other: object) -> "TensorElem":
         """Right multiplication on the coefficient."""
         if isinstance(other, (AlgElem, GScalar, int)):
-            b = _coeff(other)
-            return TensorElem._make(self.rank, ((idx, c * b) for idx, c in self.entries))
+            return TensorElem._make(self.rank, ((idx, c * other) for idx, c in self.entries))
         return NotImplemented
 
     def scale(self, s: GScalar) -> "TensorElem":

@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from .algebra import AlgElem, CapacityError
 from .calculus import OneForm, TwoForm, derive, differential
@@ -46,30 +47,27 @@ from .geometry import (
 _INDICES = (1, 2, 3)
 
 
-def _tensor_doc(t, decimal: bool) -> list[dict]:
-    return [
-        {"index": list(idx), "value": print_canonical(c, decimal)}
-        for idx, c in t.entries
-    ]
+def _index_doc(table: dict, decimal: bool) -> list[dict]:
+    """The entries of an index-keyed table in index order (a tensor's order)."""
+    return [{"index": list(idx), "value": print_canonical(table[idx], decimal)}
+            for idx in sorted(table)]
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds only the output that --json selects
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
     value = parse_expr(args.expr)
     text = print_canonical(value, args.decimal)
-    if isinstance(value, AlgElem):
-        doc = {
+    if not args.json:
+        print(text)
+    elif isinstance(value, AlgElem):
+        _print_json({
             "kind": "algebra",
             "canonical": text,
             "terms": [
@@ -81,41 +79,26 @@ def cmd_eval(args) -> int:
                 }
                 for m, c in value.terms
             ],
-        }
-    elif isinstance(value, OneForm):
-        doc = {
-            "kind": "one-form",
-            "canonical": text,
-            "components": {
-                f"e{i}": print_canonical(value.component(i), args.decimal)
-                for i in _INDICES
-            },
-        }
+        })
     else:
-        assert isinstance(value, TwoForm)
-        doc = {
-            "kind": "two-form",
+        _print_json({
+            "kind": "one-form" if isinstance(value, OneForm) else "two-form",
             "canonical": text,
             "components": {
-                "e12": print_canonical(value.component(1, 2), args.decimal),
-                "e13": print_canonical(value.component(1, 3), args.decimal),
-                "e23": print_canonical(value.component(2, 3), args.decimal),
+                label: print_canonical(a, args.decimal)
+                for label, a in zip(value.LABELS, value.c)
             },
-        }
-    _emit(args, doc, [text])
+        })
     return 0
 
 
 def cmd_derive(args) -> int:
     value = parse_alg(args.expr)
-    result = derive(args.index, value)
-    text = print_canonical(result, args.decimal)
-    doc = {
-        "kind": "algebra",
-        "derivation": args.index,
-        "canonical": text,
-    }
-    _emit(args, doc, [text])
+    text = print_canonical(derive(args.index, value), args.decimal)
+    if args.json:
+        _print_json({"kind": "algebra", "derivation": args.index, "canonical": text})
+    else:
+        print(text)
     return 0
 
 
@@ -125,13 +108,16 @@ def cmd_d(args) -> int:
         raise ParseError("d of a two-form is outside this calculus", 0)
     result = differential(value)
     text = print_canonical(result, args.decimal)
-    degree = 1 if isinstance(result, OneForm) else 2
-    doc = {
-        "kind": "one-form" if degree == 1 else "two-form",
-        "canonical": text,
-    }
-    _emit(args, doc, [text])
+    if args.json:
+        kind = "one-form" if isinstance(result, OneForm) else "two-form"
+        _print_json({"kind": kind, "canonical": text})
+    else:
+        print(text)
     return 0
+
+
+def _metric_doc(g, dec: bool) -> list[list[str]]:
+    return [[print_canonical(g.entry(i, j), dec) for j in _INDICES] for i in _INDICES]
 
 
 def cmd_levi_civita(args) -> int:
@@ -142,39 +128,32 @@ def cmd_levi_civita(args) -> int:
     residual = unitarity_residual(g, conn)
     dec = args.decimal
 
-    lines = []
+    if args.json:
+        _print_json({
+            "metric": _metric_doc(g, dec),
+            "connection": {
+                f"e{i}": _index_doc(conn.value(i).entry_map(), dec) for i in _INDICES
+            },
+            "christoffel": _index_doc(gamma, dec),
+            "torsion": {
+                f"e{i}": print_canonical(tors[i - 1], dec) for i in _INDICES
+            },
+            "unitarity_residual": [
+                [print_canonical(residual[i - 1][j - 1], dec) for j in _INDICES]
+                for i in _INDICES
+            ],
+        })
+        return 0
     for i in _INDICES:
-        lines.append(f"nabla(e{i}) = {print_tensor(conn.value(i), dec)}")
+        print(f"nabla(e{i}) = {print_tensor(conn.value(i), dec)}")
     for key in sorted(gamma):
-        lines.append("Gamma {} {} {} = {}".format(
-            *key, print_canonical(gamma[key], dec)))
+        print("Gamma {} {} {} = {}".format(*key, print_canonical(gamma[key], dec)))
     for i in _INDICES:
-        lines.append(f"torsion e{i} = {print_canonical(tors[i - 1], dec)}")
+        print(f"torsion e{i} = {print_canonical(tors[i - 1], dec)}")
     for i in _INDICES:
         for j in _INDICES:
-            lines.append(
-                f"unitarity {i} {j} = "
-                f"{print_canonical(residual[i - 1][j - 1], dec)}")
-
-    doc = {
-        "metric": [[print_canonical(g.entry(i, j), dec) for j in _INDICES]
-                   for i in _INDICES],
-        "connection": {
-            f"e{i}": _tensor_doc(conn.value(i), dec) for i in _INDICES
-        },
-        "christoffel": [
-            {"index": list(key), "value": print_canonical(gamma[key], dec)}
-            for key in sorted(gamma)
-        ],
-        "torsion": {
-            f"e{i}": print_canonical(tors[i - 1], dec) for i in _INDICES
-        },
-        "unitarity_residual": [
-            [print_canonical(residual[i - 1][j - 1], dec) for j in _INDICES]
-            for i in _INDICES
-        ],
-    }
-    _emit(args, doc, lines)
+            print(f"unitarity {i} {j} = "
+                  f"{print_canonical(residual[i - 1][j - 1], dec)}")
     return 0
 
 
@@ -183,31 +162,26 @@ def cmd_curvature(args) -> int:
     report = curvature_report(g)
     dec = args.decimal
 
-    lines = [f"scalar = {print_canonical(report.scalar, dec)}"]
+    if args.json:
+        _print_json({
+            "metric": _metric_doc(g, dec),
+            "scalar": print_canonical(report.scalar, dec),
+            "ricci": _index_doc(report.ric.entry_map(), dec),
+            "curvature": {
+                f"e{i}": _index_doc(report.curv[i - 1].entry_map(), dec) for i in _INDICES
+            },
+            "theta": _index_doc(report.theta, dec),
+        })
+        return 0
+    print(f"scalar = {print_canonical(report.scalar, dec)}")
     for a in _INDICES:
         for b in _INDICES:
-            lines.append(
-                f"Ric {a} {b} = {print_canonical(report.ric.entry(a, b), dec)}")
+            print(f"Ric {a} {b} = {print_canonical(report.ric.entry(a, b), dec)}")
     for i in _INDICES:
-        lines.append(f"R(e{i}) = {print_tensor(report.curv[i - 1], dec)}")
+        print(f"R(e{i}) = {print_tensor(report.curv[i - 1], dec)}")
     for key in sorted(report.theta):
-        lines.append("Theta {} {} {} {} = {}".format(
+        print("Theta {} {} {} {} = {}".format(
             *key, print_canonical(report.theta[key], dec)))
-
-    doc = {
-        "metric": [[print_canonical(g.entry(i, j), dec) for j in _INDICES]
-                   for i in _INDICES],
-        "scalar": print_canonical(report.scalar, dec),
-        "ricci": _tensor_doc(report.ric, dec),
-        "curvature": {
-            f"e{i}": _tensor_doc(report.curv[i - 1], dec) for i in _INDICES
-        },
-        "theta": [
-            {"index": list(key), "value": print_canonical(report.theta[key], dec)}
-            for key in sorted(report.theta)
-        ],
-    }
-    _emit(args, doc, lines)
     return 0
 
 
@@ -215,7 +189,7 @@ def cmd_verify(args) -> int:
     results = run_checks()
     failed = has_failure(results)
     if args.json:
-        doc = {
+        _print_json({
             "result": "fail" if failed else "pass",
             "checks": [
                 {
@@ -227,17 +201,14 @@ def cmd_verify(args) -> int:
                 }
                 for r in results
             ],
-        }
-        print(json.dumps(doc, indent=2))
+        })
     else:
         for r in results:
             print(f"{r.status.upper():<5} {r.ident:<40} "
                   f"expected: {r.expected:<24} computed: {r.computed}")
-        n_info = sum(1 for r in results if r.status == "info")
-        n_fail = sum(1 for r in results if r.status == "fail")
-        n_pass = sum(1 for r in results if r.status == "pass")
+        n = Counter(r.status for r in results)
         print(f"result: {'fail' if failed else 'pass'} "
-              f"({n_pass} passed, {n_fail} failed, {n_info} informational)")
+              f"({n['pass']} passed, {n['fail']} failed, {n['info']} informational)")
     if failed:
         print("verification failed", file=sys.stderr)
         return 1

@@ -5,26 +5,29 @@ explicit product):
 
     expr    := ('+' | '-')? term (('+' | '-') term)*
     term    := factor (('.')? factor)*
-    factor  := scalar | gen | form | 'd' '(' expr ')' | '(' expr ')'
+    factor  := scalar | run | form | 'd' '(' expr ')' | '(' expr ')'
+    run     := gen (('.')? gen)*
     gen     := ('S1' | 'S2' | 'S3') '*'?
     form    := 'e1' | 'e2' | 'e3' | 'e12' | 'e13' | 'e23'
     scalar  := INT ('/' INT)? 'i'?  |  'i'
 
 ``*`` is only the postfix adjoint; division exists only inside scalar
-literals.  One regular expression scans the whole text into tokens; a
-generator token takes a following ``*`` (whitespace may come between) as its
-adjoint, so it carries its one-letter monomial.  The tokens are then parsed
-and evaluated in one recursive-descent pass that folds sums and multiplies
-products left to right.  A sum folds into one mutable accumulator (one per
-component for forms) that touches only each summand's terms and ends in the
-left fold's result exactly, so parsing takes time linear in the number of
-summands; a product of one-term factors is formed directly.  Problems raise
-:class:`ParseError` carrying the character offset — they never abort the
-process.  That includes input beyond the parser's bounds: groups and
-``d(...)`` nested deeper than ``MAX_NESTING``, and integer literals longer
-than ``MAX_LITERAL_DIGITS``.  Lexical faults come first; syntax, context and
-degree faults and resource caps (``CapacityError``) follow in the order the
-parser reaches them.
+literals.  One regular expression scans the whole text into tokens.  A run
+of generator letters (adjacent, or separated by whitespace or one ``.``) is
+one token that carries the monomial of each letter; a letter takes a
+following ``*`` (whitespace may come between) as its adjoint.  The tokens
+are then parsed and evaluated in one recursive-descent pass that folds sums
+and multiplies products left to right.  A sum folds into one mutable
+accumulator (one per component for forms) that touches only each summand's
+terms and ends in the left fold's result exactly, so parsing takes time
+linear in the number of summands.  A run multiplies in letter by letter as
+one word (``_times_run``), so a written word costs no element product.
+Problems raise :class:`ParseError` carrying the character offset — they
+never abort the process.  That includes input beyond the parser's bounds:
+groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and integer
+literals longer than ``MAX_LITERAL_DIGITS``.  Lexical faults come first;
+syntax, context and degree faults and resource caps (``CapacityError``)
+follow in the order the parser reaches them.
 
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
@@ -37,8 +40,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import AlgElem, Monomial, _Sum
-from .calculus import OneForm, TwoForm, WEDGE_PAIRS, d0, d1
+from .algebra import AlgElem, Monomial, _Sum, _check_word_lengths, _mul_monomials
+from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE
 
 
@@ -66,7 +69,7 @@ class ParseError(ValueError):
 # two ``\d`` digits is a decimal literal; any other character is unexpected.
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<gen>S(?P<letter>[123])(?P<star>\s*\*)?)
+  | (?P<gen>S[123](?:\s*\*)?(?:\s*(?:\.\s*)?S[123](?:\s*\*)?)*)
   | (?P<form2>e(?:1[23]|23))
   | (?P<form1>e[123])
   | (?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?(?P<imag>i?))
@@ -75,6 +78,8 @@ _TOKEN = re.compile(r"""
   | (?P<op>[()+\-*.d])
   | (?P<bad>.)
 """, re.VERBOSE)
+# one letter of a generator run: its digit and its adjoint star, if any
+_LETTER = re.compile(r"S([123])(\s*\*)?")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
@@ -86,8 +91,8 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
         if kind == "ws":
             continue
         if kind == "gen":
-            letter = (int(m["letter"]),)
-            value = Monomial((), letter) if m["star"] else Monomial(letter, ())
+            value = tuple(Monomial((), (int(d),)) if star else Monomial((int(d),), ())
+                          for d, star in _LETTER.findall(m[0]))
         elif kind == "form1":
             value = int(text[pos + 1])
         elif kind == "form2":
@@ -133,6 +138,25 @@ def _degree(v) -> int:
 
 def _components(v) -> tuple[AlgElem, ...]:
     return (v,) if isinstance(v, AlgElem) else v.c
+
+
+def _times_run(x, letters: tuple[Monomial, ...]):
+    """``x`` times the letters of a generator run, left to right, as one
+    product per letter gives it.  An element of one term stays one word, so
+    the word folds with ``_mul_monomials``; the word cap is checked after
+    every letter and the fold stops at the first zero, as those products
+    would.  Any other element or form takes the products."""
+    if isinstance(x, AlgElem) and len(x.terms) == 1:
+        (word, c), = x.terms
+        for letter in letters:
+            word = _mul_monomials(word, letter)
+            if word is None:
+                return AlgElem(())
+            _check_word_lengths((word,))
+        return AlgElem(((word, c),))
+    for letter in letters:
+        x = x * AlgElem(((letter, ONE),))
+    return x
 
 
 class _Parser:
@@ -197,6 +221,9 @@ class _Parser:
                 raise ParseError("adjoint '*' may only follow a generator", tok_pos)
             elif kind not in _FACTOR_START:
                 return acc, pos
+            if self.peek()[0] == "gen":
+                acc, pos = _times_run(acc, self.take()[2]), start
+                continue
             val, factor_pos = self.parse_factor()
             if _degree(acc) + _degree(val) > 2:
                 raise ParseError("product exceeds form degree 2", factor_pos)
@@ -207,7 +234,7 @@ class _Parser:
         if kind == "num":
             return AlgElem.scalar(value), pos
         if kind == "gen":
-            return AlgElem(((value, ONE),)), pos
+            return _times_run(AlgElem.unit(), value), pos
         if kind == "form1":
             if self.mode == "alg":
                 raise ParseError("one-form symbol in algebra context", pos)
@@ -369,20 +396,14 @@ def _form_text(labels: tuple[str, ...], coeffs, decimal: bool) -> str:
     return _join_terms(parts)
 
 
-_ONE_LABELS = ("e1", "e2", "e3")
-_TWO_LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
-
-
 def print_canonical(x, decimal: bool = False) -> str:
     """Deterministic text for scalars, algebra elements and forms."""
     if isinstance(x, GScalar):
         return _alg_text(AlgElem.scalar(x), decimal)
     if isinstance(x, AlgElem):
         return _alg_text(x, decimal)
-    if isinstance(x, OneForm):
-        return _form_text(_ONE_LABELS, x.c, decimal)
-    if isinstance(x, TwoForm):
-        return _form_text(_TWO_LABELS, x.c, decimal)
+    if isinstance(x, (OneForm, TwoForm)):
+        return _form_text(x.LABELS, x.c, decimal)
     raise TypeError(f"cannot print {type(x).__name__}")
 
 

@@ -68,6 +68,10 @@ class Metric:
     def __post_init__(self) -> None:
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise MetricError("metric must be a 3x3 array")
+        bad = [x for row in self.rows for x in row if not isinstance(x, GScalar)]
+        if bad:
+            raise MetricError(f"metric entry {bad[0]!r} is not a GScalar; "
+                              "Metric.from_rows converts ints and Fractions")
         for i in range(3):
             for j in range(i + 1, 3):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -170,8 +174,9 @@ class Connection:
     vals: tuple[TensorElem, TensorElem, TensorElem]
 
     def __post_init__(self) -> None:
-        if any(v.rank != 2 for v in self.vals):
-            raise ValueError("connection values must be rank-2 tensors")
+        if len(self.vals) != 3 or any(
+                not isinstance(v, TensorElem) or v.rank != 2 for v in self.vals):
+            raise ValueError("connection values must be three rank-2 tensors")
 
     def value(self, i: int) -> TensorElem:
         return self.vals[i - 1]

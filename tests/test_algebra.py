@@ -141,7 +141,8 @@ def test_tree_action_word_validation():
 
 
 @pytest.mark.parametrize("mono", [monomial((0,)), monomial((4,)),
-                                  monomial((1,), (4,)), monomial((1, 0), (2,))])
+                                  monomial((1,), (4,)), monomial((1, 0), (2,)),
+                                  Monomial((True,), ()), Monomial((1,), (2.0,))])
 def test_letters_outside_the_alphabet_are_rejected(mono):
     with pytest.raises(ValueError, match="outside alphabet"):
         AlgElem.from_terms({mono: 1})
@@ -151,6 +152,24 @@ def test_letters_outside_the_alphabet_are_rejected(mono):
 def test_generator_index_is_checked(i):
     with pytest.raises(ValueError, match="outside 1..3"):
         AlgElem.generator(i)
+
+
+@pytest.mark.parametrize("i", [True, False, 1.0, "1"])
+def test_generator_index_is_an_int(i):
+    with pytest.raises(ValueError, match="outside 1..3"):
+        AlgElem.generator(i)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 16.0, "16"])
+def test_caps_are_ints(value):
+    old = get_caps()
+    try:
+        for name in ("max_word_len", "max_terms"):
+            with pytest.raises(ValueError, match="positive int"):
+                set_caps(**{name: value})
+        assert get_caps() == old
+    finally:
+        set_caps(*old)
 
 
 def test_caps_word_length():

@@ -282,6 +282,14 @@ def test_tensor_entry_checks_its_index():
             t.entry(*bad)
 
 
+def test_tensor_indices_are_ints():
+    for bad in ((True, 2), (1, 2.0), (1, "2")):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            TensorElem.basis(*bad)
+    with pytest.raises(ValueError, match="index"):
+        TensorElem.basis(1, 2).entry(True, 2)
+
+
 def test_tensor_equals_is_false_for_other_types():
     t = TensorElem.basis(1, 2)
     assert not t.equals(OneForm.zero())

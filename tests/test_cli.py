@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,26 @@ def test_d_rejects_two_forms():
     r = run("d", "e1 e2")
     assert r.returncode == 2
     assert "outside this calculus" in r.stderr
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of a printer through its cuntzgeo.cli name."""
+    calls = []
+    printer = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or printer(*a))
+    return calls
+
+
+def test_commands_build_only_the_output_they_print(monkeypatch, capsys):
+    canonical = _count_calls(monkeypatch, "print_canonical")
+    assert cli.main(["eval", "e1 S1 S2* + 2 e3"]) == 0
+    assert capsys.readouterr().out == "e1 S1 S2* + 2 e3\n"
+    assert len(canonical) == 1
+    tensor = _count_calls(monkeypatch, "print_tensor")
+    dense = str(Path(__file__).parent / "fixtures" / "dense.json")
+    assert cli.main(["curvature", "--json", dense]) == 0
+    assert json.loads(capsys.readouterr().out)["scalar"]
+    assert tensor == []
 
 
 # -- exit codes ------------------------------------------------------------------

@@ -203,6 +203,70 @@ def test_error_never_exits(capsys):
     assert capsys.readouterr().out == ""
 
 
+# -- generator runs -----------------------------------------------------------
+
+@pytest.mark.parametrize("sep,star", [(" ", "*"), ("", "*"), (".", "*"),
+                                      (" . ", "*"), (" ", " *")])
+def test_a_generator_run_makes_no_element_product(monkeypatch, sep, star):
+    """A run of letters folds into one word: six plain letters and six
+    starred ones, whose word is not zero, make no AlgElem product."""
+    letters = [f"S{k}" for k in (1, 2, 3, 3, 2, 1)] + [f"S{k}{star}" for k in (2, 1, 3, 1, 2, 3)]
+    calls = 0
+    mul = AlgElem.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgElem, "__mul__", counting_mul)
+    for text in (sep.join(letters), "2 " + sep.join(letters)):
+        x = parse_alg(text)
+        assert x.terms[0][0] == monomial((1, 2, 3, 3, 2, 1), (3, 2, 1, 3, 1, 2))
+    assert calls == 0
+
+
+_LETTER_SPELLINGS = st.lists(
+    st.tuples(st.integers(1, 3), st.booleans(),
+              st.sampled_from(("", " ", ".", " . ", "\t", " .\n")),
+              st.sampled_from(("*", " *", "\n*"))),
+    min_size=1, max_size=12)
+
+
+@given(_LETTER_SPELLINGS)
+@settings(max_examples=200, deadline=None)
+def test_a_run_is_the_product_of_its_letters(spelled):
+    text, product = "", AlgElem.unit()
+    for k, (letter, starred, sep, star) in enumerate(spelled):
+        text += (sep if k else "") + f"S{letter}" + (star if starred else "")
+        gen = AlgElem.generator(letter)
+        product = product * (gen.adjoint() if starred else gen)
+    assert parse_alg(text) == product
+    assert parse_expr(text) == product
+
+
+def test_runs_keep_the_cap_and_zero_rules_of_letter_products(capsys):
+    # a 17-letter word is over the cap (16), in a run as through the CLI
+    with pytest.raises(CapacityError):
+        parse_alg("S1 " * 17)
+    assert cli.main(["eval", "S2." * 16 + "S2"]) == 3
+    assert capsys.readouterr().err.startswith("resource cap exceeded:")
+    # a zero product stops the word: later letters are never checked
+    assert parse_alg("S1* S2 " + "S3 " * 30).is_zero()
+    assert parse_alg("S1* . S2 " + "S3* " * 30).is_zero()
+    # letters multiply into the term's product one at a time, so a factor
+    # before the run decides with it: a zero coefficient or an earlier word
+    # that the run kills gives 0, and an intermediate word over the cap is
+    # over it even when the run later shortens it
+    assert parse_alg("0 " + "S1 " * 17).is_zero()
+    assert parse_alg("S1* 2 S2 " + "S1 " * 16).is_zero()
+    assert parse_alg("S1* 2 " + "S1 " * 17) == parse_alg("2 " + "S1 " * 16)
+    with pytest.raises(CapacityError):
+        parse_alg("S1* " * 10 + "2 " + "S2* " * 7 + "S2 " * 7)
+    assert parse_alg("S1* " * 9 + "2 " + "S2* " * 7 + "S2 " * 7) \
+        == parse_alg("2 " + "S1* " * 9)
+
+
 # -- sums ---------------------------------------------------------------------
 
 def _sum_text(signed) -> str:

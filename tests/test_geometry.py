@@ -65,6 +65,16 @@ def test_metric_rejects_singular():
         Metric.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize("entry", [1, Fraction(1), 1.0, True])
+def test_metric_entries_must_be_gscalars(entry):
+    one, zero = GScalar.of(1), GScalar.of(0)
+    rows = ((entry, zero, zero), (zero, one, zero), (zero, zero, one))
+    with pytest.raises(MetricError, match="not a GScalar"):
+        Metric(rows)
+    if type(entry) in (int, Fraction):  # from_rows converts these
+        assert Metric.from_rows(rows) == Metric.identity()
+
+
 def test_metric_rejects_bad_shape():
     with pytest.raises(MetricError, match="3x3"):
         Metric.from_rows([[1, 0], [0, 1]])
@@ -148,6 +158,10 @@ def test_base_connection_is_torsion_free():
 def test_connection_requires_rank2():
     with pytest.raises(ValueError, match="rank-2"):
         Connection((TensorElem.basis(1), TensorElem.basis(1), TensorElem.basis(1)))
+    with pytest.raises(ValueError, match="three rank-2 tensors"):
+        Connection((1, 2, 3))
+    with pytest.raises(ValueError, match="three rank-2 tensors"):
+        Connection((TensorElem.basis(1, 2), TensorElem.basis(1, 2)))
 
 
 def test_sym_tensor_map_rejects_asymmetric():
