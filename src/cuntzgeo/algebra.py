@@ -346,10 +346,11 @@ class AlgElem:
 
     def _fold(self, other: object, sign: int) -> "AlgElem":
         """``self + other`` (``self - other`` for a negative sign) by ``_Sum``."""
-        if isinstance(other, (int, GScalar)):
-            other = AlgElem.scalar(GScalar.of(other))
         if not isinstance(other, AlgElem):
-            return NotImplemented
+            c = GScalar._coerce(other)
+            if c is None:
+                return NotImplemented
+            other = AlgElem.scalar(c)
         acc = _Sum(self)
         acc.add(other, sign)
         return acc.value()
@@ -369,18 +370,15 @@ class AlgElem:
         return AlgElem(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: object) -> "AlgElem":
-        if isinstance(other, (int, GScalar)):
-            return self.scale(GScalar.of(other))
         if not isinstance(other, AlgElem):
-            return NotImplemented
+            return self.__rmul__(other)  # a scalar is central
         return AlgElem._make((prod, ca * cb)
                              for ma, ca in self.terms for mb, cb in other.terms
                              if (prod := _mul_monomials(ma, mb)) is not None)
 
     def __rmul__(self, other: object) -> "AlgElem":
-        if isinstance(other, (int, GScalar)):
-            return self.scale(GScalar.of(other))
-        return NotImplemented
+        c = GScalar._coerce(other)
+        return NotImplemented if c is None else self.scale(c)
 
     def scale(self, c: GScalar) -> "AlgElem":
         if not c:

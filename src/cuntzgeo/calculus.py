@@ -140,9 +140,12 @@ WEDGE_PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 3))
 
 
 def _coeff(x: "AlgElem | GScalar | int") -> AlgElem:
-    if isinstance(x, AlgElem):
-        return x
-    return AlgElem.scalar(GScalar.of(x))
+    return x if isinstance(x, AlgElem) else AlgElem.scalar(x)
+
+
+def _factor(x: object) -> "AlgElem | GScalar | None":
+    """An AlgElem, an exact scalar as a GScalar, or None for anything else."""
+    return x if isinstance(x, AlgElem) else GScalar._coerce(x)
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,12 @@ class _Form:
         return type(self)(tuple(-a for a in self.c))
 
     def __mul__(self, other: object):
-        if isinstance(other, (AlgElem, GScalar, int)):
-            return type(self)(tuple(a * other for a in self.c))
-        return NotImplemented
+        f = _factor(other)
+        return NotImplemented if f is None else type(self)(tuple(a * f for a in self.c))
 
     def __rmul__(self, other: object):
-        if isinstance(other, (AlgElem, GScalar, int)):
-            return type(self)(tuple(other * a for a in self.c))
-        return NotImplemented
+        f = _factor(other)
+        return NotImplemented if f is None else type(self)(tuple(f * a for a in self.c))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.c)
@@ -361,9 +362,9 @@ class TensorElem:
 
     def __mul__(self, other: object) -> "TensorElem":
         """Right multiplication on the coefficient."""
-        if isinstance(other, (AlgElem, GScalar, int)):
-            return TensorElem._make(self.rank, ((idx, c * other) for idx, c in self.entries))
-        return NotImplemented
+        f = _factor(other)
+        return NotImplemented if f is None else TensorElem._make(
+            self.rank, ((idx, c * f) for idx, c in self.entries))
 
     def scale(self, s: GScalar) -> "TensorElem":
         return TensorElem._make(self.rank, ((idx, c.scale(s)) for idx, c in self.entries))

@@ -10,7 +10,9 @@ one-form e_k it is the rank-3 tensor with entries
 where eps is the Levi-Civita symbol, read off the calculus as twice
 ``antisym_lift(d(e_j))``.  The first sum differentiates the first leg of
 conn(e_k) and antisymmetrizes the last two positions; the second
-differentiates the second leg through the lifted basis differential.
+differentiates the second leg through the lifted basis differential.  On
+the Gaussian-integer table D Gamma (see ``cuntzgeo.geometry``), each entry
+is one integer sum over i, i and j (with -Gamma_k and D eps), over 2 D².
 
 The curvature operator tacks the dual basis index on and swaps the middle
 one-form legs; contracting the dual index against the third leg yields the
@@ -21,7 +23,6 @@ curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgElem
 from .calculus import BASIS_DIFFERENTIALS, TensorElem, antisym_lift
@@ -29,8 +30,8 @@ from .geometry import (
     Connection,
     Metric,
     _christoffel_table,
-    _matmul,
-    _numbers,
+    _divide,
+    _dot,
     levi_civita,
 )
 
@@ -38,11 +39,10 @@ _INDICES = (1, 2, 3)
 
 ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 
-# eps_rows[3b + c][j] = eps(j, b, c), 0-based: twice the (b, c) entry of
-# antisym_lift(d(e_j))
-_EPS_ROWS = _numbers(
-    [[2 * antisym_lift(w).entry(b, c).as_scalar() for w in BASIS_DIFFERENTIALS]
-     for b in _INDICES for c in _INDICES])
+# _EPS[j][b][c] = eps(j, b, c) as a Gaussian integer (its D is 1), 0-based:
+# twice the (b, c) entry of antisym_lift(d(e_j)).  eps is cyclic, so
+# _EPS[b][c] lists eps(j, b, c) over j.
+_EPS = _christoffel_table([antisym_lift(w) * 2 for w in BASIS_DIFFERENTIALS])[0]
 
 
 def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
@@ -50,18 +50,17 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
 
     Raises ValueError when a Christoffel symbol is not a scalar.
     """
-    gamma = _christoffel_table(conn)
-    stacked = [[gi[a][b] for gi in gamma] for a in range(3) for b in range(3)]
-    half = Fraction(1, 2)
+    gamma, d = _christoffel_table(conn.vals)
+    # stacked[a][b][i] = Gamma_i(a, b), d_eps[b][c][j] = D eps(j, b, c)
+    stacked = [[list(s) for s in zip(*rows)] for rows in zip(*gamma)]
+    d_eps = [[[(d * x, d * y) for x, y in v] for v in row] for row in _EPS]
     out = []
     for gk in gamma:
-        # q[3a + b][c] = sum_i Gamma_i(a, b) Gamma_k(i, c)
-        q = _matmul(stacked, gk)
-        # e[3b + c][a] = sum_j eps(j, b, c) Gamma_k(a, j)
-        e = _matmul(_EPS_ROWS, list(zip(*gk)))
+        cols = [list(col) for col in zip(*gk)]  # cols[c][i] = Gamma_k(i, c)
+        neg = [[(-x, -y) for x, y in col] for col in cols]
         out.append(TensorElem.from_entries(3, {
-            (a + 1, b + 1, c + 1):
-                (q[3 * a + b][c] - q[3 * a + c][b] + e[3 * b + c][a]) * half
+            (a + 1, b + 1, c + 1): _divide(_dot(stacked[a][b] + stacked[a][c] + gk[a],
+                                                cols[c] + neg[b] + d_eps[b][c]), 2 * d * d)
             for a in range(3) for b in range(3) for c in range(3)}))
     return tuple(out)
 

@@ -21,15 +21,19 @@ difference.
 
 ``levi_civita(g)`` adds to the canonical torsion-free connection the unique
 symmetric correction L that makes it unitary.  ``koszul_correction`` gives L
-in closed form for every invertible symmetric metric: Koszul's formula on
-3x3 arrays of scalars, with g⁻¹ from the adjugate.  No linear system is
-solved.  Results are wrapped as ``OneForm``/``TensorElem`` values once, on
-return.
+in closed form for every invertible symmetric metric: Koszul's formula, with
+g⁻¹ from the adjugate.  No linear system is solved.  The index arithmetic
+is integer arithmetic: a metric or Christoffel table, real or complex,
+enters once as Gaussian integers, (re, im) int pairs equal to D times the
+table for D the lcm of its denominators, and each output entry is one
+division by a positive int, wrapped as a ``OneForm``/``TensorElem``
+coefficient on return.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -116,8 +120,9 @@ class Metric:
 def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     """Build a metric from a JSON file path or a 3x3 array of lists or tuples.
 
-    Entries are expression strings in the scalar grammar or plain ints;
-    floats are rejected (the engine is exact).
+    Entries are expression strings in the scalar grammar or exact scalars
+    by the rule of ``cuntzgeo.scalars``, as ``Metric.from_rows`` takes them;
+    floats and bools are rejected (the engine is exact).
     """
     from .exprs import ParseError, parse_scalar  # deferred: exprs imports calculus
 
@@ -145,18 +150,16 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     for row in data:
         out_row = []
         for cell in row:
-            if isinstance(cell, bool):
-                raise MetricError(f"metric entry is not a scalar: {cell!r}")
-            if isinstance(cell, int):
-                out_row.append(GScalar.of(cell))
-            elif isinstance(cell, float):
-                raise MetricError(
-                    f"metric entry {cell!r} is a float; use an exact string like \"1/2\"")
-            elif isinstance(cell, str):
+            if isinstance(cell, str):
                 try:
                     out_row.append(parse_scalar(cell))
                 except ParseError as exc:
                     raise MetricError(f"bad metric entry {cell!r}: {exc}") from exc
+            elif (x := GScalar._coerce(cell)) is not None:
+                out_row.append(x)
+            elif isinstance(cell, float):
+                raise MetricError(
+                    f"metric entry {cell!r} is a float; use an exact string like \"1/2\"")
             else:
                 raise MetricError(f"metric entry is not a scalar: {cell!r}")
         rows.append(tuple(out_row))
@@ -237,68 +240,74 @@ class SymTensorMap:
 # Christoffel tables and the compatibility pairing
 # ---------------------------------------------------------------------------
 
-# Index arithmetic runs on plain nested lists of exact numbers, 0-based:
-# each 3x3 array holds Fractions when all its entries are real and GScalars
-# otherwise (the two mix), with int 0 and 1 in the base table.
-Matrix3 = list[list]
+# Index arithmetic on nested lists of Gaussian integers, 0-based.
 
-# base_connection() as a Christoffel table: e_i -> e_a ⊗ e_b for the single
-# nonzero _BASE_TABLE[i][a][b] = 1
-_BASE_TABLE = [[[1 if (a, b) == legs else 0 for b in range(3)] for a in range(3)]
-               for legs in ((2, 1), (0, 2), (1, 0))]
+_CYCLE = ((1, 2), (2, 0), (0, 1))  # (i + 1, i + 2) mod 3 for i = 0, 1, 2
 
 
-def _numbers(rows) -> Matrix3:
-    """An array of GScalars as Fractions when every entry is real (exact
-    arithmetic on Fraction is several times faster), else as GScalars."""
-    if all(x.is_real for row in rows for x in row):
-        return [[x.re for x in row] for row in rows]
-    return [list(row) for row in rows]
+def _gaussian(xs: Sequence[GScalar]) -> tuple[list, int]:
+    """D times the scalars as (re, im) int pairs, in rows of three, and D."""
+    d = math.lcm(*(p.denominator for x in xs for p in (x.re, x.im)))
+    pairs = [(x.re.numerator * (d // x.re.denominator),
+              x.im.numerator * (d // x.im.denominator)) for x in xs]
+    return [pairs[k:k + 3] for k in range(0, len(pairs), 3)], d
 
 
-def _christoffel_table(conn: Connection) -> list[Matrix3]:
-    """Gamma[i][a][b], the scalar of conn.value(i + 1).entry(a + 1, b + 1).
+def _dot(xs, ys) -> tuple[int, int]:
+    """sum_m xs[m] * ys[m] over Gaussian integers."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def _divide(x: tuple[int, int], q: int) -> GScalar:
+    """The Gaussian integer x over the positive int q, reduced."""
+    return GScalar(Fraction(x[0], q), Fraction(x[1], q))
+
+
+def _christoffel_table(values: Sequence[TensorElem]) -> tuple[list, int]:
+    """Gamma[i][a][b], D times the scalar of values[i].entry(a + 1, b + 1)
+    as a Gaussian integer, and D.
 
     Raises ValueError when a coefficient is not a scalar multiple of 1: the
     index formulas hold for scalar Christoffel symbols only.
     """
-    table = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
-    for i, value in enumerate(conn.vals):
+    flat = [ZERO] * 27
+    for i, value in enumerate(values):
         for (a, b), c in value.entries:
             s = c.as_scalar()
             if s is None:
                 raise ValueError(
                     f"connection coefficient ({i + 1}, {a}, {b}) is not a scalar")
-            table[i][a - 1][b - 1] = s
-    return [_numbers(t) for t in table]
+            flat[9 * i + 3 * a + b - 4] = s
+    rows, d = _gaussian(flat)
+    return [rows[k:k + 3] for k in (0, 3, 6)], d
 
 
-def _matmul(a: Matrix3, b: Matrix3) -> Matrix3:
-    """Product of an n x 3 and a 3x3 array, skipping the zero entries of
-    ``a``."""
-    return [[sum(x * b[m][k] for m, x in enumerate(row) if x)
-             for k in range(3)] for row in a]
-
-
-def _compatibility(gamma: list[Matrix3], r: Matrix3) -> list[Matrix3]:
+def _compatibility(gamma: list, r: list) -> list:
     """C[i][j][b] = sum_a gamma[i][a][b] g(a,j) + gamma[j][a][b] g(a,i): the
     e_b component of the compatibility pairing at (e_i, e_j) for the
-    Christoffel table gamma and the metric rows r.
+    Christoffel table gamma and the metric rows r, scales multiplied.
 
     It is conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i with legs 2 and 3 swapped and the
     first two legs paired with the metric.
     """
-    # p[i][b][j] = sum_a gamma[i][a][b] g(a,j), the transposed table times g
-    p = [_matmul(list(zip(*gi)), r) for gi in gamma]
-    return [[[p[i][b][j] + p[j][b][i] for b in range(3)] for j in range(3)]
-            for i in range(3)]
+    # cols[i][b][a] = gamma[i][a][b]; g is symmetric, so its column j is r[j]
+    cols = [[list(col) for col in zip(*gi)] for gi in gamma]
+    return [[[_dot(cols[i][b] + cols[j][b], r[j] + r[i]) for b in range(3)]
+             for j in range(3)] for i in range(3)]
 
 
 def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
     """How the connection differentiates the metric: the one-form
     ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j)."""
-    c = _compatibility(_christoffel_table(conn), _numbers(g.rows))
-    return tuple(tuple(OneForm.of(*v) for v in row) for row in c)
+    gamma, d_gamma = _christoffel_table(conn.vals)
+    r, d_g = _gaussian([x for row in g.rows for x in row])
+    q = d_gamma * d_g
+    return tuple(tuple(OneForm.of(*(_divide(x, q) for x in v)) for v in row)
+                 for row in _compatibility(gamma, r))
 
 
 def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
@@ -312,15 +321,6 @@ def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...]
 # ---------------------------------------------------------------------------
 # the Levi-Civita connection in closed form
 # ---------------------------------------------------------------------------
-
-def _inverse(r: Matrix3, det) -> Matrix3:
-    """The inverse as the adjugate over the determinant (nonzero for every
-    Metric)."""
-    inv_det = 1 / det
-    return [[(r[(j + 1) % 3][(i + 1) % 3] * r[(j + 2) % 3][(i + 2) % 3]
-              - r[(j + 1) % 3][(i + 2) % 3] * r[(j + 2) % 3][(i + 1) % 3]) * inv_det
-             for j in range(3)] for i in range(3)]
-
 
 def levi_civita(g: Metric) -> Connection:
     """The unique torsion-free unitary connection for the metric.
@@ -350,20 +350,27 @@ def koszul_correction(g: Metric) -> SymTensorMap:
         L^j = g⁻¹ Z_j g⁻¹.
 
     Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
+    With the Gaussian integers G = D g and W_j = -2 D² Z_j, g⁻¹ is
+    D adj(G) / det(G) and D cancels: L^j = adj(G) W_j adj(G) / (-2 det(G)²).
+    Times conj(det(G))², the divisor is the positive int 2 |det(G)|⁴.
     """
-    r = _numbers(g.rows)
-    det = g.det()
-    inv = _inverse(r, det.re if det.is_real else det)
-    # T = -C for the base table; the sign rides on the factor 1/2
-    c = _compatibility(_BASE_TABLE, r)
-    lowered = [_matmul(c[j], r) for j in range(3)]
-    half = Fraction(-1, 2)
+    r, _ = _gaussian([x for row in g.rows for x in row])
+    neg = [[(-x, -y) for x, y in row] for row in r]
+    c = _compatibility(_christoffel_table(base_connection().vals)[0], r)  # D times -T
+    # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1), mod 3;
+    # G, adj(G) and W_j are symmetric, so a row is also a column
+    adj = [[_dot((r[i1][k1], r[i1][k2]), (r[i2][k2], neg[i2][k1]))
+            for k1, k2 in _CYCLE] for i1, i2 in _CYCLE]
+    x, y = _dot(r[0], adj[0])  # det(G)
+    f = ((y * y - x * x, 2 * x * y),)  # -conj(det(G))², over 2 |det(G)|⁴
+    q = 2 * (x * x + y * y) ** 2
     values = []
     for j in range(3):
-        z = [[(lowered[j][k][n] + lowered[j][n][k] - lowered[k][n][j]) * half
+        # W_j(k,n) = sum_m C(j,k,m) G(m,n) + C(j,n,m) G(m,k) - C(k,n,m) G(m,j)
+        w = [[_dot(c[j][k] + c[j][n] + c[k][n], r[n] + r[k] + neg[j])
               for n in range(3)] for k in range(3)]
-        corr = _matmul(inv, _matmul(z, inv))
+        aw = [[_dot(row, col) for col in w] for row in adj]
         values.append(TensorElem.from_entries(2, {
-            (i + 1, m + 1): GScalar.of(corr[i][m])
+            (i + 1, m + 1): _divide(_dot((_dot(aw[i], adj[m]),), f), q)
             for i in range(3) for m in range(3)}))
     return SymTensorMap(tuple(values))

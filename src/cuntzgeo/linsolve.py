@@ -3,8 +3,8 @@
 Fraction-free (Bareiss-style) forward elimination keeps every intermediate
 entry a ratio of minors — all divisions are exact — followed by ordinary back
 substitution.  The right-hand side entries may be any values supporting
-``__sub__`` and ``scale(GScalar)`` (algebra elements in practice), so one
-solve covers both scalar and operator-valued systems.
+``-`` and ``*`` by a GScalar on the right (algebra elements in practice), so
+one solve covers both scalar and operator-valued systems.
 
 Pivoting is deterministic: the lowest row index with a nonzero entry.
 """
@@ -45,7 +45,7 @@ def solve_exact(matrix: Sequence[Sequence[GScalar]], rhs: Sequence[V]) -> list[V
             f = m[i][k]
             for j in range(k + 1, n):
                 m[i][j] = (p * m[i][j] - f * m[k][j]) * inv_prev
-            b[i] = (b[i].scale(p) - b[k].scale(f)).scale(inv_prev)
+            b[i] = (b[i] * p - b[k] * f) * inv_prev
             m[i][k] = ZERO
         prev = p
 
@@ -53,6 +53,6 @@ def solve_exact(matrix: Sequence[Sequence[GScalar]], rhs: Sequence[V]) -> list[V
     for i in reversed(range(n)):
         acc = b[i]
         for j in range(i + 1, n):
-            acc = acc - x[j].scale(m[i][j])
-        x[i] = acc.scale(ONE / m[i][i])
+            acc = acc - x[j] * m[i][j]
+        x[i] = acc * (ONE / m[i][i])
     return x

@@ -2,8 +2,13 @@
 
 Every coefficient in the package is a ``GScalar``: a complex number
 ``re + im*i`` whose parts are :class:`fractions.Fraction` values.  All
-arithmetic is exact; floats are rejected at construction time so no rounding
-can creep in anywhere downstream.
+arithmetic is exact.
+
+An exact scalar is an int that is not a bool, a ``Fraction`` or a
+``GScalar``; ``_frac`` decides it for the rational parts.  On anything else
+(floats, bools) ``GScalar.of`` raises ``TypeError`` and ``GScalar._coerce``
+returns ``None``, so the arithmetic of scalars, elements, forms and tensors
+refuses it.
 
 Most coefficients of the algebra and the calculus are real, so ``+``, ``-``,
 unary ``-`` and ``*`` take a real fast path: when both operands have a zero
@@ -22,13 +27,14 @@ from fractions import Fraction
 _ZERO_PART = Fraction(0)
 
 
-def _frac(x: int | Fraction) -> Fraction:
-    """Coerce an exact rational to Fraction, rejecting floats outright."""
+def _frac(x: object) -> Fraction | None:
+    """x as a Fraction when it is an exact rational (an int that is not a
+    bool, or a Fraction), else None."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,10 @@ class GScalar:
             if im:
                 raise ValueError("cannot add an imaginary part to a GScalar")
             return re
-        return GScalar(_frac(re), _frac(im))
+        r, i = _frac(re), _frac(im)
+        if r is None or i is None:
+            raise TypeError(f"not an exact rational: {re if r is None else im!r}")
+        return GScalar(r, i)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -56,9 +65,8 @@ class GScalar:
     def _coerce(other: object) -> "GScalar | None":
         if isinstance(other, GScalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GScalar(_frac(other), _ZERO_PART)
-        return None
+        re = _frac(other)
+        return None if re is None else GScalar(re, _ZERO_PART)
 
     def __add__(self, other: object) -> "GScalar":
         o = other if type(other) is GScalar else self._coerce(other)
@@ -110,19 +118,8 @@ class GScalar:
         return GScalar((self.re * o.re + self.im * o.im) / norm,
                        (self.im * o.re - self.re * o.im) / norm)
 
-    def __rtruediv__(self, other: object) -> "GScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def conjugate(self) -> "GScalar":
         return GScalar(self.re, -self.im)
-
-    def scale(self, c: "GScalar") -> "GScalar":
-        # same protocol as the module elements, so scalars can ride through
-        # generic code (e.g. the linear solver) unchanged
-        return self * c
 
     # -- predicates ---------------------------------------------------------
 
@@ -131,10 +128,6 @@ class GScalar:
 
     def is_zero(self) -> bool:
         return not self
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __repr__(self) -> str:
         return f"GScalar({self.re}, {self.im})"

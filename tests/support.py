@@ -277,10 +277,24 @@ small_alg_elems = st.dictionaries(
 
 one_forms = st.tuples(small_alg_elems, small_alg_elems, small_alg_elems).map(OneForm)
 
-scalar_connections = st.tuples(*[
-    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), gscalars,
-                    max_size=9).map(lambda d: TensorElem.from_entries(2, d))
-    for _ in range(3)]).map(Connection)
+
+def _scalar_connections(scalars):
+    return st.tuples(*[
+        st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)), scalars,
+                        max_size=9).map(lambda d: TensorElem.from_entries(2, d))
+        for _ in range(3)]).map(Connection)
+
+
+scalar_connections = _scalar_connections(gscalars)
+
+# Parts over several large, distinct denominators, so the common denominator
+# of a table differs from each entry's own.
+_wide_fractions = st.builds(
+    Fraction, st.integers(-10**12, 10**12),
+    st.sampled_from((7, 10**6 + 3, 2**40 - 87, 10**12 + 39, 3**25)))
+
+wide_scalar_connections = _scalar_connections(
+    st.builds(GScalar, _wide_fractions, _wide_fractions))
 
 rank2_tensors = st.dictionaries(
     st.tuples(st.integers(1, 3), st.integers(1, 3)),

@@ -35,6 +35,7 @@ from support import (
     reference_compatibility,
     reference_curvature,
     scalar_connections,
+    wide_scalar_connections,
 )
 
 
@@ -182,18 +183,57 @@ def test_compatibility_table_at_identity():
         assert pi[i - 1][i - 1].is_zero()
 
 
-@given(metrics(), scalar_connections)
+@given(metrics(), scalar_connections, wide_scalar_connections)
 @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
-def test_index_arithmetic_equals_the_tensor_references(g, conn):
+def test_index_arithmetic_equals_the_tensor_references(g, conn, wide):
     # compatibility, unitarity and curvature by index arithmetic on the
     # Christoffel table are structurally equal to the tensor-algebra
-    # references in support.py, on a random scalar connection (neither
-    # symmetric nor Levi-Civita) and on the Levi-Civita connection of g
-    for c in (conn, levi_civita(g)):
+    # references in support.py, on random scalar connections (neither
+    # symmetric nor Levi-Civita; one with complex entries over several large
+    # denominators) and on the Levi-Civita connection of g
+    for c in (conn, wide, levi_civita(g)):
         reference = reference_compatibility(g, c)
         assert compatibility_map(g, c) == reference
         assert unitarity_residual(g, c) == reference
         assert curvature(c) == reference_curvature(c)
+
+
+# every entry nonzero and complex; and the ROADMAP's dense real metric
+COMPLEX_DENSE = [["2 + 1/2i", "1/3 - i", "1/5 + 2/7i"],
+                 ["1/3 - i", "1 + 1/3i", "1/4i"],
+                 ["1/5 + 2/7i", "1/4i", "3 - 2i"]]
+ROADMAP_DENSE = [["3", "1/2", "1/3"], ["1/2", "5/7", "2/9"], ["1/3", "2/9", "11/13"]]
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.mark.parametrize("rows", [COMPLEX_DENSE, ROADMAP_DENSE])
+def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
+    # the geometry chain runs on Gaussian integers and divides once per
+    # output entry: no GScalar or Fraction operator is called
+    g = load_metric(rows)
+    conn = levi_civita(g)
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method)
+            return method(*args)
+        return wrapper
+
+    for cls in (GScalar, Fraction):
+        for name in _ARITHMETIC:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    made = {}
+    for name, run in (("koszul_correction", lambda: koszul_correction(g)),
+                      ("compatibility_map", lambda: compatibility_map(g, conn)),
+                      ("curvature", lambda: curvature(conn))):
+        calls.clear()
+        run()
+        made[name] = len(calls)
+    assert made == {"koszul_correction": 0, "compatibility_map": 0, "curvature": 0}
 
 
 def test_non_scalar_christoffel_symbols_are_rejected():

@@ -4,6 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuntzgeo import (
+    AlgElem,
+    Metric,
+    MetricError,
+    OneForm,
+    TensorElem,
+    load_metric,
+)
 from cuntzgeo.scalars import GScalar, I, MINUS_ONE, ONE, ZERO, rational
 
 from support import gscalars, nonzero_gscalars, small_fractions
@@ -100,3 +108,59 @@ def test_fast_paths_match_the_complex_formula(left, right, data):
         if isinstance(x, GScalar):
             re, im = _parts(x)
             assert -x == GScalar(-re, -im) and _is_exact(-x)
+
+
+# -- one rule for what an exact scalar is ---------------------------------------
+
+S1 = AlgElem.generator(1)
+THIRD = Fraction(1, 3)
+_T = TensorElem.basis(1, 2)
+
+
+def _with_cell(cell):
+    return [[cell, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# (label, computation, expected): TypeError, a (MetricError, message) pair,
+# or a computation that gives the same value with the GScalar spelling
+OPERAND_CASES = [
+    ("GScalar.of(True)", lambda: GScalar.of(True), TypeError),
+    ("ONE + True", lambda: ONE + True, TypeError),
+    ("S1 * True", lambda: S1 * True, TypeError),
+    ("OneForm.of(True, 0, 0)", lambda: OneForm.of(True, 0, 0), TypeError),
+    ("from_entries bool", lambda: TensorElem.from_entries(2, {(1, 2): True}), TypeError),
+    ("from_rows bool", lambda: Metric.from_rows(_with_cell(True)), TypeError),
+    ("S1 + 1/3", lambda: S1 + THIRD, lambda: S1 + GScalar.of(THIRD)),
+    ("1/3 + S1", lambda: THIRD + S1, lambda: GScalar.of(THIRD) + S1),
+    ("S1 - 1/3", lambda: S1 - THIRD, lambda: S1 - GScalar.of(THIRD)),
+    ("1/3 - S1", lambda: THIRD - S1, lambda: GScalar.of(THIRD) - S1),
+    ("S1 * 1/3", lambda: S1 * THIRD, lambda: S1 * GScalar.of(THIRD)),
+    ("1/3 * S1", lambda: THIRD * S1, lambda: GScalar.of(THIRD) * S1),
+    ("e1 * 1/3", lambda: OneForm.basis(1) * THIRD,
+     lambda: OneForm.basis(1) * GScalar.of(THIRD)),
+    ("1/3 * e1", lambda: THIRD * OneForm.basis(1),
+     lambda: GScalar.of(THIRD) * OneForm.basis(1)),
+    ("tensor * 1/3", lambda: _T * THIRD, lambda: _T * GScalar.of(THIRD)),
+    ("load_metric bool", lambda: load_metric(_with_cell(True)),
+     (MetricError, "metric entry is not a scalar: True")),
+    ("load_metric float", lambda: load_metric(_with_cell(1.5)),
+     (MetricError, 'metric entry 1.5 is a float; use an exact string like "1/2"')),
+    ("load_metric Fraction", lambda: load_metric(_with_cell(THIRD)),
+     lambda: Metric.from_rows(_with_cell(GScalar.of(THIRD)))),
+    ("load_metric GScalar", lambda: load_metric(_with_cell(ONE + I)),
+     lambda: Metric.from_rows(_with_cell(ONE + I))),
+]
+
+
+@pytest.mark.parametrize("got, want", [case[1:] for case in OPERAND_CASES],
+                         ids=[case[0] for case in OPERAND_CASES])
+def test_one_rule_for_exact_scalars(got, want):
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            got()
+    elif isinstance(want, tuple):
+        with pytest.raises(want[0]) as info:
+            got()
+        assert str(info.value) == want[1]
+    else:
+        assert got() == want()
