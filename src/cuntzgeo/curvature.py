@@ -30,10 +30,10 @@ from .geometry import (
     Connection,
     Metric,
     _christoffel_table,
-    _divide,
     _dot,
     levi_civita,
 )
+from .scalars import _norm
 
 _INDICES = (1, 2, 3)
 
@@ -59,8 +59,8 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
         cols = [list(col) for col in zip(*gk)]  # cols[c][i] = Gamma_k(i, c)
         neg = [[(-x, -y) for x, y in col] for col in cols]
         out.append(TensorElem.from_entries(3, {
-            (a + 1, b + 1, c + 1): _divide(_dot(stacked[a][b] + stacked[a][c] + gk[a],
-                                                cols[c] + neg[b] + d_eps[b][c]), 2 * d * d)
+            (a + 1, b + 1, c + 1): _norm(*_dot(stacked[a][b] + stacked[a][c] + gk[a],
+                                              cols[c] + neg[b] + d_eps[b][c]), 2 * d * d)
             for a in range(3) for b in range(3) for c in range(3)}))
     return tuple(out)
 

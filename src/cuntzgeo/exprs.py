@@ -29,20 +29,24 @@ literals longer than ``MAX_LITERAL_DIGITS``.  Lexical faults come first;
 syntax, context and degree faults and resource caps (``CapacityError``)
 follow in the order the parser reaches them.
 
+A number token is one scalar triple, built by ``scalars._norm`` from its
+integers.
+
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
 right (parenthesized when they have several terms), and always emits text
-that parses back to the same canonical form.
+that parses back to the same canonical form.  It reads each coefficient's
+triple (a, b, d) and reduces a/d and b/d with one gcd each.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
 from .algebra import AlgElem, Monomial, _Sum, _check_word_lengths, _mul_monomials
 from .calculus import OneForm, TwoForm, d0, d1
-from .scalars import GScalar, I, ONE
+from .scalars import GScalar, I, ONE, _norm
 
 
 # Each level of nesting costs the recursive-descent parser four stack
@@ -102,10 +106,10 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
             if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
-            if den is not None and int(den) == 0:
+            n, q = int(num), int(den or 1)
+            if q == 0:
                 raise ParseError("zero denominator in scalar", pos)
-            fr = Fraction(int(num), int(den)) if den is not None else Fraction(int(num))
-            value = GScalar(Fraction(0), fr) if m["imag"] else GScalar(fr, Fraction(0))
+            value = _norm(0, n, q) if m["imag"] else _norm(n, 0, q)
         elif kind == "imag_unit":
             kind, value = "num", I
         elif kind == "op":
@@ -312,10 +316,15 @@ def parse_scalar(text: str) -> GScalar:
 # canonical printing
 # ---------------------------------------------------------------------------
 
-def _frac_text(fr: Fraction, decimal: bool) -> str:
-    if not decimal or fr.denominator == 1:
-        return str(fr)
-    den = fr.denominator
+def _frac_text(n: int, d: int, decimal: bool) -> str:
+    """Text of the rational n/d for d > 0, in lowest terms."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d == 1:
+        return str(n)
+    if not decimal:
+        return f"{n}/{d}"
+    den = d
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -324,17 +333,17 @@ def _frac_text(fr: Fraction, decimal: bool) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return str(fr)  # no finite decimal expansion; stay exact
+        return f"{n}/{d}"  # no finite decimal expansion; stay exact
     k = max(twos, fives)
-    scaled = fr.numerator * 10**k // fr.denominator
+    scaled = n * 10**k // d
     sign = "-" if scaled < 0 else ""
     digits = abs(scaled)
     return f"{sign}{digits // 10**k}.{digits % 10**k:0{k}d}"
 
 
-def _imag_text(y: Fraction, decimal: bool) -> str:
-    """Text of the imaginary scalar ``y i`` for y > 0."""
-    return "i" if y == 1 else _frac_text(y, decimal) + "i"
+def _imag_text(y: int, d: int, decimal: bool) -> str:
+    """Text of the imaginary scalar ``(y/d) i`` for y > 0."""
+    return "i" if y == d else _frac_text(y, d, decimal) + "i"
 
 
 def _mono_text(m: Monomial) -> str:
@@ -346,18 +355,18 @@ def _mono_text(m: Monomial) -> str:
 def _term(c: GScalar, symbol: str, decimal: bool) -> tuple[int, str]:
     """(sign, body) of the term ``c * symbol``; an empty symbol is the unit.
     A scalar with two nonzero parts prints in parentheses with sign 1."""
-    x, y = c.re, c.im
+    x, y, d = c
     if not y:
         sign, mag = (-1, -x) if x < 0 else (1, x)
-        if symbol and mag == 1:
+        if symbol and mag == d:
             return sign, symbol
-        text = _frac_text(mag, decimal)
+        text = _frac_text(mag, d, decimal)
     elif not x:
         sign, mag = (-1, -y) if y < 0 else (1, y)
-        text = _imag_text(mag, decimal)
+        text = _imag_text(mag, d, decimal)
     else:
         op = "-" if y < 0 else "+"
-        body = f"({_frac_text(x, decimal)} {op} {_imag_text(abs(y), decimal)})"
+        body = f"({_frac_text(x, d, decimal)} {op} {_imag_text(abs(y), d, decimal)})"
         return 1, f"{body} {symbol}" if symbol else body
     return sign, f"{text} {symbol}" if symbol else text
 

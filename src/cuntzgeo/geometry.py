@@ -25,9 +25,10 @@ in closed form for every invertible symmetric metric: Koszul's formula, with
 g⁻¹ from the adjugate.  No linear system is solved.  The index arithmetic
 is integer arithmetic: a metric or Christoffel table, real or complex,
 enters once as Gaussian integers, (re, im) int pairs equal to D times the
-table for D the lcm of its denominators, and each output entry is one
-division by a positive int, wrapped as a ``OneForm``/``TensorElem``
-coefficient on return.
+table for D the lcm of its scalars' denominators d (a scalar is the reduced
+triple (a, b, d), see ``cuntzgeo.scalars``), and each output entry is a
+Gaussian integer over a positive int, reduced once by ``scalars._norm`` into
+a ``OneForm``/``TensorElem`` coefficient.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -53,7 +53,7 @@ from .calculus import (
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
 # cuntzgeo.geometry.solve_exact when it traces a run.
 from .linsolve import solve_exact  # noqa: F401
-from .scalars import GScalar, ZERO
+from .scalars import GScalar, ZERO, _norm
 
 
 class MetricError(ValueError):
@@ -63,6 +63,15 @@ class MetricError(ValueError):
 _INDICES = (1, 2, 3)
 
 
+def _check_shape(rows: object) -> None:
+    """Raise MetricError unless rows is three lists or tuples of three; a
+    ``GScalar`` is a tuple of three ints, but it is a scalar, not a row."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != 3 or any(
+            not isinstance(row, (list, tuple)) or isinstance(row, GScalar)
+            or len(row) != 3 for row in rows):
+        raise MetricError("metric must be a 3x3 array")
+
+
 @dataclass(frozen=True)
 class Metric:
     """Symmetric invertible bilinear pairing on the one-form module."""
@@ -70,8 +79,7 @@ class Metric:
     rows: tuple[tuple[GScalar, GScalar, GScalar], ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise MetricError("metric must be a 3x3 array")
+        _check_shape(self.rows)
         bad = [x for row in self.rows for x in row if not isinstance(x, GScalar)]
         if bad:
             raise MetricError(f"metric entry {bad[0]!r} is not a GScalar; "
@@ -85,6 +93,7 @@ class Metric:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[GScalar | int]]) -> "Metric":
+        _check_shape(rows)
         return Metric(tuple(tuple(GScalar.of(x) for x in row) for row in rows))
 
     @staticmethod
@@ -143,9 +152,7 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
             raise MetricError("metric file nests too deeply to decode") from exc
     else:
         data = source
-    if not isinstance(data, (list, tuple)) or len(data) != 3 or any(
-            not isinstance(row, (list, tuple)) or len(row) != 3 for row in data):
-        raise MetricError("metric must be a 3x3 array")
+    _check_shape(data)
     rows = []
     for row in data:
         out_row = []
@@ -247,9 +254,8 @@ _CYCLE = ((1, 2), (2, 0), (0, 1))  # (i + 1, i + 2) mod 3 for i = 0, 1, 2
 
 def _gaussian(xs: Sequence[GScalar]) -> tuple[list, int]:
     """D times the scalars as (re, im) int pairs, in rows of three, and D."""
-    d = math.lcm(*(p.denominator for x in xs for p in (x.re, x.im)))
-    pairs = [(x.re.numerator * (d // x.re.denominator),
-              x.im.numerator * (d // x.im.denominator)) for x in xs]
+    d = math.lcm(*(q for _, _, q in xs))
+    pairs = [(a * (d // q), b * (d // q)) for a, b, q in xs]
     return [pairs[k:k + 3] for k in range(0, len(pairs), 3)], d
 
 
@@ -260,11 +266,6 @@ def _dot(xs, ys) -> tuple[int, int]:
         re += a * c - b * d
         im += a * d + b * c
     return re, im
-
-
-def _divide(x: tuple[int, int], q: int) -> GScalar:
-    """The Gaussian integer x over the positive int q, reduced."""
-    return GScalar(Fraction(x[0], q), Fraction(x[1], q))
 
 
 def _christoffel_table(values: Sequence[TensorElem]) -> tuple[list, int]:
@@ -306,7 +307,7 @@ def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...],
     gamma, d_gamma = _christoffel_table(conn.vals)
     r, d_g = _gaussian([x for row in g.rows for x in row])
     q = d_gamma * d_g
-    return tuple(tuple(OneForm.of(*(_divide(x, q) for x in v)) for v in row)
+    return tuple(tuple(OneForm.of(*(_norm(*x, q) for x in v)) for v in row)
                  for row in _compatibility(gamma, r))
 
 
@@ -371,6 +372,6 @@ def koszul_correction(g: Metric) -> SymTensorMap:
               for n in range(3)] for k in range(3)]
         aw = [[_dot(row, col) for col in w] for row in adj]
         values.append(TensorElem.from_entries(2, {
-            (i + 1, m + 1): _divide(_dot((_dot(aw[i], adj[m]),), f), q)
+            (i + 1, m + 1): _norm(*_dot((_dot(aw[i], adj[m]),), f), q)
             for i in range(3) for m in range(3)}))
     return SymTensorMap(tuple(values))

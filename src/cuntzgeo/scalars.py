@@ -1,52 +1,68 @@
 """Exact Gaussian-rational scalars.
 
-Every coefficient in the package is a ``GScalar``: a complex number
-``re + im*i`` whose parts are :class:`fractions.Fraction` values.  All
-arithmetic is exact.
+Every coefficient in the package is a ``GScalar``: the reduced triple of
+ints ``(a, b, d)`` that stands for ``(a + b*i)/d``, with ``d > 0`` and
+``gcd(a, b, d) = 1`` (Henrici's normalisation of rational arithmetic, Knuth,
+TAOCP vol. 2, §4.5.1, applied to both parts over one denominator).  All
+arithmetic is exact.  ``_norm`` is the one constructor that reduces: ``+``,
+``-``, ``*`` and ``/`` each end in one ``_norm``, and so do the geometry
+chain and the parser, which build triples from their own integers.  Unary
+``-``, ``conjugate`` and ``_coerce`` make triples that are reduced already
+and build them without it.  A real scalar is just ``b = 0``; no operation
+takes a separate real path.
+
+The reduced triple is unique, so ``==`` and ``hash`` are the tuple's own,
+and a ``GScalar`` equals its plain triple.  ``re`` and ``im`` give the two
+parts as ``Fraction`` values.  Scalars are not ordered: ``<``, ``<=``,
+``>`` and ``>=`` raise ``TypeError``.
 
 An exact scalar is an int that is not a bool, a ``Fraction`` or a
 ``GScalar``; ``_frac`` decides it for the rational parts.  On anything else
-(floats, bools) ``GScalar.of`` raises ``TypeError`` and ``GScalar._coerce``
-returns ``None``, so the arithmetic of scalars, elements, forms and tensors
-refuses it.
-
-Most coefficients of the algebra and the calculus are real, so ``+``, ``-``,
-unary ``-`` and ``*`` take a real fast path: when both operands have a zero
-imaginary part they skip the imaginary arithmetic.  The fast path gives the
-value of the full complex formula, and both parts of every result are
-``Fraction`` values (a real result shares one ``Fraction(0)``), so results
-are structurally identical either way.
+(floats, bools, strings) ``GScalar(re, im)``, ``GScalar.of`` and
+``rational`` raise ``TypeError`` and ``GScalar._coerce`` returns ``None``,
+so the arithmetic of scalars, elements, forms and tensors refuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-# the imaginary part of every real result the arithmetic makes
-_ZERO_PART = Fraction(0)
+_new = tuple.__new__
 
 
-def _frac(x: object) -> Fraction | None:
-    """x as a Fraction when it is an exact rational (an int that is not a
-    bool, or a Fraction), else None."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+def _frac(x: object) -> tuple[int, int] | None:
+    """(numerator, denominator) of x when it is an exact rational (an int
+    that is not a bool, or a Fraction), else None."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x.numerator, x.denominator
     return None
 
 
-@dataclass(frozen=True)
-class GScalar:
-    """A Gaussian rational ``re + im*i``.
+def _norm(a: int, b: int, d: int) -> "GScalar":
+    """The scalar (a + b*i)/d for ints a, b and d > 0, reduced."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(GScalar, (a, b, d))
 
-    Immutable and hashable.  ``Fraction`` keeps both parts reduced with a
-    positive denominator, so structural equality is exact value equality.
+
+class GScalar(tuple):
+    """A Gaussian rational ``(a + b*i)/d``, stored as the reduced triple
+    ``(a, b, d)``.
+
+    ``GScalar(re, im)`` takes two exact rationals.  Immutable and hashable;
+    the triple is unique, so structural equality is exact value equality.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
+
+    def __new__(cls, re: "int | Fraction" = 0, im: "int | Fraction" = 0) -> "GScalar":
+        r, i = _frac(re), _frac(im)
+        if r is None or i is None:
+            raise TypeError(f"not an exact rational: {re if r is None else im!r}")
+        (p, q), (s, t) = r, i
+        return _norm(p * t, s * q, q * t)
 
     @staticmethod
     def of(re: "int | Fraction | GScalar" = 0, im: int | Fraction = 0) -> "GScalar":
@@ -54,10 +70,18 @@ class GScalar:
             if im:
                 raise ValueError("cannot add an imaginary part to a GScalar")
             return re
-        r, i = _frac(re), _frac(im)
-        if r is None or i is None:
-            raise TypeError(f"not an exact rational: {re if r is None else im!r}")
-        return GScalar(r, i)
+        return GScalar(re, im)
+
+    def __reduce__(self):
+        return _norm, tuple(self)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -65,16 +89,15 @@ class GScalar:
     def _coerce(other: object) -> "GScalar | None":
         if isinstance(other, GScalar):
             return other
-        re = _frac(other)
-        return None if re is None else GScalar(re, _ZERO_PART)
+        r = _frac(other)
+        return None if r is None else _new(GScalar, (r[0], 0, r[1]))
 
     def __add__(self, other: object) -> "GScalar":
         o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GScalar(self.re + o.re, _ZERO_PART)
-        return GScalar(self.re + o.re, self.im + o.im)
+        (a, b, d), (c, e, f) = self, o
+        return _norm(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
@@ -82,9 +105,8 @@ class GScalar:
         o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GScalar(self.re - o.re, _ZERO_PART)
-        return GScalar(self.re - o.re, self.im - o.im)
+        (a, b, d), (c, e, f) = self, o
+        return _norm(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: object) -> "GScalar":
         o = self._coerce(other)
@@ -93,18 +115,15 @@ class GScalar:
         return o - self
 
     def __neg__(self) -> "GScalar":
-        if not self.im:
-            return GScalar(-self.re, _ZERO_PART)
-        return GScalar(-self.re, -self.im)
+        a, b, d = self
+        return _new(GScalar, (-a, -b, d))
 
     def __mul__(self, other: object) -> "GScalar":
         o = other if type(other) is GScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not b and not d:
-            return GScalar(a * c, _ZERO_PART)
-        return GScalar(a * c - b * d, a * d + b * c)
+        (a, b, d), (c, e, f) = self, o
+        return _norm(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -112,19 +131,26 @@ class GScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
+        (a, b, d), (c, e, f) = self, o
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero GScalar")
-        return GScalar((self.re * o.re + self.im * o.im) / norm,
-                       (self.im * o.re - self.re * o.im) / norm)
+        # (a + bi)/d * f (c - ei)/(c² + e²)
+        return _norm(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def conjugate(self) -> "GScalar":
-        return GScalar(self.re, -self.im)
+        a, b, d = self
+        return _new(GScalar, (a, -b, d))
+
+    def _unordered(self, other: object):
+        raise TypeError("GScalar values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self[0] or self[1])
 
     def is_zero(self) -> bool:
         return not self
@@ -133,12 +159,12 @@ class GScalar:
         return f"GScalar({self.re}, {self.im})"
 
 
-ZERO = GScalar(_ZERO_PART, _ZERO_PART)
-ONE = GScalar(Fraction(1), _ZERO_PART)
-MINUS_ONE = GScalar(Fraction(-1), _ZERO_PART)
-I = GScalar(Fraction(0), Fraction(1))
+ZERO = _norm(0, 0, 1)
+ONE = _norm(1, 0, 1)
+MINUS_ONE = _norm(-1, 0, 1)
+I = _norm(0, 1, 1)
 
 
-def rational(p: int, q: int = 1) -> GScalar:
-    """Shorthand for the real scalar ``p/q``."""
-    return GScalar(Fraction(p, q), _ZERO_PART)
+def rational(p: "int | Fraction", q: "int | Fraction" = 1) -> GScalar:
+    """Shorthand for the real scalar ``p/q`` of two exact rationals."""
+    return GScalar(p) / GScalar(q)

@@ -253,6 +253,36 @@ def levi_civita_by_solve(g: Metric) -> Connection:
 
 
 # ---------------------------------------------------------------------------
+# the two-Fraction scalar model: a reference for GScalar arithmetic
+# ---------------------------------------------------------------------------
+
+def fraction_pair(x: GScalar | int | Fraction) -> tuple[Fraction, Fraction]:
+    """x as the (re, im) pair of Fractions of the two-Fraction model."""
+    if isinstance(x, GScalar):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def reference_scalar_op(op: str, x, y=None) -> tuple[Fraction, Fraction]:
+    """x op y (or op x for the unary "neg" and "conjugate") by the
+    formulas of the two-Fraction model, as an (re, im) pair."""
+    a, b = fraction_pair(x)
+    if op == "neg":
+        return -a, -b
+    if op == "conjugate":
+        return a, -b
+    c, d = fraction_pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from cuntzgeo import (
     torsion,
     unitarity_residual,
 )
-from cuntzgeo.scalars import GScalar, rational
+from cuntzgeo.scalars import GScalar, I, ONE, rational
 
 import dense_oracle
 from support import (
@@ -79,6 +79,24 @@ def test_metric_entries_must_be_gscalars(entry):
 def test_metric_rejects_bad_shape():
     with pytest.raises(MetricError, match="3x3"):
         Metric.from_rows([[1, 0], [0, 1]])
+
+
+# a GScalar is a tuple of three ints, but it is one scalar, not a metric row
+_SCALAR_ROWS = [ONE, I, ONE + I]
+
+
+def test_from_rows_rejects_scalars_as_rows():
+    with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
+        Metric.from_rows(_SCALAR_ROWS)
+    with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
+        Metric(tuple(_SCALAR_ROWS))
+
+
+def test_load_metric_rejects_scalars_as_rows():
+    with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
+        load_metric(_SCALAR_ROWS)
+    with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
+        load_metric([[ONE, ONE, ONE], [ONE, ONE, ONE], ONE])
 
 
 def test_metric_apply_pairs_first_two_legs():

@@ -1,3 +1,7 @@
+import copy
+import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,11 +14,15 @@ from cuntzgeo import (
     MetricError,
     OneForm,
     TensorElem,
+    d0,
+    d1,
     load_metric,
+    parse_alg,
+    print_canonical,
 )
 from cuntzgeo.scalars import GScalar, I, MINUS_ONE, ONE, ZERO, rational
 
-from support import gscalars, nonzero_gscalars, small_fractions
+from support import gscalars, nonzero_gscalars, reference_scalar_op, small_fractions
 
 
 def test_construction_reduces():
@@ -70,44 +78,112 @@ def test_inverse_roundtrip(a):
     assert (ONE / a) * a == ONE
 
 
-# operands by kind: the real fast path and the full complex formula must
-# give the same values, with Fraction parts
+# -- the number model: one reduced Gaussian-integer triple ----------------------
+
+def _is_reduced(x: object) -> bool:
+    """x is a GScalar (a, b, d) of ints with d > 0 and gcd(a, b, d) = 1."""
+    return (type(x) is GScalar and len(x) == 3 and all(type(v) is int for v in x)
+            and x[2] > 0 and math.gcd(*x) == 1)
+
+
+# operands by kind; "int" and "fraction" also take the reflected operators
 _OPERANDS = {
     "real": st.builds(GScalar, small_fractions, st.just(Fraction(0))),
     "complex": st.builds(GScalar, small_fractions, small_fractions.filter(bool)),
     "int": st.integers(min_value=-5, max_value=5),
+    "fraction": small_fractions,
 }
-
-
-def _parts(x: GScalar | int) -> tuple[Fraction, Fraction]:
-    return (x.re, x.im) if isinstance(x, GScalar) else (Fraction(x), Fraction(0))
-
-
-def _is_exact(x: GScalar) -> bool:
-    return type(x.re) is Fraction and type(x.im) is Fraction
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @pytest.mark.parametrize("left, right", [
     ("real", "real"), ("real", "complex"), ("complex", "real"),
     ("complex", "complex"), ("int", "real"), ("int", "complex"),
-    ("real", "int"), ("complex", "int"),
+    ("real", "int"), ("complex", "int"), ("fraction", "real"),
+    ("fraction", "complex"), ("real", "fraction"), ("complex", "fraction"),
 ])
 @given(data=st.data())
-def test_fast_paths_match_the_complex_formula(left, right, data):
+def test_arithmetic_matches_the_two_fraction_formulas(left, right, data):
     a, b = data.draw(_OPERANDS[left]), data.draw(_OPERANDS[right])
-    (p, q), (r, s) = _parts(a), _parts(b)
-    expected = {
-        "+": GScalar(p + r, q + s),
-        "-": GScalar(p - r, q - s),
-        "*": GScalar(p * r - q * s, p * s + q * r),
-    }
-    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
-        assert got == expected[op], op
-        assert _is_exact(got), op
+    for op, fn in _BINARY.items():
+        if op == "/" and not isinstance(a, GScalar):
+            with pytest.raises(TypeError):  # no reflected division
+                fn(a, b)
+            continue
+        if op == "/" and not b:
+            with pytest.raises(ZeroDivisionError):
+                fn(a, b)
+            continue
+        got = fn(a, b)
+        assert _is_reduced(got), op
+        assert (got.re, got.im) == reference_scalar_op(op, a, b), op
     for x in (a, b):
         if isinstance(x, GScalar):
-            re, im = _parts(x)
-            assert -x == GScalar(-re, -im) and _is_exact(-x)
+            for op, got in (("neg", -x), ("conjugate", x.conjugate())):
+                assert _is_reduced(got), op
+                assert (got.re, got.im) == reference_scalar_op(op, x), op
+
+
+@given(small_fractions, small_fractions)
+def test_construction_gives_the_reduced_triple(re, im):
+    c = GScalar(re, im)
+    assert _is_reduced(c)
+    assert (c.re, c.im) == (re, im)
+    assert Fraction(c[0], c[2]) == re and Fraction(c[1], c[2]) == im
+
+
+def test_a_gscalar_equals_its_triple():
+    c = GScalar(Fraction(1, 2), Fraction(-3, 4))
+    assert tuple(c) == (2, -3, 4) and c == (2, -3, 4)
+    assert hash(c) == hash((2, -3, 4))
+    assert (ZERO, ONE, MINUS_ONE, I) == ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 1))
+
+
+def test_repr_shows_the_two_parts():
+    assert repr(GScalar(Fraction(1, 2), Fraction(-3, 4))) == "GScalar(1/2, -3/4)"
+    assert repr(ONE) == "GScalar(1, 0)"
+    assert repr(ZERO) == "GScalar(0, 0)"
+    assert repr(-I) == "GScalar(0, -1)"
+
+
+@pytest.mark.parametrize("other", [ONE, I, (1, 0, 1), 1])
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_scalars_are_not_ordered(op, other):
+    with pytest.raises(TypeError):
+        op(ONE, other)
+    with pytest.raises(TypeError):
+        op(other, ONE)
+
+
+@pytest.mark.parametrize("c", [ZERO, ONE, -I, GScalar(Fraction(-3, 4), Fraction(5, 6))])
+def test_pickle_and_copy_round_trip(c):
+    copies = [pickle.loads(pickle.dumps(c, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(c), copy.deepcopy(c), copy.deepcopy([c])[0]]
+    for x in copies:
+        assert x == c and type(x) is GScalar and _is_reduced(x)
+
+
+def test_real_calculus_and_printing_make_no_fraction(monkeypatch):
+    """d1, an element product and printing a real element run on the
+    triples alone: no Fraction is made."""
+    x = parse_alg("1/2 S1 S2* - 3/4 S3 + 2 S2 S1* S3* - 5/6")
+    y = parse_alg("2/3 S2 - S3 S1* + 7/5 S1* S2*")
+    omega = x * d0(y)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    d1(omega)
+    x * y
+    print_canonical(x)
+    print_canonical(x, decimal=True)
+    monkeypatch.undo()
+    assert made == []
 
 
 # -- one rule for what an exact scalar is ---------------------------------------
@@ -125,6 +201,15 @@ def _with_cell(cell):
 # or a computation that gives the same value with the GScalar spelling
 OPERAND_CASES = [
     ("GScalar.of(True)", lambda: GScalar.of(True), TypeError),
+    ("GScalar(0.5, 0)", lambda: GScalar(0.5, 0), TypeError),
+    ("GScalar(0, 0.5)", lambda: GScalar(0, 0.5), TypeError),
+    ("GScalar(True, 0)", lambda: GScalar(True, 0), TypeError),
+    ("GScalar(0, True)", lambda: GScalar(0, True), TypeError),
+    ("GScalar('1/2', 0)", lambda: GScalar("1/2", 0), TypeError),
+    ("rational(0.5)", lambda: rational(0.5), TypeError),
+    ("rational(True)", lambda: rational(True), TypeError),
+    ("rational(1, True)", lambda: rational(1, True), TypeError),
+    ("rational('1/2')", lambda: rational("1/2"), TypeError),
     ("ONE + True", lambda: ONE + True, TypeError),
     ("S1 * True", lambda: S1 * True, TypeError),
     ("OneForm.of(True, 0, 0)", lambda: OneForm.of(True, 0, 0), TypeError),
