@@ -13,15 +13,24 @@ conn(e_k) and antisymmetrizes the last two positions; the second
 differentiates the second leg through the lifted basis differential.  On
 the Gaussian-integer table D Gamma (see ``cuntzgeo.geometry``), each entry
 is one integer sum over i, i and j (with -Gamma_k and D eps), over 2 D².
+Both sums change sign under b <-> c, for any scalar table, so
+R_k(a, c, b) = -R_k(a, b, c) and R_k(a, b, b) = 0: the entries with b < c
+are computed, and each mirror is the negated integer pair over the same
+divisor.
 
 The curvature operator tacks the dual basis index on and swaps the middle
 one-form legs; contracting the dual index against the third leg yields the
 Ricci tensor, and pairing Ricci with the metric g (not g⁻¹) gives the scalar
-curvature.
+curvature.  Both are integer sums too: a Ricci entry is one numerator sum
+over the lcm of its summands' denominators, and Scal one Gaussian dot
+product of the two tables over the product of their D, each reduced once.
+Like the curvature, they raise ValueError on a coefficient that is not a
+scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import AlgElem
@@ -31,9 +40,11 @@ from .geometry import (
     Metric,
     _christoffel_table,
     _dot,
+    _gaussian,
+    _scalar,
     levi_civita,
 )
-from .scalars import _norm
+from .scalars import ZERO, GScalar, _norm
 
 _INDICES = (1, 2, 3)
 
@@ -44,6 +55,9 @@ ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 # _EPS[b][c] lists eps(j, b, c) over j.
 _EPS = _christoffel_table([antisym_lift(w) * 2 for w in BASIS_DIFFERENTIALS])[0]
 
+# R_k(a, b, c) = -R_k(a, c, b), so the entries with b < c determine the rest
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
     """Curvature three-tensor on each basis one-form.
@@ -51,6 +65,7 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
     Raises ValueError when a Christoffel symbol is not a scalar.
     """
     gamma, d = _christoffel_table(conn.vals)
+    q = 2 * d * d
     # stacked[a][b][i] = Gamma_i(a, b), d_eps[b][c][j] = D eps(j, b, c)
     stacked = [[list(s) for s in zip(*rows)] for rows in zip(*gamma)]
     d_eps = [[[(d * x, d * y) for x, y in v] for v in row] for row in _EPS]
@@ -58,10 +73,14 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
     for gk in gamma:
         cols = [list(col) for col in zip(*gk)]  # cols[c][i] = Gamma_k(i, c)
         neg = [[(-x, -y) for x, y in col] for col in cols]
-        out.append(TensorElem.from_entries(3, {
-            (a + 1, b + 1, c + 1): _norm(*_dot(stacked[a][b] + stacked[a][c] + gk[a],
-                                              cols[c] + neg[b] + d_eps[b][c]), 2 * d * d)
-            for a in range(3) for b in range(3) for c in range(3)}))
+        entries = {}
+        for a in range(3):
+            for b, c in _PAIRS:
+                x, y = _dot(stacked[a][b] + stacked[a][c] + gk[a],
+                            cols[c] + neg[b] + d_eps[b][c])
+                entries[a + 1, b + 1, c + 1] = _norm(x, y, q)
+                entries[a + 1, c + 1, b + 1] = _norm(-x, -y, q)
+        out.append(TensorElem.from_entries(3, entries))
     return tuple(out)
 
 
@@ -75,21 +94,44 @@ def curvature_operator(
             for k in _INDICES for (a, b, c), coeff in curv[k - 1].entries}
 
 
+def _sum(xs: list[GScalar]) -> GScalar:
+    """The sum of the scalars: one numerator sum over the lcm of their
+    denominators, reduced once."""
+    d = math.lcm(*(q for _, _, q in xs))
+    return _norm(sum(a * (d // q) for a, _, q in xs),
+                 sum(b * (d // q) for _, b, q in xs), d)
+
+
 def ricci(theta: ThetaMap) -> TensorElem:
     """Contract the dual index against the third one-form leg.
 
     Moving e_k^* past e_c and evaluating kills every entry with c != k and
-    leaves the first two legs.
+    leaves the first two legs: Ric(a, b) = sum_k theta(a, b, k, k).
+
+    Raises ValueError when a contracted entry is not a scalar.
     """
-    return TensorElem._make(
-        2, (((a, b), coeff) for (a, b, c, k), coeff in theta.items() if c == k))
+    terms: dict[tuple[int, int], list[GScalar]] = {}
+    for (a, b, c, k), coeff in theta.items():
+        if c == k:
+            terms.setdefault((a, b), []).append(
+                _scalar(coeff, "curvature entry", (a, b, c, k)))
+    return TensorElem.from_entries(2, {idx: _sum(xs) for idx, xs in terms.items()})
 
 
 def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
-    """Pair Ricci with the metric: sum of g(a, b) times the (a, b) entry."""
+    """Pair Ricci with the metric: sum of g(a, b) times the (a, b) entry.
+
+    Raises ValueError when an entry of ric is not a scalar.
+    """
     if ric.rank != 2:
         raise ValueError("scalar_curvature expects a rank-2 tensor")
-    return g.apply(ric)
+    flat = [ZERO] * 9
+    for (a, b), coeff in ric.entries:
+        flat[3 * a + b - 4] = _scalar(coeff, "Ricci entry", (a, b))
+    r, d_r = _gaussian(flat)
+    gr, d_g = _gaussian([x for row in g.rows for x in row])
+    return AlgElem.scalar(_norm(*_dot(gr[0] + gr[1] + gr[2], r[0] + r[1] + r[2]),
+                                d_g * d_r))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,10 @@ enters once as Gaussian integers, (re, im) int pairs equal to D times the
 table for D the lcm of its scalars' denominators d (a scalar is the reduced
 triple (a, b, d), see ``cuntzgeo.scalars``), and each output entry is a
 Gaussian integer over a positive int, reduced once by ``scalars._norm`` into
-a ``OneForm``/``TensorElem`` coefficient.
+a ``OneForm``/``TensorElem`` coefficient.  Each independent entry is one
+Gaussian dot product, and its mirror image shares the result: the
+compatibility pairing is symmetric in (i, j), and so are Koszul's W_j and
+L^j below, so each is computed for i <= j only.
 """
 
 from __future__ import annotations
@@ -268,6 +271,15 @@ def _dot(xs, ys) -> tuple[int, int]:
     return re, im
 
 
+def _scalar(coeff: AlgElem, what: str, index: tuple[int, ...]) -> GScalar:
+    """The scalar c of the coefficient c*1 at the index; ValueError when the
+    coefficient is not a scalar multiple of 1."""
+    s = coeff.as_scalar()
+    if s is None:
+        raise ValueError(f"{what} {index} is not a scalar")
+    return s
+
+
 def _christoffel_table(values: Sequence[TensorElem]) -> tuple[list, int]:
     """Gamma[i][a][b], D times the scalar of values[i].entry(a + 1, b + 1)
     as a Gaussian integer, and D.
@@ -278,13 +290,23 @@ def _christoffel_table(values: Sequence[TensorElem]) -> tuple[list, int]:
     flat = [ZERO] * 27
     for i, value in enumerate(values):
         for (a, b), c in value.entries:
-            s = c.as_scalar()
-            if s is None:
-                raise ValueError(
-                    f"connection coefficient ({i + 1}, {a}, {b}) is not a scalar")
-            flat[9 * i + 3 * a + b - 4] = s
+            flat[9 * i + 3 * a + b - 4] = _scalar(
+                c, "connection coefficient", (i + 1, a, b))
     rows, d = _gaussian(flat)
     return [rows[k:k + 3] for k in (0, 3, 6)], d
+
+
+# D Gamma for the base connection, whose D is 1
+_BASE_TABLE = _christoffel_table(base_connection().vals)[0]
+
+
+def _symmetric(entry) -> list:
+    """The symmetric 3x3 array of entry(i, j), each computed once, for i <= j."""
+    out = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            out[i][j] = out[j][i] = entry(i, j)
+    return out
 
 
 def _compatibility(gamma: list, r: list) -> list:
@@ -293,22 +315,24 @@ def _compatibility(gamma: list, r: list) -> list:
     Christoffel table gamma and the metric rows r, scales multiplied.
 
     It is conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i with legs 2 and 3 swapped and the
-    first two legs paired with the metric.
+    first two legs paired with the metric, so C[i][j] = C[j][i].
     """
     # cols[i][b][a] = gamma[i][a][b]; g is symmetric, so its column j is r[j]
     cols = [[list(col) for col in zip(*gi)] for gi in gamma]
-    return [[[_dot(cols[i][b] + cols[j][b], r[j] + r[i]) for b in range(3)]
-             for j in range(3)] for i in range(3)]
+    return _symmetric(lambda i, j: [_dot(cols[i][b] + cols[j][b], r[j] + r[i])
+                                    for b in range(3)])
 
 
 def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
     """How the connection differentiates the metric: the one-form
-    ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j)."""
+    ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j), which is
+    symmetric in (i, j)."""
     gamma, d_gamma = _christoffel_table(conn.vals)
     r, d_g = _gaussian([x for row in g.rows for x in row])
     q = d_gamma * d_g
-    return tuple(tuple(OneForm.of(*(_norm(*x, q) for x in v)) for v in row)
-                 for row in _compatibility(gamma, r))
+    c = _compatibility(gamma, r)
+    return tuple(map(tuple, _symmetric(
+        lambda i, j: OneForm.of(*(_norm(*x, q) for x in c[i][j])))))
 
 
 def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
@@ -357,9 +381,9 @@ def koszul_correction(g: Metric) -> SymTensorMap:
     """
     r, _ = _gaussian([x for row in g.rows for x in row])
     neg = [[(-x, -y) for x, y in row] for row in r]
-    c = _compatibility(_christoffel_table(base_connection().vals)[0], r)  # D times -T
+    c = _compatibility(_BASE_TABLE, r)  # D times -T
     # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1), mod 3;
-    # G, adj(G) and W_j are symmetric, so a row is also a column
+    # G, adj(G), W_j and L^j are symmetric, so a row is also a column
     adj = [[_dot((r[i1][k1], r[i1][k2]), (r[i2][k2], neg[i2][k1]))
             for k1, k2 in _CYCLE] for i1, i2 in _CYCLE]
     x, y = _dot(r[0], adj[0])  # det(G)
@@ -368,10 +392,10 @@ def koszul_correction(g: Metric) -> SymTensorMap:
     values = []
     for j in range(3):
         # W_j(k,n) = sum_m C(j,k,m) G(m,n) + C(j,n,m) G(m,k) - C(k,n,m) G(m,j)
-        w = [[_dot(c[j][k] + c[j][n] + c[k][n], r[n] + r[k] + neg[j])
-              for n in range(3)] for k in range(3)]
+        w = _symmetric(lambda k, n: _dot(c[j][k] + c[j][n] + c[k][n],
+                                         r[n] + r[k] + neg[j]))
         aw = [[_dot(row, col) for col in w] for row in adj]
+        lj = _symmetric(lambda i, m: _norm(*_dot((_dot(aw[i], adj[m]),), f), q))
         values.append(TensorElem.from_entries(2, {
-            (i + 1, m + 1): _norm(*_dot((_dot(aw[i], adj[m]),), f), q)
-            for i in range(3) for m in range(3)}))
+            (i + 1, m + 1): lj[i][m] for i in range(3) for m in range(3)}))
     return SymTensorMap(tuple(values))

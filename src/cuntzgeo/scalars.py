@@ -99,7 +99,15 @@ class GScalar(tuple):
         (a, b, d), (c, e, f) = self, o
         return _norm(a * f + c * d, b * f + e * d, d * f)
 
-    __radd__ = __add__
+    def __radd__(self, other: object) -> "GScalar":
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, tuple):
+                # else tuple.__add__ would concatenate the two triples
+                raise TypeError("unsupported operand type(s) for +: "
+                                f"{type(other).__name__!r} and 'GScalar'")
+            return NotImplemented
+        return self + o
 
     def __sub__(self, other: object) -> "GScalar":
         o = other if type(other) is GScalar else self._coerce(other)

@@ -124,8 +124,8 @@ def random_metric(rng: random.Random) -> Metric:
 
 
 # ---------------------------------------------------------------------------
-# references: sums, d1, the compatibility pairing and the curvature by tensor
-# algebra
+# references: sums, d1, the compatibility pairing, the curvature, Ricci and
+# Scal by tensor and element algebra
 # ---------------------------------------------------------------------------
 
 def merge_pairs(pairs) -> dict:
@@ -198,6 +198,22 @@ def reference_curvature_step(conn: Connection, t: TensorElem) -> TensorElem:
 def reference_curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
     """The curvature three-tensor on each basis one-form."""
     return tuple(reference_curvature_step(conn, conn.value(i)) for i in (1, 2, 3))
+
+
+def reference_ricci(theta: dict) -> TensorElem:
+    """The Ricci contraction as a tensor sum: every entry theta(a, b, k, k)
+    as an (a, b) pair, repeated indices added by ``TensorElem._make``."""
+    return TensorElem._make(
+        2, (((a, b), coeff) for (a, b, c, k), coeff in theta.items() if c == k))
+
+
+def reference_scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
+    """Ricci paired with the metric by element arithmetic: the sum of
+    g(a, b) times the (a, b) entry."""
+    acc = AlgElem.zero()
+    for (a, b), c in ric.entries:
+        acc = acc + c.scale(g.entry(a, b))
+    return acc
 
 
 # ---------------------------------------------------------------------------

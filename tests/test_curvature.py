@@ -21,7 +21,15 @@ from cuntzgeo import (
 from cuntzgeo.scalars import GScalar, rational
 
 import dense_oracle
-from support import NO_SHRINK, metrics, random_metric
+from support import (
+    NO_SHRINK,
+    metrics,
+    random_metric,
+    reference_ricci,
+    reference_scalar_curvature,
+    scalar_connections,
+    wide_scalar_connections,
+)
 
 EIGHTH = rational(1, 8)
 MINUS_EIGHTH = rational(-1, 8)
@@ -143,6 +151,33 @@ def test_scalar_curvature_pairs_with_the_metric():
     assert scalar_curvature(g, ric) == AlgElem.scalar(3)
     with pytest.raises(ValueError, match="rank-2"):
         scalar_curvature(g, TensorElem.basis(1, 1, 1))
+
+
+@given(metrics(), scalar_connections, wide_scalar_connections)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_ricci_and_scal_equal_the_element_references(g, conn, wide):
+    # Ricci and Scal by integer sums are structurally equal to the tensor
+    # and element algebra of support.py, on the curvature of the
+    # Levi-Civita connection of g (every metric class, entries up to 32
+    # bits) and of random scalar connections, one of them complex over
+    # several large denominators
+    for c in (levi_civita(g), conn, wide):
+        theta = curvature_operator(curvature(c))
+        ric = ricci(theta)
+        assert ric == reference_ricci(theta)
+        assert scalar_curvature(g, ric) == reference_scalar_curvature(g, ric)
+
+
+def test_ricci_and_scal_reject_non_scalar_entries():
+    s1 = AlgElem.generator(1)
+    g = Metric.identity()
+    theta = curvature_operator(curvature(levi_civita(g)))
+    theta[(1, 1, 2, 2)] = s1  # a contracted entry
+    with pytest.raises(ValueError, match="not a scalar"):
+        ricci(theta)
+    ric = TensorElem.basis(2, 2) + TensorElem.basis(1, 2) * s1
+    with pytest.raises(ValueError, match="not a scalar"):
+        scalar_curvature(g, ric)
 
 
 def test_curvature_report_bundles_everything():

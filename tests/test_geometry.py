@@ -1,5 +1,6 @@
 """Metrics, connections, the compatibility pairing and the Levi-Civita connection."""
 
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -18,9 +19,12 @@ from cuntzgeo import (
     christoffel,
     compatibility_map,
     curvature,
+    curvature_operator,
     koszul_correction,
     levi_civita,
     load_metric,
+    ricci,
+    scalar_curvature,
     torsion,
     unitarity_residual,
 )
@@ -228,8 +232,8 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
 
 @pytest.mark.parametrize("rows", [COMPLEX_DENSE, ROADMAP_DENSE])
 def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
-    # the geometry chain runs on Gaussian integers and divides once per
-    # output entry: no GScalar or Fraction operator is called
+    # the geometry chain, Ricci and Scal run on Gaussian integers and
+    # divide once per output entry: no GScalar or Fraction operator is called
     g = load_metric(rows)
     conn = levi_civita(g)
     calls = []
@@ -244,14 +248,45 @@ def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
         for name in _ARITHMETIC:
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    theta = curvature_operator(curvature(conn))
+    ric = ricci(theta)
     made = {}
     for name, run in (("koszul_correction", lambda: koszul_correction(g)),
                       ("compatibility_map", lambda: compatibility_map(g, conn)),
-                      ("curvature", lambda: curvature(conn))):
+                      ("curvature", lambda: curvature(conn)),
+                      ("ricci", lambda: ricci(theta)),
+                      ("scalar_curvature", lambda: scalar_curvature(g, ric))):
         calls.clear()
         run()
         made[name] = len(calls)
-    assert made == {"koszul_correction": 0, "compatibility_map": 0, "curvature": 0}
+    assert made == {"koszul_correction": 0, "compatibility_map": 0, "curvature": 0,
+                    "ricci": 0, "scalar_curvature": 0}
+
+
+def test_each_independent_entry_takes_one_dot_product(monkeypatch):
+    # R_k(a, b, c) = -R_k(a, c, b), so the curvature takes one dot product
+    # per b < c; the compatibility pairing, W_j and L^j are symmetric, so
+    # each takes one per i <= j
+    g = load_metric(COMPLEX_DENSE)
+    conn = levi_civita(g)
+    geometry = importlib.import_module("cuntzgeo.geometry")
+    dot = geometry._dot
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(None)
+        return dot(xs, ys)
+
+    for module in (geometry, importlib.import_module("cuntzgeo.curvature")):
+        monkeypatch.setattr(module, "_dot", counted)
+    made = {}
+    for name, run in (("curvature", lambda: curvature(conn)),
+                      ("compatibility_map", lambda: compatibility_map(g, conn)),
+                      ("koszul_correction", lambda: koszul_correction(g))):
+        calls.clear()
+        run()
+        made[name] = len(calls)
+    assert made == {"curvature": 27, "compatibility_map": 18, "koszul_correction": 109}
 
 
 def test_non_scalar_christoffel_symbols_are_rejected():

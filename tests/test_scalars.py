@@ -155,6 +155,18 @@ def test_scalars_are_not_ordered(op, other):
         op(other, ONE)
 
 
+@pytest.mark.parametrize("left", [(1, 2), (), (1, 0, 1), ONE])
+def test_a_tuple_is_not_added_to_a_scalar(left):
+    # a plain tuple on either side is refused, not concatenated with the
+    # triple; int operands on the left (so sum()) still add
+    for a, b in ((tuple(left), ONE), (ONE, tuple(left))):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + b
+    assert sum([ONE, I]) == ONE + I
+    assert 0 + ONE == ONE and type(0 + ONE) is GScalar
+    assert Fraction(1, 2) + I == GScalar(Fraction(1, 2), 1)
+
+
 @pytest.mark.parametrize("c", [ZERO, ONE, -I, GScalar(Fraction(-3, 4), Fraction(5, 6))])
 def test_pickle_and_copy_round_trip(c):
     copies = [pickle.loads(pickle.dumps(c, protocol))
