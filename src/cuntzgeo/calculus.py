@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import AlgElem, Monomial, _Sum
+from .algebra import _UNIT, AlgElem, Monomial, _Sum
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,11 @@ WEDGE_PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 3))
 
 def _coeff(x: "AlgElem | GScalar | int") -> AlgElem:
     return x if isinstance(x, AlgElem) else AlgElem.scalar(x)
+
+
+def _unit_multiple(c: GScalar) -> AlgElem:
+    """c*1 for a reduced GScalar c, wrapped with no check (0 when c is)."""
+    return AlgElem(((_UNIT, c),)) if c else AlgElem(())
 
 
 def _factor(x: object) -> "AlgElem | GScalar | None":
@@ -285,6 +290,16 @@ def d0(a: AlgElem) -> OneForm:
 Index = tuple[int, ...]
 
 
+def _check_indices(rank: int, indices: Iterable[Index]) -> None:
+    """Raise ValueError unless each index is ``rank`` ints in 1..3."""
+    for idx in indices:
+        if len(idx) != rank:
+            raise ValueError(f"index {idx} does not have rank {rank}")
+        for i in idx:
+            if type(i) is not int or not 1 <= i <= 3:
+                raise ValueError(f"index {idx} outside 1..3")
+
+
 @dataclass(frozen=True)
 class TensorElem:
     """Element of the k-fold tensor power of the one-form module.
@@ -304,14 +319,24 @@ class TensorElem:
         for idx, c in pairs:
             old = merged.get(idx)
             merged[idx] = c if old is None else old + c
-        for idx in merged:
-            if len(idx) != rank:
-                raise ValueError(f"index {idx} does not have rank {rank}")
-            if any(type(i) is not int or not 1 <= i <= 3 for i in idx):
-                raise ValueError(f"index {idx} outside 1..3")
+        _check_indices(rank, merged)
+        # the indices are distinct, so sorting the pairs never compares two
+        # coefficients
         return TensorElem(rank, tuple(sorted(
-            ((idx, c) for idx, c in merged.items() if not c.is_zero()),
-            key=lambda kv: kv[0])))
+            (idx, c) for idx, c in merged.items() if not c.is_zero())))
+
+    @staticmethod
+    def _of_scalars(rank: int, scalars: Mapping[Index, GScalar]) -> "TensorElem":
+        """The tensor with the scalar c*1 at each index: the canonical form
+        that ``_make`` gives, built with no merge and no checks.
+
+        Precondition: every index is a tuple of ``rank`` ints in 1..3 and
+        every scalar a reduced ``GScalar`` (as ``scalars._norm`` returns
+        it).  Zero scalars are dropped, and the indices, which are distinct,
+        are sorted once.
+        """
+        return TensorElem(rank, tuple((idx, _unit_multiple(c))
+                                      for idx, c in sorted(scalars.items()) if c))
 
     @staticmethod
     def from_entries(rank: int,
@@ -437,10 +462,9 @@ def wedge(t: TensorElem) -> TwoForm:
     """The multiplication map on rank-2 tensors: e_i⊗e_j -> e_i e_j in Ω²."""
     if t.rank != 2:
         raise ValueError("wedge expects a rank-2 tensor")
-    comps = []
-    for i, j in WEDGE_PAIRS:
-        comps.append(t.entry(i, j) - t.entry(j, i))
-    return TwoForm(tuple(comps))
+    entries, zero = t.entry_map(), AlgElem.zero()
+    return TwoForm(tuple(entries.get((i, j), zero) - entries.get((j, i), zero)
+                         for i, j in WEDGE_PAIRS))
 
 
 # ---------------------------------------------------------------------------

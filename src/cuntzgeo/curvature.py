@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import AlgElem
-from .calculus import BASIS_DIFFERENTIALS, TensorElem, antisym_lift
+from .calculus import BASIS_DIFFERENTIALS, TensorElem, _check_indices, antisym_lift
 from .geometry import (
     Connection,
     Metric,
@@ -80,7 +80,7 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
                             cols[c] + neg[b] + d_eps[b][c])
                 entries[a + 1, b + 1, c + 1] = _norm(x, y, q)
                 entries[a + 1, c + 1, b + 1] = _norm(-x, -y, q)
-        out.append(TensorElem.from_entries(3, entries))
+        out.append(TensorElem._of_scalars(3, entries))
     return tuple(out)
 
 
@@ -115,7 +115,8 @@ def ricci(theta: ThetaMap) -> TensorElem:
         if c == k:
             terms.setdefault((a, b), []).append(
                 _scalar(coeff, "curvature entry", (a, b, c, k)))
-    return TensorElem.from_entries(2, {idx: _sum(xs) for idx, xs in terms.items()})
+    _check_indices(2, terms)  # theta is the caller's map
+    return TensorElem._of_scalars(2, {idx: _sum(xs) for idx, xs in terms.items()})
 
 
 def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:

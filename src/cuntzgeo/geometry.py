@@ -27,8 +27,10 @@ is integer arithmetic: a metric or Christoffel table, real or complex,
 enters once as Gaussian integers, (re, im) int pairs equal to D times the
 table for D the lcm of its scalars' denominators d (a scalar is the reduced
 triple (a, b, d), see ``cuntzgeo.scalars``), and each output entry is a
-Gaussian integer over a positive int, reduced once by ``scalars._norm`` into
-a ``OneForm``/``TensorElem`` coefficient.  Each independent entry is one
+Gaussian integer over a positive int, reduced once by ``scalars._norm`` and
+wrapped once as a c*1 coefficient (``TensorElem._of_scalars`` for a tensor).
+``levi_civita`` adds the base table to L's numerators, so it builds the
+connection with no tensor sum.  Each independent entry is one
 Gaussian dot product, and its mirror image shares the result: the
 compatibility pairing is symmetric in (i, j), and so are Koszul's W_j and
 L^j below, so each is computed for i <= j only.
@@ -49,6 +51,7 @@ from .calculus import (
     TensorElem,
     TwoForm,
     _det3,
+    _unit_multiple,
     derive,
     sym_project,
     wedge,
@@ -332,7 +335,7 @@ def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...],
     q = d_gamma * d_g
     c = _compatibility(gamma, r)
     return tuple(map(tuple, _symmetric(
-        lambda i, j: OneForm.of(*(_norm(*x, q) for x in c[i][j])))))
+        lambda i, j: OneForm(tuple(_unit_multiple(_norm(*x, q)) for x in c[i][j])))))
 
 
 def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
@@ -351,20 +354,36 @@ def levi_civita(g: Metric) -> Connection:
     """The unique torsion-free unitary connection for the metric.
 
     The base connection is torsion-free, and adding a symmetric correction
-    keeps it so; unitarity pins the correction, which ``koszul_correction``
-    gives in closed form.
+    keeps it so; unitarity pins the correction L, which ``_koszul`` gives in
+    closed form.  Gamma_j = base_j + L^j is built as one integer table, each
+    entry reduced once, and equals
+    ``base_connection().shifted(koszul_correction(g))``.
     """
-    return base_connection().shifted(koszul_correction(g))
+    return Connection(_koszul(g, _BASE_TABLE))
 
 
 def christoffel(conn: Connection) -> dict[tuple[int, int, int], AlgElem]:
     """All 27 coefficients: conn(e_i) = sum e_j ⊗ e_k * gamma[(i, j, k)]."""
-    return {(i, j, k): conn.vals[i - 1].entry(j, k)
+    zero = AlgElem.zero()
+    maps = [v.entry_map() for v in conn.vals]
+    return {(i, j, k): maps[i - 1].get((j, k), zero)
             for i in _INDICES for j in _INDICES for k in _INDICES}
 
 
 def koszul_correction(g: Metric) -> SymTensorMap:
-    """The symmetric correction L that makes the base connection unitary.
+    """The symmetric correction L that makes the base connection unitary,
+    by ``_koszul``'s closed form (the zero table plus L)."""
+    return SymTensorMap(_koszul(g, _ZERO_TABLE))
+
+
+# a Christoffel table of zeros, as Gaussian integers
+_ZERO_TABLE = ((((0, 0),) * 3,) * 3,) * 3
+
+
+def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorElem]:
+    """table_j + L^j for j = 1, 2, 3: a Christoffel table of Gaussian
+    integers (its D is 1) plus the symmetric correction L that makes the
+    base connection unitary.
 
     Unitarity of base + L reads sum_m g(k,m) L^j(m,n) + g(j,m) L^k(m,n) =
     T(j,k,n) for T = -compatibility_map(g, base); the metric differential
@@ -377,7 +396,12 @@ def koszul_correction(g: Metric) -> SymTensorMap:
     Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
     With the Gaussian integers G = D g and W_j = -2 D² Z_j, g⁻¹ is
     D adj(G) / det(G) and D cancels: L^j = adj(G) W_j adj(G) / (-2 det(G)²).
-    Times conj(det(G))², the divisor is the positive int 2 |det(G)|⁴.
+    Times conj(det(G))², the divisor is the positive int q = 2 |det(G)|⁴,
+    so L^j = X_j / q for a symmetric Gaussian-integer array X_j, and an
+    entry of table_j + L^j is (X_j + q table_j) / q, reduced once.  Each
+    X_j entry with i <= m is one dot product, reduced at once into the entry
+    and its mirror, which share it wherever table_j is symmetric too: the
+    numerators are the largest integers of the chain, so none is kept.
     """
     r, _ = _gaussian([x for row in g.rows for x in row])
     neg = [[(-x, -y) for x, y in row] for row in r]
@@ -390,12 +414,18 @@ def koszul_correction(g: Metric) -> SymTensorMap:
     f = ((y * y - x * x, 2 * x * y),)  # -conj(det(G))², over 2 |det(G)|⁴
     q = 2 * (x * x + y * y) ** 2
     values = []
-    for j in range(3):
+    for j, b in enumerate(table):
         # W_j(k,n) = sum_m C(j,k,m) G(m,n) + C(j,n,m) G(m,k) - C(k,n,m) G(m,j)
         w = _symmetric(lambda k, n: _dot(c[j][k] + c[j][n] + c[k][n],
                                          r[n] + r[k] + neg[j]))
         aw = [[_dot(row, col) for col in w] for row in adj]
-        lj = _symmetric(lambda i, m: _norm(*_dot((_dot(aw[i], adj[m]),), f), q))
-        values.append(TensorElem.from_entries(2, {
-            (i + 1, m + 1): lj[i][m] for i in range(3) for m in range(3)}))
-    return SymTensorMap(tuple(values))
+        entries = {}
+        for i in range(3):
+            for m in range(i, 3):
+                u, v = _dot((_dot(aw[i], adj[m]),), f)  # q L^j(i, m) = q L^j(m, i)
+                (bx, by), mirror = b[i][m], b[m][i]
+                entries[i + 1, m + 1] = s = _norm(u + q * bx, v + q * by, q)
+                entries[m + 1, i + 1] = s if mirror == (bx, by) else _norm(
+                    u + q * mirror[0], v + q * mirror[1], q)
+        values.append(TensorElem._of_scalars(2, entries))
+    return tuple(values)

@@ -274,6 +274,20 @@ def test_tensor_make_adds_repeated_indices():
         assert TensorElem._make(2, pairs) == TensorElem.from_entries(2, merge_pairs(pairs))
 
 
+def test_tensor_make_checks_the_rank_and_sorts_the_indices():
+    # _make sorts the merged (index, coefficient) pairs with plain sorted:
+    # the indices are distinct and checked first, so no coefficient is compared
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        TensorElem.from_entries(2, {(1,): GScalar(1)})
+    indices = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    shuffled = random.Random(18).sample(indices, len(indices))
+    assert shuffled != indices
+    t = TensorElem.from_entries(2, {idx: GScalar(k + 1, -k) for k, idx in enumerate(shuffled)})
+    assert [idx for idx, _ in t.entries] == indices
+    assert t.entry_map() == {idx: AlgElem.scalar(GScalar(k + 1, -k))
+                             for k, idx in enumerate(shuffled)}
+
+
 def test_tensor_entry_checks_its_index():
     t = TensorElem.basis(1, 2)
     assert t.entry(1, 2) == AlgElem.unit() and t.entry(2, 1).is_zero()

@@ -180,6 +180,13 @@ def test_ricci_and_scal_reject_non_scalar_entries():
         scalar_curvature(g, ric)
 
 
+def test_ricci_checks_the_indices_it_contracts():
+    theta = curvature_operator(curvature(levi_civita(Metric.identity())))
+    theta[(4, 1, 2, 2)] = AlgElem.unit()
+    with pytest.raises(ValueError, match=r"index \(4, 1\) outside 1..3"):
+        ricci(theta)
+
+
 def test_curvature_report_bundles_everything():
     rep = curvature_report(Metric.identity())
     assert rep.scalar == AlgElem.scalar(rational(-3, 4))

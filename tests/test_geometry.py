@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cuntzgeo import (
     AlgElem,
@@ -233,34 +233,38 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
 @pytest.mark.parametrize("rows", [COMPLEX_DENSE, ROADMAP_DENSE])
 def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
     # the geometry chain, Ricci and Scal run on Gaussian integers and
-    # divide once per output entry: no GScalar or Fraction operator is called
+    # divide once per output entry: no GScalar or Fraction operator is called,
+    # and each output is wrapped once, not merged and sorted by TensorElem._make
     g = load_metric(rows)
     conn = levi_civita(g)
-    calls = []
+    calls, makes = [], []
 
-    def counted(method):
+    def counted(method, log):
         def wrapper(*args):
-            calls.append(method)
+            log.append(method)
             return method(*args)
         return wrapper
 
     for cls in (GScalar, Fraction):
         for name in _ARITHMETIC:
             if hasattr(cls, name):
-                monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+                monkeypatch.setattr(cls, name, counted(getattr(cls, name), calls))
+    monkeypatch.setattr(TensorElem, "_make", staticmethod(counted(TensorElem._make, makes)))
     theta = curvature_operator(curvature(conn))
     ric = ricci(theta)
-    made = {}
-    for name, run in (("koszul_correction", lambda: koszul_correction(g)),
+    made, wrapped = {}, {}
+    for name, run in (("levi_civita", lambda: levi_civita(g)),
+                      ("koszul_correction", lambda: koszul_correction(g)),
                       ("compatibility_map", lambda: compatibility_map(g, conn)),
                       ("curvature", lambda: curvature(conn)),
                       ("ricci", lambda: ricci(theta)),
                       ("scalar_curvature", lambda: scalar_curvature(g, ric))):
         calls.clear()
+        makes.clear()
         run()
-        made[name] = len(calls)
-    assert made == {"koszul_correction": 0, "compatibility_map": 0, "curvature": 0,
-                    "ricci": 0, "scalar_curvature": 0}
+        made[name], wrapped[name] = len(calls), len(makes)
+    assert made == dict.fromkeys(made, 0)
+    assert wrapped == dict.fromkeys(wrapped, 0)
 
 
 def test_each_independent_entry_takes_one_dot_product(monkeypatch):
@@ -386,12 +390,20 @@ def test_perturbed_connection_breaks_unitarity():
 
 # -- the closed form -------------------------------------------------------------
 
-def test_koszul_matches_solver_at_identity():
-    g = Metric.identity()
-    shortcut = base_connection().shifted(koszul_correction(g))
-    solved = levi_civita(g)
-    for i in (1, 2, 3):
-        assert shortcut.value(i).equals(solved.value(i))
+@given(metrics())
+@example(Metric.identity())
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_levi_civita_is_base_plus_koszul_in_canonical_form(g):
+    # levi_civita builds base + L as one integer table and every output is
+    # wrapped straight from its reduced scalars: the result is the shifted
+    # base connection, structurally, and each tensor is the canonical form
+    # that TensorElem._make gives (index-sorted, no zero entry)
+    conn = levi_civita(g)
+    kz = koszul_correction(g)
+    assert conn == base_connection().shifted(kz)
+    curv = curvature(conn)
+    for t in (*conn.vals, *kz.vals, *curv, ricci(curvature_operator(curv))):
+        assert t == TensorElem._make(t.rank, t.entries)
 
 
 def test_connection_apply_right_leibniz():
