@@ -19,7 +19,10 @@ The stored form is canonical under two rewrites, applied to a fixed point:
 zero coefficients are dropped, and any complete equal-coefficient family
 ``{(mu.j, nu.j) : j = 1, 2, 3}`` collapses to ``(mu, nu)`` (the second Cuntz
 relation read right-to-left).  A canonical form is empty iff the element is
-0, so :meth:`AlgElem.equals` only tests that the difference is empty.
+0, so :meth:`AlgElem.equals` only tests that the difference is empty: it
+folds it in a ``_Sum`` and never sorts.  Equal ``terms`` are one canonical
+form and decide at once; different ones do not decide, as canonical forms
+are not unique (``1 + S_1S_1^*`` and ``2 S_1S_1^* + S_2S_2^* + S_3S_3^*``).
 
 Proof.  Strip from each term the longest common suffix u of its words: the
 term is ``S_mu0 (S_u S_u^*) S_nu0^*`` with a root ``(mu0, nu0)`` whose words
@@ -52,24 +55,34 @@ mutable fold that starts from a canonical element, updates the touched keys
 and collapses from them alone (``_Sum``) stays canonical: each step gives
 the canonical form of the merged terms, as a collapse from every term would.
 
-``_Sum`` is the one code that adds canonical elements.  ``+`` and ``-`` are
-a one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
+``_Sum`` is the one code that adds canonical summands: elements, or the
+canonical term maps that ``_canonical`` returns.  ``+`` and ``-`` are a
+one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
 their summands into one accumulator, so their work is linear in the
-summands' terms and the merges they cause, plus one sort at the end.
-Everything else is a stream of (monomial, coefficient) pairs that need not
-be canonical: products, derivations and outside terms (``from_terms``).
-``AlgElem._make`` adds the coefficients of a repeated monomial, then
-canonicalizes with a collapse from every term.  Every product of two
-elements is one ``_make``, whatever their sizes.  A sum makes no new word,
-so the word-length cap is checked by ``_make`` and by the one other place
+summands' terms and the merges they cause, plus one sort at the end.  An
+empty accumulator adopts its first summand's terms, negated for a negative
+sign, with no merge and no collapse: a canonical summand added to 0 is its
+own canonical form.  Everything else is a stream of (monomial, coefficient)
+pairs that need not be canonical: products, derivations and outside terms
+(``from_terms``).  ``_canonical`` adds the coefficients of a repeated
+monomial, then canonicalizes with a collapse from every term into an
+unsorted dict, and ``AlgElem._make`` sorts that once into display order.
+Only what is returned is sorted: ``calculus.d1`` folds the canonical map of
+each derivation into its accumulator.  Every product of two elements is one
+``_make``, whatever their sizes.  A sum makes no new word, so the
+word-length cap is checked by ``_canonical`` and by the one other place
 that makes words: the parser, which multiplies a written run of generators
 into a one-term product by folding its word with ``_mul_monomials``, and
 checks each letter with ``_check_word_lengths``.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
-words, so keys hash and compare in C.  ``_make``, ``_Sum`` and a merge's
-parent term store the coefficient of a key they do not hold yet as it
-comes, or its negation, and add only onto a key they hold.
+words, so keys hash and compare in C.  Products, derivations and a merge's
+parent build their keys with ``tuple.__new__`` (``_new``), which skips the
+NamedTuple's Python-level ``__new__``, and ``_collapse`` finds family
+members by plain tuples, which equal the monomials.  ``_canonical``,
+``_Sum`` and a merge's parent term store the coefficient of a key they do
+not hold yet as it comes, or its negation, and add only onto a key they
+hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -161,6 +174,10 @@ class Monomial(NamedTuple):
 
 _UNIT = Monomial((), ())
 
+# ``_new(Monomial, (mu, nu))`` builds a monomial with no Python frame (the
+# NamedTuple ``__new__`` is a Python function); the words are not checked.
+_new = tuple.__new__
+
 
 def monomial(mu: Sequence[int] | str, nu: Sequence[int] | str = ()) -> Monomial:
     return Monomial(_as_word(mu), _as_word(nu))
@@ -171,19 +188,19 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
     nu, mu2 = a.nu, b.mu
     if len(nu) <= len(mu2):
         if mu2[: len(nu)] == nu:
-            return Monomial(a.mu + mu2[len(nu):], b.nu)
+            return _new(Monomial, (a.mu + mu2[len(nu):], b.nu))
         return None
     if nu[: len(mu2)] == mu2:
-        return Monomial(a.mu, b.nu + nu[len(mu2):])
+        return _new(Monomial, (a.mu, b.nu + nu[len(mu2):]))
     return None
 
 
 def _family_coefficient(terms: dict[Monomial, GScalar], mu: Word, nu: Word):
     """The coefficient shared by all three children ``(mu.j, nu.j)``, or
     None when the family is not complete."""
-    first = terms.get(Monomial(mu + (1,), nu + (1,)))
-    if (first is None or terms.get(Monomial(mu + (2,), nu + (2,))) != first
-            or terms.get(Monomial(mu + (3,), nu + (3,))) != first):
+    first = terms.get((mu + (1,), nu + (1,)))
+    if (first is None or terms.get((mu + (2,), nu + (2,))) != first
+            or terms.get((mu + (3,), nu + (3,))) != first):
         return None
     return first
 
@@ -215,16 +232,15 @@ def _collapse(terms: dict[Monomial, GScalar],
             if first is None:
                 continue
             for j in _LETTERS:
-                del terms[Monomial(mu + (j,), nu + (j,))]
-            parent = Monomial(mu, nu)
-            old = terms.get(parent)
+                del terms[mu + (j,), nu + (j,)]
+            old = terms.get((mu, nu))
             total = first if old is None else old + first
             if total:
-                terms[parent] = total
+                terms[_new(Monomial, (mu, nu))] = total
                 if mu and nu and mu[-1] == nu[-1]:
                     levels.setdefault(level - 2, []).append((mu[:-1], nu[:-1]))
             else:
-                terms.pop(parent, None)
+                terms.pop((mu, nu), None)
 
 
 def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
@@ -233,13 +249,16 @@ def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
 
 
 class _Sum:
-    """A left fold of ``+`` and ``-`` over AlgElems, in one mutable dict
-    that starts from the canonical ``start`` (default 0).
+    """A left fold of ``+`` and ``-`` over canonical summands, in one mutable
+    dict that starts from the canonical ``start`` (default 0).
 
     ``add(x, sign)`` leaves the terms of ``acc + x`` (``acc - x`` for a
     negative sign), term cap included, but touches only the keys of ``x``
     and the families they complete; ``value`` sorts once.  The lemma in the
     module docstring says why the result is the canonical form exactly.
+    A summand is an AlgElem or a canonical term map (as ``_canonical``
+    returns it); an empty accumulator adopts its terms, negated for a
+    negative sign, with no merge and no collapse.
     """
 
     __slots__ = ("terms",)
@@ -247,9 +266,14 @@ class _Sum:
     def __init__(self, start: "AlgElem | None" = None) -> None:
         self.terms: dict[Monomial, GScalar] = {} if start is None else dict(start.terms)
 
-    def add(self, x: "AlgElem", sign: int = 1) -> None:
+    def add(self, x: "AlgElem | dict[Monomial, GScalar]", sign: int = 1) -> None:
+        items = x.items() if isinstance(x, dict) else x.terms
         terms = self.terms
-        for m, c in x.terms:
+        if not terms:
+            self.terms = {m: -c for m, c in items} if sign < 0 else dict(items)
+            _check_term_count(len(self.terms))
+            return
+        for m, c in items:
             old = terms.get(m)
             if old is None:
                 terms[m] = -c if sign < 0 else c
@@ -259,11 +283,28 @@ class _Sum:
                 terms[m] = total
             else:
                 del terms[m]
-        _collapse(terms, [m for m, _ in x.terms])
+        _collapse(terms, [m for m, _ in items])
         _check_term_count(len(terms))
 
     def value(self) -> "AlgElem":
         return AlgElem(_ordered(self.terms.items()))
+
+
+def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GScalar]:
+    """The canonical term map of the sum of (monomial, coefficient) pairs
+    over the alphabet (operations keep them on it): a repeated monomial
+    adds its coefficients, zeros are dropped and complete families collapse.
+    Only the word-length cap, which products can break, and the term cap
+    are checked."""
+    merged: dict[Monomial, GScalar] = {}
+    for m, c in pairs:
+        old = merged.get(m)
+        merged[m] = c if old is None else old + c
+    _check_word_lengths(merged)
+    cleaned = {m: c for m, c in merged.items() if c}
+    _collapse(cleaned)
+    _check_term_count(len(cleaned))
+    return cleaned
 
 
 @dataclass(frozen=True)
@@ -282,19 +323,8 @@ class AlgElem:
 
     @staticmethod
     def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
-        """Canonical form of the sum of (monomial, coefficient) pairs over the
-        alphabet (operations keep them on it): a repeated monomial adds its
-        coefficients.  Only the word-length cap, which products can break,
-        is checked."""
-        merged: dict[Monomial, GScalar] = {}
-        for m, c in pairs:
-            old = merged.get(m)
-            merged[m] = c if old is None else old + c
-        _check_word_lengths(merged)
-        cleaned = {m: c for m, c in merged.items() if c}
-        _collapse(cleaned)
-        _check_term_count(len(cleaned))
-        return AlgElem(_ordered(cleaned.items()))
+        """The element of ``_canonical(pairs)``, in display order."""
+        return AlgElem(_ordered(_canonical(pairs).items()))
 
     @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
@@ -394,8 +424,17 @@ class AlgElem:
 
     def equals(self, other: "AlgElem | int | GScalar") -> bool:
         """Mathematical equality modulo the Cuntz relations: the canonical
-        difference is empty (see the module docstring for why that suffices)."""
-        return not (self - other).terms
+        difference is empty (see the module docstring for why that suffices).
+
+        Equal ``terms`` are one canonical form, so they decide at once;
+        otherwise the difference is folded and tested with no sort."""
+        if not isinstance(other, AlgElem):
+            return not (self - other).terms
+        if self.terms == other.terms:
+            return True
+        acc = _Sum(self)
+        acc.add(other, -1)
+        return not acc.terms
 
     # -- representation on the word tree -------------------------------------
 

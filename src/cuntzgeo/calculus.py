@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import _UNIT, AlgElem, Monomial, _Sum
+from .algebra import _UNIT, AlgElem, Monomial, _canonical, _new, _ordered, _Sum
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -69,9 +69,14 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     Replacing one letter at a time implements the Leibniz rule on the word
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
     transform by the same rows.  Their entries are 0 and ±1, so each entry
-    is applied as a sign, and ``AlgElem._make`` adds the images that land on
-    one monomial.
+    is applied as a sign, and ``algebra._canonical`` adds the images that
+    land on one monomial.
     """
+    return AlgElem(_ordered(_derive_terms(i, a).items()))
+
+
+def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
+    """The canonical term map of ``derive(i, a)``, unsorted."""
     if i not in (1, 2, 3):
         raise ValueError("derivation index must be 1, 2 or 3")
     # per letter, the (image letter, entry is +1) pairs of its nonzero entries
@@ -79,16 +84,16 @@ def derive(i: int, a: AlgElem) -> AlgElem:
             for row in GENERATOR_MATRICES[i]]
 
     def images():
-        for m, c in a.terms:
+        for (mu, nu), c in a.terms:
             neg = -c
-            for p, letter in enumerate(m.mu):
+            for p, letter in enumerate(mu):
                 for k, pos in rows[letter - 1]:
-                    yield Monomial(m.mu[:p] + (k,) + m.mu[p + 1:], m.nu), c if pos else neg
-            for p, letter in enumerate(m.nu):
+                    yield _new(Monomial, (mu[:p] + (k,) + mu[p + 1:], nu)), c if pos else neg
+            for p, letter in enumerate(nu):
                 for k, pos in rows[letter - 1]:
-                    yield Monomial(m.mu, m.nu[:p] + (k,) + m.nu[p + 1:]), c if pos else neg
+                    yield _new(Monomial, (mu, nu[:p] + (k,) + nu[p + 1:])), c if pos else neg
 
-    return AlgElem._make(images())
+    return _canonical(images())
 
 
 def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:
@@ -194,7 +199,8 @@ class _Form:
         return all(a.is_zero() for a in self.c)
 
     def equals(self, other) -> bool:
-        return type(other) is type(self) and (self - other).is_zero()
+        return type(other) is type(self) and all(
+            a.equals(b) for a, b in zip(self.c, other.c))
 
 
 class OneForm(_Form):
@@ -499,8 +505,11 @@ def d1(omega: OneForm) -> TwoForm:
     subtracts a_i, and e_pq adds ``derive(q, -a_i)`` when p = i and
     ``derive(p, a_i)`` when q = i.  ``derive`` is linear, so negating a_i
     gives the same canonical form as subtracting ``derive(q, a_i)``, and each
-    term's coefficient is negated once.  So the result is the same canonical
-    form as the fold of TwoForm sums over i, with two ``derive`` calls and
+    term's coefficient is negated once.  Each derivation is folded as its
+    canonical term map, unsorted: canonical forms are not unique
+    (``1 + S1S1*`` and ``2 S1S1* + S2S2* + S3S3*`` are both canonical), so
+    raw images would change the result.  So the result is the same canonical form as the
+    fold of TwoForm sums over i, with two derivations per nonzero a_i and
     one sort per component.
     """
     sums = [_Sum() for _ in WEDGE_PAIRS]
@@ -511,9 +520,9 @@ def d1(omega: OneForm) -> TwoForm:
             if e.terms:
                 acc.add(a, 1 if e.as_scalar() == ONE else -1)
             if p == i:
-                acc.add(derive(q, -a))
+                acc.add(_derive_terms(q, -a))
             elif q == i:
-                acc.add(derive(p, a))
+                acc.add(_derive_terms(p, a))
     return TwoForm(tuple(acc.value() for acc in sums))
 
 

@@ -108,14 +108,15 @@ def ricci(theta: ThetaMap) -> TensorElem:
     Moving e_k^* past e_c and evaluating kills every entry with c != k and
     leaves the first two legs: Ric(a, b) = sum_k theta(a, b, k, k).
 
-    Raises ValueError when a contracted entry is not a scalar.
+    Raises ValueError when a key of theta is not a rank-4 index over 1..3
+    or a contracted entry is not a scalar.
     """
+    _check_indices(4, theta)  # theta is the caller's map
     terms: dict[tuple[int, int], list[GScalar]] = {}
     for (a, b, c, k), coeff in theta.items():
         if c == k:
             terms.setdefault((a, b), []).append(
                 _scalar(coeff, "curvature entry", (a, b, c, k)))
-    _check_indices(2, terms)  # theta is the caller's map
     return TensorElem._of_scalars(2, {idx: _sum(xs) for idx, xs in terms.items()})
 
 

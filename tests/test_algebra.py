@@ -420,17 +420,45 @@ def scalar_negations(monkeypatch):
 
 
 def test_subtraction_builds_no_negated_copy(scalar_negations):
-    """x - y subtracts y's coefficients in place, so x.equals(x) cancels
-    every term without negating one; forms and tensors subtract entry by
-    entry the same way."""
+    """x - y subtracts y's coefficients in place, so x - x cancels every term
+    without negating one, and so does the fold of x.equals(y) when y's keys
+    are x's; forms and tensors subtract entry by entry the same way."""
     x = AlgElem.from_terms({monomial("12", "3"): rational(2, 3), monomial("", "1"): 5,
                             monomial("2"): GScalar.of(1, -1)})
+    y = AlgElem.from_terms({monomial("12", "3"): rational(2, 3), monomial("", "1"): 5})
     omega = OneForm.of(x, 0, x * S2)
     t = TensorElem.from_entries(2, {(1, 2): x, (3, 1): x.adjoint()})
     scalar_negations[0] = 0
     assert x.equals(x) and omega.equals(omega) and t.equals(t)
+    assert not x.equals(y) and not omega.equals(OneForm.of(y, 0, x * S2))
     assert (x - x).is_zero() and (omega - omega).is_zero() and (t - t).is_zero()
     assert scalar_negations[0] == 0
+
+
+@pytest.mark.parametrize("sign", [1, 0, -1])
+def test_an_empty_accumulator_adopts_the_summand(sign):
+    """The first summand is taken as it is, negated only for a negative
+    sign: the parser passes 0 for an unsigned first summand."""
+    x = AlgElem.from_terms({monomial("12", "3"): rational(2, 3), monomial("2"): 5})
+    acc = _Sum()
+    acc.add(x, sign)
+    assert acc.value() == (-x if sign < 0 else x)
+    acc = _Sum()
+    acc.add(x.term_map(), sign)
+    assert acc.value() == (-x if sign < 0 else x)
+
+
+def test_equals_of_distinct_canonical_forms():
+    """Canonical forms are not unique, so equals folds the difference when
+    the terms differ: 2 S1S1* + S2S2* + S3S3* is 1 + S1S1*."""
+    proj = {j: monomial(j, j) for j in "123"}
+    one_plus = AlgElem.from_terms({Monomial((), ()): 1, proj["1"]: 1})
+    assert len(one_plus.terms) == 2
+    for coeffs, equal in (((2, 1, 1), True), ((2, 1, 2), False)):
+        x = AlgElem.from_terms({proj[j]: c for j, c in zip("123", coeffs)})
+        assert len(x.terms) == 3 and x != one_plus
+        assert x.equals(one_plus) is equal and one_plus.equals(x) is equal
+        assert OneForm.of(0, x, S1).equals(OneForm.of(0, one_plus, S1)) is equal
 
 
 def test_seeded_oracle_agreement_counts():

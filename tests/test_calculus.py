@@ -27,7 +27,7 @@ from cuntzgeo import (
     tensor_product,
     wedge,
 )
-from cuntzgeo import calculus
+from cuntzgeo import algebra, calculus
 from cuntzgeo.scalars import GScalar, rational
 
 from support import (
@@ -386,18 +386,42 @@ def test_d1_keeps_the_summand_order_and_the_deepest_first_collapse(seed):
 
 def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
     calls = []
-    derive_once = calculus.derive
+    derive_once = calculus._derive_terms
 
     def counted(i, a):
         calls.append(i)
         return derive_once(i, a)
 
-    monkeypatch.setattr(calculus, "derive", counted)
+    monkeypatch.setattr(calculus, "_derive_terms", counted)
     d1(OneForm.of(S1 + S2.adjoint(), S3 * S1.adjoint(), S2 - S1))
     assert len(calls) == 6
     calls.clear()
     d1(OneForm.of(0, S1, 0))
     assert sorted(calls) == [1, 3]
+
+
+def test_d1_and_equals_sort_only_what_they_return(monkeypatch):
+    """d1 sorts each of its three components once, and equals sorts nothing,
+    whether its arguments have the same terms or not."""
+    calls = [0]
+    sort_once = algebra._ordered
+
+    def counted(items):
+        calls[0] += 1
+        return sort_once(items)
+
+    monkeypatch.setattr(algebra, "_ordered", counted)
+    monkeypatch.setattr(calculus, "_ordered", counted)
+    x, x_twin, y = S1 + S2.adjoint(), S2.adjoint() + S1, S3 * S1.adjoint()
+    omega, omega_twin = OneForm.of(x, y, S2 - S1), OneForm.of(x_twin, y, S2 - S1)
+    other = OneForm.of(y, x, S2 - S1)
+    calls[0] = 0
+    d1(omega)
+    assert calls[0] == 3
+    calls[0] = 0
+    assert x.equals(x_twin) and not x.equals(y)
+    assert omega.equals(omega_twin) and not omega.equals(other)
+    assert calls[0] == 0
 
 
 def test_d1_negates_each_coefficient_once(monkeypatch):

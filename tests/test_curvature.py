@@ -181,10 +181,17 @@ def test_ricci_and_scal_reject_non_scalar_entries():
 
 
 def test_ricci_checks_the_indices_it_contracts():
-    theta = curvature_operator(curvature(levi_civita(Metric.identity())))
-    theta[(4, 1, 2, 2)] = AlgElem.unit()
-    with pytest.raises(ValueError, match=r"index \(4, 1\) outside 1..3"):
-        ricci(theta)
+    """Every key of the caller's theta is checked before the contraction,
+    contracted (c == k) or not: on the identity metric (1, 2, 4, 4) would
+    turn Ric(1, 2) from 0 into 1, and (1, 2, 9, 4) would be skipped."""
+    for key, message in (((4, 1, 2, 2), r"index \(4, 1, 2, 2\) outside 1..3"),
+                         ((1, 2, 4, 4), r"index \(1, 2, 4, 4\) outside 1..3"),
+                         ((1, 2, 9, 4), r"index \(1, 2, 9, 4\) outside 1..3"),
+                         ((1, 2, 3), r"index \(1, 2, 3\) does not have rank 4")):
+        theta = curvature_operator(curvature(levi_civita(Metric.identity())))
+        theta[key] = AlgElem.unit()
+        with pytest.raises(ValueError, match=message):
+            ricci(theta)
 
 
 def test_curvature_report_bundles_everything():
