@@ -508,9 +508,9 @@ def d1(omega: OneForm) -> TwoForm:
     term's coefficient is negated once.  Each derivation is folded as its
     canonical term map, unsorted: canonical forms are not unique
     (``1 + S1S1*`` and ``2 S1S1* + S2S2* + S3S3*`` are both canonical), so
-    raw images would change the result.  So the result is the same canonical form as the
-    fold of TwoForm sums over i, with two derivations per nonzero a_i and
-    one sort per component.
+    raw images would change the result.  So the result is the same
+    canonical form as the fold of TwoForm sums over i, with two derivations
+    per nonzero a_i and one sort per component.
     """
     sums = [_Sum() for _ in WEDGE_PAIRS]
     for i, a in zip((1, 2, 3), omega.c):
