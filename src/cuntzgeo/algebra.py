@@ -6,6 +6,12 @@ generators satisfy the Cuntz relations
 
     S_i^* S_i = 1        sum_j S_j S_j^* = 1.
 
+A letter, like every 1-based index of the package (a derivation, a basis
+symbol, a tensor or metric index), is an ``int`` that is not a ``bool``, in
+1..3; ``_index`` is that one rule.  ``monomial`` builds a word unchecked, and
+its letters are checked where they enter an element (``from_terms``,
+``tree_action``).
+
 Words are stored as tuples of letters.  By convention the second word is
 recorded so that ``S_nu^* = S_{nu(k)}^* ... S_{nu(1)}^*``; equivalently,
 ``(mu, nu)`` stands for ``S_{mu(1)} .. S_{mu(p)} S_{nu(q)}^* .. S_{nu(1)}^*``.
@@ -142,10 +148,26 @@ def _check_term_count(n: int) -> None:
             f"term count {n} exceeds cap {_MAX_TERMS} (raise it via set_caps)")
 
 
+_NOT_AN_INDEX = "index {!r} outside 1..3"
+_NOT_A_LETTER = "letter {!r} outside alphabet 1..3"
+
+
+def _index(i: object, what: str = _NOT_AN_INDEX, shown: object = None) -> int:
+    """``i`` when it is an index: an ``int`` that is not a ``bool``, in 1..3.
+
+    The one rule for every letter and every 1-based index of the package
+    (the SO(3) action fixes both ranges at three).  Otherwise ValueError
+    with the message ``what.format(shown)``, where ``shown`` defaults to i.
+    """
+    if type(i) is int and 1 <= i <= 3:
+        return i
+    raise ValueError(what.format(i if shown is None else shown))
+
+
 def _as_word(w: Sequence[int] | str) -> Word:
-    if isinstance(w, str):
-        return tuple(int(ch) for ch in w)
-    return tuple(int(x) for x in w)
+    """The word of a digit string or a sequence of letters, unchecked: a
+    letter is checked once, where it enters an element."""
+    return tuple(int(ch) for ch in w) if isinstance(w, str) else tuple(w)
 
 
 class Monomial(NamedTuple):
@@ -331,8 +353,7 @@ class AlgElem:
         """The canonical element of outside terms; every letter is checked."""
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
-                if type(letter) is not int or not 1 <= letter <= 3:
-                    raise ValueError(f"letter {letter!r} outside alphabet 1..3")
+                _index(letter, _NOT_A_LETTER)
         return AlgElem._make((m, GScalar.of(c)) for m, c in mapping.items())
 
     @staticmethod
@@ -350,8 +371,7 @@ class AlgElem:
 
     @staticmethod
     def generator(i: int) -> "AlgElem":
-        if type(i) is not int or not 1 <= i <= 3:
-            raise ValueError(f"generator index {i!r} outside 1..3")
+        i = _index(i, "generator index {!r} outside 1..3")
         return AlgElem(((Monomial((i,), ()), ONE),))
 
     # -- views --------------------------------------------------------------
@@ -427,8 +447,13 @@ class AlgElem:
         difference is empty (see the module docstring for why that suffices).
 
         Equal ``terms`` are one canonical form, so they decide at once;
-        otherwise the difference is folded and tested with no sort."""
+        otherwise the difference is folded and tested with no sort.  An
+        object with its own ``equals`` (a form or a tensor) decides, so the
+        answer is the same both ways round: ``False``.  Any other non-scalar
+        is a ``TypeError``."""
         if not isinstance(other, AlgElem):
+            if GScalar._coerce(other) is None and hasattr(other, "equals"):
+                return other.equals(self)
             return not (self - other).terms
         if self.terms == other.terms:
             return True
@@ -446,8 +471,7 @@ class AlgElem:
         """
         word = _as_word(w)
         for letter in word:
-            if not 1 <= letter <= 3:
-                raise ValueError(f"letter {letter} outside alphabet 1..3")
+            _index(letter, _NOT_A_LETTER)
         out: dict[Word, GScalar] = {}
         for m, c in self.terms:
             k = len(m.nu)

@@ -49,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import _UNIT, AlgElem, Monomial, _canonical, _new, _ordered, _Sum
+from .algebra import (
+    _NOT_AN_INDEX, _UNIT, AlgElem, Monomial, _canonical, _index, _new, _ordered, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -72,13 +73,13 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     is applied as a sign, and ``algebra._canonical`` adds the images that
     land on one monomial.
     """
+    i = _index(i, "derivation index {!r} outside 1..3")
     return AlgElem(_ordered(_derive_terms(i, a).items()))
 
 
 def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
-    """The canonical term map of ``derive(i, a)``, unsorted."""
-    if i not in (1, 2, 3):
-        raise ValueError("derivation index must be 1, 2 or 3")
+    """The canonical term map of ``derive(i, a)``, unsorted; ``i`` is not
+    checked (``derive`` checks it, and ``d1`` makes its own)."""
     # per letter, the (image letter, entry is +1) pairs of its nonzero entries
     rows = [[(k, f > 0) for k, f in zip((1, 2, 3), row) if f]
             for row in GENERATOR_MATRICES[i]]
@@ -96,6 +97,14 @@ def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
     return _canonical(images())
 
 
+def _is_3x3(rows: object) -> bool:
+    """Whether rows is three lists or tuples of three; a ``GScalar`` is a
+    tuple of three ints, but it is a scalar, not a row."""
+    return isinstance(rows, (list, tuple)) and len(rows) == 3 and all(
+        isinstance(row, (list, tuple)) and not isinstance(row, GScalar)
+        and len(row) == 3 for row in rows)
+
+
 def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:
     a, b, c = rows
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
@@ -106,12 +115,13 @@ def _det3(rows: Sequence[Sequence[GScalar]]) -> GScalar:
 def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
     """Apply the *-automorphism sending S_i to ``sum_j matrix[i][j] S_j``.
 
-    The matrix must be exactly special orthogonal; this is checked, since a
-    non-isometry would not define an automorphism of the relations.
+    The matrix, three lists or tuples of three exact scalars, must be
+    exactly special orthogonal; this is checked, since a non-isometry would
+    not define an automorphism of the relations.
     """
-    rows = [[GScalar.of(x) for x in row] for row in matrix]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+    if not _is_3x3(matrix):
         raise ValueError("rotation matrix must be 3x3")
+    rows = [[GScalar.of(x) for x in row] for row in matrix]
     for i in range(3):
         for j in range(3):
             dot = sum((rows[k][i] * rows[k][j] for k in range(3)), ZERO)
@@ -214,14 +224,12 @@ class OneForm(_Form):
 
     @staticmethod
     def basis(i: int) -> "OneForm":
-        if i not in (1, 2, 3):
-            raise ValueError("basis index must be 1, 2 or 3")
         cs = [AlgElem.zero()] * 3
-        cs[i - 1] = AlgElem.unit()
+        cs[_index(i) - 1] = AlgElem.unit()
         return OneForm(tuple(cs))
 
     def component(self, i: int) -> AlgElem:
-        return self.c[i - 1]
+        return self.c[_index(i) - 1]
 
     def __mul__(self, other: object) -> "OneForm | TwoForm":
         """A one-form times a one-form is the two-form ``e_i e_j -> e_ij``:
@@ -234,7 +242,8 @@ class OneForm(_Form):
 
 
 class TwoForm(_Form):
-    """``e12*c[0] + e13*c[1] + e23*c[2]`` with the basis order of WEDGE_PAIRS."""
+    """``e12*c[0] + e13*c[1] + e23*c[2]`` with the basis order of WEDGE_PAIRS:
+    for i < j, e_ij is ``c[i + j - 3]``."""
 
     LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
 
@@ -244,19 +253,18 @@ class TwoForm(_Form):
 
     @staticmethod
     def basis(i: int, j: int) -> "TwoForm":
-        if (i, j) not in WEDGE_PAIRS:
+        if not _index(i) < _index(j):
             raise ValueError(f"basis pair must be one of {WEDGE_PAIRS}")
         cs = [AlgElem.zero()] * 3
-        cs[WEDGE_PAIRS.index((i, j))] = AlgElem.unit()
+        cs[i + j - 3] = AlgElem.unit()
         return TwoForm(tuple(cs))
 
     def component(self, i: int, j: int) -> AlgElem:
         """Coefficient of e_ij; antisymmetric outside the stored i<j pairs."""
-        if (i, j) in WEDGE_PAIRS:
-            return self.c[WEDGE_PAIRS.index((i, j))]
-        if (j, i) in WEDGE_PAIRS:
-            return -self.c[WEDGE_PAIRS.index((j, i))]
-        raise ValueError(f"no basis two-form with indices {(i, j)}")
+        if _index(i) == _index(j):
+            raise ValueError(f"no basis two-form with indices {(i, j)}")
+        c = self.c[i + j - 3]
+        return c if i < j else -c
 
 
 @dataclass(frozen=True)
@@ -297,13 +305,13 @@ Index = tuple[int, ...]
 
 
 def _check_indices(rank: int, indices: Iterable[Index]) -> None:
-    """Raise ValueError unless each index is ``rank`` ints in 1..3."""
+    """Raise ValueError unless each index is a tuple of ``rank`` ints that
+    pass ``algebra._index``; the message names the whole index."""
     for idx in indices:
-        if len(idx) != rank:
-            raise ValueError(f"index {idx} does not have rank {rank}")
+        if not isinstance(idx, tuple) or len(idx) != rank:
+            raise ValueError(f"index {idx!r} does not have rank {rank}")
         for i in idx:
-            if type(i) is not int or not 1 <= i <= 3:
-                raise ValueError(f"index {idx} outside 1..3")
+            _index(i, _NOT_AN_INDEX, idx)
 
 
 @dataclass(frozen=True)
@@ -347,7 +355,7 @@ class TensorElem:
     @staticmethod
     def from_entries(rank: int,
                      mapping: Mapping[Index, AlgElem | GScalar | int]) -> "TensorElem":
-        return TensorElem._make(rank, ((tuple(k), _coeff(v)) for k, v in mapping.items()))
+        return TensorElem._make(rank, ((k, _coeff(v)) for k, v in mapping.items()))
 
     @staticmethod
     def zero(rank: int) -> "TensorElem":
@@ -358,9 +366,7 @@ class TensorElem:
         return TensorElem.from_entries(len(indices), {tuple(indices): ONE})
 
     def entry(self, *indices: int) -> AlgElem:
-        if len(indices) != self.rank or any(type(i) is not int or not 1 <= i <= 3
-                                            for i in indices):
-            raise ValueError(f"index {indices} is not a rank-{self.rank} index over 1..3")
+        _check_indices(self.rank, (indices,))
         for idx, c in self.entries:
             if idx == indices:
                 return c

@@ -44,13 +44,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import AlgElem
+from .algebra import AlgElem, _index
 from .calculus import (
     BASIS_DIFFERENTIALS,
     OneForm,
     TensorElem,
     TwoForm,
     _det3,
+    _is_3x3,
     _unit_multiple,
     derive,
     sym_project,
@@ -70,11 +71,9 @@ _INDICES = (1, 2, 3)
 
 
 def _check_shape(rows: object) -> None:
-    """Raise MetricError unless rows is three lists or tuples of three; a
-    ``GScalar`` is a tuple of three ints, but it is a scalar, not a row."""
-    if not isinstance(rows, (list, tuple)) or len(rows) != 3 or any(
-            not isinstance(row, (list, tuple)) or isinstance(row, GScalar)
-            or len(row) != 3 for row in rows):
+    """Raise MetricError unless rows is three lists or tuples of three, not
+    scalars (``calculus._is_3x3``)."""
+    if not _is_3x3(rows):
         raise MetricError("metric must be a 3x3 array")
 
 
@@ -112,7 +111,7 @@ class Metric:
         return Metric.from_rows(((a, z, z), (z, b, z), (z, z, c)))
 
     def entry(self, i: int, j: int) -> GScalar:
-        return self.rows[i - 1][j - 1]
+        return self.rows[_index(i) - 1][_index(j) - 1]
 
     def det(self) -> GScalar:
         return _det3(self.rows)
@@ -195,7 +194,7 @@ class Connection:
             raise ValueError("connection values must be three rank-2 tensors")
 
     def value(self, i: int) -> TensorElem:
-        return self.vals[i - 1]
+        return self.vals[_index(i) - 1]
 
     def apply(self, omega: OneForm) -> TensorElem:
         """Right Leibniz extension: conn(e_i a) = conn(e_i) a + e_i ⊗ d0(a)."""
@@ -246,7 +245,7 @@ class SymTensorMap:
                 raise ValueError("values must be symmetric tensors")
 
     def value(self, i: int) -> TensorElem:
-        return self.vals[i - 1]
+        return self.vals[_index(i) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from cuntzgeo import (
     Monomial,
     OneForm,
     TensorElem,
+    TwoForm,
     get_caps,
     monomial,
     set_caps,
@@ -115,6 +116,15 @@ def test_equals_with_scalar():
     assert not S1.equals(0)
 
 
+def test_equals_with_forms_and_tensors_is_false_both_ways():
+    for x in (UNIT, AlgElem.zero()):
+        for other in (OneForm.zero(), OneForm.basis(1), TwoForm.zero(), TensorElem.zero(2)):
+            assert x.equals(other) is False and other.equals(x) is False
+        for other in (1.5, "S1"):
+            with pytest.raises(TypeError):
+                x.equals(other)
+
+
 def test_scalar_mixing():
     half_i = GScalar.of(0, 1) * rational(1, 2)
     x = S1.scale(half_i)
@@ -146,6 +156,17 @@ def test_tree_action_word_validation():
 def test_letters_outside_the_alphabet_are_rejected(mono):
     with pytest.raises(ValueError, match="outside alphabet"):
         AlgElem.from_terms({mono: 1})
+
+
+def test_words_are_not_converted_to_ints():
+    # a letter is checked where it enters an element, and never truncated
+    assert monomial([1.7]) == Monomial((1.7,), ())
+    assert monomial("12", [3]) == Monomial((1, 2), (3,))
+    with pytest.raises(ValueError, match="letter 1.7 outside alphabet"):
+        AlgElem.from_terms({monomial([1.7]): 1})
+    for word in ([1.5], (1, True), [2.0]):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            S1.tree_action(word)
 
 
 @pytest.mark.parametrize("i", [0, 4])

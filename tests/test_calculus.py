@@ -28,7 +28,7 @@ from cuntzgeo import (
     wedge,
 )
 from cuntzgeo import algebra, calculus
-from cuntzgeo.scalars import GScalar, rational
+from cuntzgeo.scalars import GScalar, ONE, ZERO, rational
 
 from support import (
     merge_pairs,
@@ -129,6 +129,16 @@ def test_rotate_rejects_reflection():
     refl = ((Fraction(-1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(1)))
     with pytest.raises(ValueError, match="determinant"):
         rotate(refl, S1)
+
+
+def test_rotate_rejects_a_scalar_row():
+    # a GScalar is the triple (a, b, d): read as a row, ZERO would be
+    # (0, 0, 1) and complete the identity
+    for matrix in ([[1, 0, 0], [0, 1, 0], ZERO], ([1, 0, 0], ONE, [0, 0, 1]), ZERO,
+                   [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]]):
+        with pytest.raises(ValueError, match="^rotation matrix must be 3x3$"):
+            rotate(matrix, S3)
+    assert rotate([[1, 0, 0], [0, 1, 0], [0, 0, 1]], S3) == S3
 
 
 def _matmul(a, b):
@@ -277,8 +287,9 @@ def test_tensor_make_adds_repeated_indices():
 def test_tensor_make_checks_the_rank_and_sorts_the_indices():
     # _make sorts the merged (index, coefficient) pairs with plain sorted:
     # the indices are distinct and checked first, so no coefficient is compared
-    with pytest.raises(ValueError, match="does not have rank 2"):
-        TensorElem.from_entries(2, {(1,): GScalar(1)})
+    for key in ((1,), 5, "12"):
+        with pytest.raises(ValueError, match="does not have rank 2"):
+            TensorElem.from_entries(2, {key: GScalar(1)})
     indices = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
     shuffled = random.Random(18).sample(indices, len(indices))
     assert shuffled != indices

@@ -187,7 +187,8 @@ def test_ricci_checks_the_indices_it_contracts():
     for key, message in (((4, 1, 2, 2), r"index \(4, 1, 2, 2\) outside 1..3"),
                          ((1, 2, 4, 4), r"index \(1, 2, 4, 4\) outside 1..3"),
                          ((1, 2, 9, 4), r"index \(1, 2, 9, 4\) outside 1..3"),
-                         ((1, 2, 3), r"index \(1, 2, 3\) does not have rank 4")):
+                         ((1, 2, 3), r"index \(1, 2, 3\) does not have rank 4"),
+                         (5, r"index 5 does not have rank 4")):
         theta = curvature_operator(curvature(levi_civita(Metric.identity())))
         theta[key] = AlgElem.unit()
         with pytest.raises(ValueError, match=message):

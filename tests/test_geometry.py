@@ -13,13 +13,17 @@ from cuntzgeo import (
     Connection,
     Metric,
     MetricError,
+    Monomial,
+    OneForm,
     SymTensorMap,
     TensorElem,
+    TwoForm,
     base_connection,
     christoffel,
     compatibility_map,
     curvature,
     curvature_operator,
+    derive,
     koszul_correction,
     levi_civita,
     load_metric,
@@ -28,6 +32,7 @@ from cuntzgeo import (
     torsion,
     unitarity_residual,
 )
+from cuntzgeo.calculus import WEDGE_PAIRS, _check_indices
 from cuntzgeo.scalars import GScalar, I, ONE, rational
 
 import dense_oracle
@@ -191,6 +196,63 @@ def test_sym_tensor_map_rejects_asymmetric():
     t = TensorElem.basis(1, 2)  # not symmetric under leg swap
     with pytest.raises(ValueError, match="symmetric"):
         SymTensorMap((t, t, t))
+
+
+# -- one rule for indices, across the package ------------------------------------
+
+# Every entry point that takes a letter or a 1-based index, with the checked
+# argument set to i; algebra._index is the one rule behind all of them.
+_INDEX_ENTRY_POINTS = {
+    "AlgElem.from_terms mu": lambda i: AlgElem.from_terms({Monomial((1, i), (2,)): 1}),
+    "AlgElem.from_terms nu": lambda i: AlgElem.from_terms({Monomial((), (i,)): 1}),
+    "AlgElem.generator": AlgElem.generator,
+    "AlgElem.tree_action": lambda i: AlgElem.generator(1).tree_action((1, i)),
+    "derive": lambda i: derive(i, AlgElem.generator(1)),
+    "OneForm.basis": OneForm.basis,
+    "OneForm.component": lambda i: OneForm.basis(1).component(i),
+    "TwoForm.basis i": lambda i: TwoForm.basis(i, 3),
+    "TwoForm.basis j": lambda i: TwoForm.basis(1, i),
+    "TwoForm.component i": lambda i: TwoForm.basis(1, 2).component(i, 2),
+    "TwoForm.component j": lambda i: TwoForm.basis(1, 2).component(1, i),
+    "calculus._check_indices": lambda i: _check_indices(2, [(1, 2), (3, i)]),
+    "TensorElem.entry": lambda i: TensorElem.basis(1, 2).entry(1, i),
+    "Metric.entry i": lambda i: Metric.identity().entry(i, 1),
+    "Metric.entry j": lambda i: Metric.identity().entry(1, i),
+    "Connection.value": lambda i: base_connection().value(i),
+    "SymTensorMap.value": lambda i: koszul_correction(Metric.identity()).value(i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_ENTRY_POINTS))
+def test_every_index_is_an_int_in_1_to_3(name):
+    """0 and -1 would wrap around a 0-based tuple, 4 would overrun it, and
+    True and 1.0 equal 1: each is a ValueError from the one rule."""
+    for bad in (0, -1, 4, True, 1.0):
+        with pytest.raises(ValueError, match=r"outside (alphabet )?1\.\.3$"):
+            _INDEX_ENTRY_POINTS[name](bad)
+
+
+def test_valid_indices_keep_their_values():
+    g = Metric.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+    conn, kz = levi_civita(g), koszul_correction(g)
+    s1, zero = AlgElem.generator(1), AlgElem.zero()
+    omega, w = OneForm.of(s1, 2, 3), TwoForm.of(s1, 2, 3)
+    for i in (1, 2, 3):
+        assert AlgElem.generator(i).terms == ((Monomial((i,), ()), ONE),)
+        assert OneForm.basis(i).c == tuple(AlgElem.scalar(int(k == i)) for k in (1, 2, 3))
+        assert omega.component(i) == omega.c[i - 1]
+        assert conn.value(i) == conn.vals[i - 1] and kz.value(i) == kz.vals[i - 1]
+        for j in (1, 2, 3):
+            assert g.entry(i, j) == g.rows[i - 1][j - 1]
+            assert conn.value(i).entry(i, j) == conn.vals[i - 1].entry_map().get((i, j), zero)
+    for k, (i, j) in enumerate(WEDGE_PAIRS):
+        assert TwoForm.basis(i, j).c == tuple(AlgElem.scalar(int(m == k)) for m in range(3))
+        assert w.component(i, j) == w.c[k] and w.component(j, i) == -w.c[k]
+        with pytest.raises(ValueError, match="basis pair"):
+            TwoForm.basis(j, i)
+    for i in (1, 2, 3):
+        with pytest.raises(ValueError, match="no basis two-form"):
+            w.component(i, i)
 
 
 # -- compatibility pairing ------------------------------------------------------
