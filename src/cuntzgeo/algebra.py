@@ -165,9 +165,16 @@ def _index(i: object, what: str = _NOT_AN_INDEX, shown: object = None) -> int:
 
 
 def _as_word(w: Sequence[int] | str) -> Word:
-    """The word of a digit string or a sequence of letters, unchecked: a
-    letter is checked once, where it enters an element."""
-    return tuple(int(ch) for ch in w) if isinstance(w, str) else tuple(w)
+    """The word of a string of ASCII digits or a sequence of letters,
+    unchecked: a letter is checked once, where it enters an element.  A
+    string character other than 0-9 is a ValueError at once, since ``int``
+    would read any Unicode decimal digit, such as '٣', as a letter."""
+    if not isinstance(w, str):
+        return tuple(w)
+    for ch in w:
+        if ch not in "0123456789":
+            raise ValueError(_NOT_A_LETTER.format(ch))
+    return tuple(map(int, w))
 
 
 class Monomial(NamedTuple):

@@ -39,7 +39,7 @@ which :func:`d1` sums in this order:
 ``D_i(a_i)`` never occurs, so a nonzero ``a_i`` costs two derivations.
 
 Rank-2 and rank-3 tensors over the one-form module support the structural
-maps used by the geometry layer: the symmetrizer :func:`sym_project`, the
+maps of the calculus: the symmetrizer :func:`sym_project`, the
 flip :func:`flip`, the section :func:`antisym_lift` of the wedge map, and
 the wedge map itself.
 """

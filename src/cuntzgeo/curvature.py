@@ -11,7 +11,8 @@ where eps is the Levi-Civita symbol, read off the calculus as twice
 ``antisym_lift(d(e_j))``.  The first sum differentiates the first leg of
 conn(e_k) and antisymmetrizes the last two positions; the second
 differentiates the second leg through the lifted basis differential.  On
-the Gaussian-integer table D Gamma (see ``cuntzgeo.geometry``), each entry
+the Gaussian-integer table D Gamma, which ``geometry._table`` reads from the
+connection as it reads eps and a Ricci tensor, each entry
 is one integer sum over i, i and j (with -Gamma_k and D eps), over 2 D².
 Both sums change sign under b <-> c, for any scalar table, so
 R_k(a, c, b) = -R_k(a, b, c) and R_k(a, b, b) = 0: the entries with b < c
@@ -35,16 +36,8 @@ from dataclasses import dataclass
 
 from .algebra import AlgElem
 from .calculus import BASIS_DIFFERENTIALS, TensorElem, _check_indices, antisym_lift
-from .geometry import (
-    Connection,
-    Metric,
-    _christoffel_table,
-    _dot,
-    _gaussian,
-    _scalar,
-    levi_civita,
-)
-from .scalars import ZERO, GScalar, _norm
+from .geometry import Connection, Metric, _dot, _gaussian, _table, levi_civita
+from .scalars import GScalar, _norm
 
 _INDICES = (1, 2, 3)
 
@@ -53,7 +46,7 @@ ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 # _EPS[j][b][c] = eps(j, b, c) as a Gaussian integer (its D is 1), 0-based:
 # twice the (b, c) entry of antisym_lift(d(e_j)).  eps is cyclic, so
 # _EPS[b][c] lists eps(j, b, c) over j.
-_EPS = _christoffel_table([antisym_lift(w) * 2 for w in BASIS_DIFFERENTIALS])[0]
+_EPS = _table([antisym_lift(w) * 2 for w in BASIS_DIFFERENTIALS], "eps entry")[0]
 
 # R_k(a, b, c) = -R_k(a, c, b), so the entries with b < c determine the rest
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -64,7 +57,7 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
 
     Raises ValueError when a Christoffel symbol is not a scalar.
     """
-    gamma, d = _christoffel_table(conn.vals)
+    gamma, d = _table(conn.vals, "connection coefficient")
     q = 2 * d * d
     # stacked[a][b][i] = Gamma_i(a, b), d_eps[b][c][j] = D eps(j, b, c)
     stacked = [[list(s) for s in zip(*rows)] for rows in zip(*gamma)]
@@ -115,8 +108,10 @@ def ricci(theta: ThetaMap) -> TensorElem:
     terms: dict[tuple[int, int], list[GScalar]] = {}
     for (a, b, c, k), coeff in theta.items():
         if c == k:
-            terms.setdefault((a, b), []).append(
-                _scalar(coeff, "curvature entry", (a, b, c, k)))
+            s = coeff.as_scalar()
+            if s is None:
+                raise ValueError(f"curvature entry {(a, b, c, k)} is not a scalar")
+            terms.setdefault((a, b), []).append(s)
     return TensorElem._of_scalars(2, {idx: _sum(xs) for idx, xs in terms.items()})
 
 
@@ -127,10 +122,7 @@ def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
     """
     if ric.rank != 2:
         raise ValueError("scalar_curvature expects a rank-2 tensor")
-    flat = [ZERO] * 9
-    for (a, b), coeff in ric.entries:
-        flat[3 * a + b - 4] = _scalar(coeff, "Ricci entry", (a, b))
-    r, d_r = _gaussian(flat)
+    (r,), d_r = _table((ric,), "Ricci entry")
     gr, d_g = _gaussian([x for row in g.rows for x in row])
     return AlgElem.scalar(_norm(*_dot(gr[0] + gr[1] + gr[2], r[0] + r[1] + r[2]),
                                 d_g * d_r))

@@ -3,7 +3,10 @@
 A metric is a symmetric invertible 3x3 matrix of exact scalars, read as the
 bilinear pairing ``g(e_i ⊗ e_j) = g[i][j]`` extended right-linearly.  A
 connection assigns each basis one-form a rank-2 tensor and extends to the
-whole module by the right Leibniz rule.
+whole module by the right Leibniz rule.  The Koszul correction L below has
+the same shape, so ``Connection`` and ``SymTensorMap`` share one base that
+holds exactly three rank-2 tensors; ``SymTensorMap`` adds only its symmetry
+rule.
 
 The metric is constant, so every connection built here has scalar
 Christoffel symbols Gamma_i(a, b), the coefficient of e_a ⊗ e_b in
@@ -26,9 +29,13 @@ g⁻¹ from the adjugate.  No linear system is solved.  The index arithmetic
 is integer arithmetic: a metric or Christoffel table, real or complex,
 enters once as Gaussian integers, (re, im) int pairs equal to D times the
 table for D the lcm of its scalars' denominators d (a scalar is the reduced
-triple (a, b, d), see ``cuntzgeo.scalars``), and each output entry is a
-Gaussian integer over a positive int, reduced once by ``scalars._norm`` and
-wrapped once as a c*1 coefficient (``TensorElem._of_scalars`` for a tensor).
+triple (a, b, d), see ``cuntzgeo.scalars``).  One reader, ``_table``, turns
+the c*1 entries of rank-2 tensors (a connection, the curvature's eps
+symbol, a Ricci tensor) into such a table and raises ValueError on any
+other coefficient; ``_gaussian`` reads the metric's scalars.  Each output
+entry is a Gaussian integer over a positive int, reduced once by
+``scalars._norm`` and wrapped once as a c*1 coefficient
+(``TensorElem._of_scalars`` for a tensor).
 ``levi_civita`` adds the base table to L's numerators, so it builds the
 connection with no tensor sum.  Each independent entry is one
 Gaussian dot product, and its mirror image shares the result: the
@@ -54,7 +61,6 @@ from .calculus import (
     _is_3x3,
     _unit_multiple,
     derive,
-    sym_project,
     wedge,
 )
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
@@ -183,18 +189,23 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Connection:
-    """A right connection, determined by its rank-2 values on e1, e2, e3."""
+class _Values:
+    """A rank-2 tensor value on each basis one-form e1, e2, e3: the shape of
+    a connection and of the Koszul correction L alike."""
 
     vals: tuple[TensorElem, TensorElem, TensorElem]
 
     def __post_init__(self) -> None:
         if len(self.vals) != 3 or any(
                 not isinstance(v, TensorElem) or v.rank != 2 for v in self.vals):
-            raise ValueError("connection values must be three rank-2 tensors")
+            raise ValueError("values must be three rank-2 tensors")
 
     def value(self, i: int) -> TensorElem:
         return self.vals[_index(i) - 1]
+
+
+class Connection(_Values):
+    """A right connection, determined by its rank-2 values on e1, e2, e3."""
 
     def apply(self, omega: OneForm) -> TensorElem:
         """Right Leibniz extension: conn(e_i a) = conn(e_i) a + e_i ⊗ d0(a)."""
@@ -228,24 +239,21 @@ def torsion(conn: Connection) -> tuple[TwoForm, TwoForm, TwoForm]:
                  for i in _INDICES)
 
 
-@dataclass(frozen=True)
-class SymTensorMap:
-    """A symmetric-rank-2-tensor value on each basis one-form."""
+class SymTensorMap(_Values):
+    """A symmetric-rank-2-tensor value on each basis one-form.
 
-    vals: tuple[TensorElem, TensorElem, TensorElem]
+    A value is symmetric when each entry ``equals`` its mirror, a missing
+    mirror reading as 0: that is ``sym_project(v).equals(v)``, as
+    (v + flip v)/2 - v = (flip v - v)/2.
+    """
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        zero = AlgElem.zero()
         for v in self.vals:
-            if v.rank != 2:
-                raise ValueError("values must be rank-2 tensors")
-            entries = v.entry_map()
-            if all(entries.get((b, a)) == c for (a, b), c in entries.items()):
-                continue  # symmetric entry by entry, so no need to decide it
-            if not sym_project(v).equals(v):
+            mirror = v.entry_map()
+            if not all(c.equals(mirror.get((b, a), zero)) for (a, b), c in v.entries):
                 raise ValueError("values must be symmetric tensors")
-
-    def value(self, i: int) -> TensorElem:
-        return self.vals[_index(i) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +281,27 @@ def _dot(xs, ys) -> tuple[int, int]:
     return re, im
 
 
-def _scalar(coeff: AlgElem, what: str, index: tuple[int, ...]) -> GScalar:
-    """The scalar c of the coefficient c*1 at the index; ValueError when the
-    coefficient is not a scalar multiple of 1."""
-    s = coeff.as_scalar()
-    if s is None:
-        raise ValueError(f"{what} {index} is not a scalar")
-    return s
+def _table(tensors: Sequence[TensorElem], what: str) -> tuple[list, int]:
+    """T[t][a][b], D times the scalar c of the c*1 entry (a + 1, b + 1) of
+    the rank-2 tensors[t] as a Gaussian integer, and D.
 
-
-def _christoffel_table(values: Sequence[TensorElem]) -> tuple[list, int]:
-    """Gamma[i][a][b], D times the scalar of values[i].entry(a + 1, b + 1)
-    as a Gaussian integer, and D.
-
-    Raises ValueError when a coefficient is not a scalar multiple of 1: the
-    index formulas hold for scalar Christoffel symbols only.
+    Raises ValueError, naming the entry as (t + 1, a + 1, b + 1) or, for one
+    tensor, (a + 1, b + 1), when a coefficient is not a scalar multiple of
+    1: the index formulas hold for scalar entries only.
     """
-    flat = [ZERO] * 27
-    for i, value in enumerate(values):
-        for (a, b), c in value.entries:
-            flat[9 * i + 3 * a + b - 4] = _scalar(
-                c, "connection coefficient", (i + 1, a, b))
+    flat = [ZERO] * (9 * len(tensors))
+    for t, tensor in enumerate(tensors):
+        for (a, b), c in tensor.entries:
+            flat[9 * t + 3 * a + b - 4] = s = c.as_scalar()
+            if s is None:
+                key = (a, b) if len(tensors) == 1 else (t + 1, a, b)
+                raise ValueError(f"{what} {key} is not a scalar")
     rows, d = _gaussian(flat)
-    return [rows[k:k + 3] for k in (0, 3, 6)], d
+    return [rows[k:k + 3] for k in range(0, len(rows), 3)], d
 
 
 # D Gamma for the base connection, whose D is 1
-_BASE_TABLE = _christoffel_table(base_connection().vals)[0]
+_BASE_TABLE = _table(base_connection().vals, "connection coefficient")[0]
 
 
 def _symmetric(entry) -> list:
@@ -329,7 +331,7 @@ def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...],
     """How the connection differentiates the metric: the one-form
     ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j), which is
     symmetric in (i, j)."""
-    gamma, d_gamma = _christoffel_table(conn.vals)
+    gamma, d_gamma = _table(conn.vals, "connection coefficient")
     r, d_g = _gaussian([x for row in g.rows for x in row])
     q = d_gamma * d_g
     c = _compatibility(gamma, r)

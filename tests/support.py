@@ -363,6 +363,19 @@ def _rationals(bits: int):
 
 
 @st.composite
+def rotations(draw) -> tuple[tuple[GScalar, GScalar, GScalar], ...]:
+    """An exact rotation matrix M from a nonzero integer quaternion
+    (w, a, b, c): integer entries over n = w² + a² + b² + c², with MᵀM = I
+    and det M = 1."""
+    w, a, b, c = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(any))
+    n = w * w + a * a + b * b + c * c
+    rows = ((w * w + a * a - b * b - c * c, 2 * (a * b - w * c), 2 * (a * c + w * b)),
+            (2 * (a * b + w * c), w * w - a * a + b * b - c * c, 2 * (b * c - w * a)),
+            (2 * (a * c - w * b), 2 * (b * c + w * a), w * w - a * a - b * b + c * c))
+    return tuple(tuple(GScalar(Fraction(x, n), Fraction(0)) for x in row) for row in rows)
+
+
+@st.composite
 def metrics(draw, classes=METRIC_CLASSES, heights=(2, 8, 32)) -> Metric:
     """Invertible symmetric metrics of one class, entries of one bit height.
 

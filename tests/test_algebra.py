@@ -169,6 +169,22 @@ def test_words_are_not_converted_to_ints():
             S1.tree_action(word)
 
 
+def test_digit_strings_are_ascii():
+    # a string word is read digit by digit, 0-9 only: int() would read the
+    # Arabic-Indic digit three as the letter 3
+    assert monomial("4") == Monomial((4,), ())
+    assert monomial("", "") == Monomial((), ())
+    for word in ("\u0663", "1\u0663", "\uff13", "1a", "1 2", "-1"):
+        with pytest.raises(ValueError, match="outside alphabet 1..3"):
+            monomial(word)
+        with pytest.raises(ValueError, match="outside alphabet 1..3"):
+            monomial((), word)
+        with pytest.raises(ValueError, match="outside alphabet 1..3"):
+            S1.tree_action(word)
+    with pytest.raises(ValueError, match="letter 4 outside alphabet"):
+        AlgElem.from_terms({monomial("4"): 1})
+
+
 @pytest.mark.parametrize("i", [0, 4])
 def test_generator_index_is_checked(i):
     with pytest.raises(ValueError, match="outside 1..3"):

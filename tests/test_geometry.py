@@ -184,18 +184,33 @@ def test_base_connection_is_torsion_free():
 
 
 def test_connection_requires_rank2():
-    with pytest.raises(ValueError, match="rank-2"):
-        Connection((TensorElem.basis(1), TensorElem.basis(1), TensorElem.basis(1)))
-    with pytest.raises(ValueError, match="three rank-2 tensors"):
-        Connection((1, 2, 3))
-    with pytest.raises(ValueError, match="three rank-2 tensors"):
-        Connection((TensorElem.basis(1, 2), TensorElem.basis(1, 2)))
+    # a connection and a symmetric tensor map share one shape check
+    t = TensorElem.basis(1, 1)  # rank 2 and symmetric
+    for cls in (Connection, SymTensorMap):
+        with pytest.raises(ValueError, match="rank-2"):
+            cls((TensorElem.basis(1), TensorElem.basis(1), TensorElem.basis(1)))
+        for vals in ((1, 2, 3), (t, t), (t,) * 4, (t, t, "x"),
+                     (t, t, TensorElem.basis(1))):
+            with pytest.raises(ValueError, match="three rank-2 tensors"):
+                cls(vals)
+        assert cls((t, t, t)).value(3) is t
 
 
 def test_sym_tensor_map_rejects_asymmetric():
     t = TensorElem.basis(1, 2)  # not symmetric under leg swap
     with pytest.raises(ValueError, match="symmetric"):
         SymTensorMap((t, t, t))
+    # two canonical forms of one element on (1, 2) and (2, 1): symmetric
+    s1, s2, s3 = (AlgElem.generator(i) for i in (1, 2, 3))
+    one = s1 * s1.adjoint() + 1
+    other = s1 * s1.adjoint() * 2 + s2 * s2.adjoint() + s3 * s3.adjoint()
+    assert one != other and one.equals(other)
+    u = TensorElem.from_entries(2, {(1, 2): one, (2, 1): other, (3, 3): s1})
+    assert SymTensorMap((u, u, u)).value(1) is u
+    # mirror entries that really differ
+    v = TensorElem.from_entries(2, {(1, 2): one, (2, 1): one + s1})
+    with pytest.raises(ValueError, match="symmetric"):
+        SymTensorMap((u, u, v))
 
 
 # -- one rule for indices, across the package ------------------------------------

@@ -17,6 +17,16 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_readme_library_example_prints_its_comment(capsys):
+    """The README's ``python`` block runs and prints the result that the
+    comment on its last line states."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    assert block.rstrip().endswith("# - 7/8")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "- 7/8\n"
+
+
 def test_benchmark_entry_points_resolve(monkeypatch):
     """Every (module, attribute) that a traced benchmark run wraps exists, so
     deleting or renaming a traced name fails here, not mid-run."""
