@@ -65,7 +65,6 @@ from .geometry import (
     torsion,
     unitarity_residual,
 )
-from .linsolve import SingularSystemError, solve_exact
 from .scalars import GScalar, rational
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "OneForm",
     "ParseError",
     "RepTwoForm",
-    "SingularSystemError",
     "SymTensorMap",
     "TensorElem",
     "TwoForm",
@@ -117,7 +115,6 @@ __all__ = [
     "rotate",
     "scalar_curvature",
     "set_caps",
-    "solve_exact",
     "sym_project",
     "one_form_tensor",
     "tensor_product",

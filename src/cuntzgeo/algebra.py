@@ -113,7 +113,6 @@ class CapacityError(Exception):
     """A configured resource cap (word length or term count) was exceeded."""
 
 
-_LETTERS = (1, 2, 3)
 _MAX_WORD_LEN = 16
 _MAX_TERMS = 100_000
 
@@ -148,6 +147,8 @@ def _check_term_count(n: int) -> None:
             f"term count {n} exceeds cap {_MAX_TERMS} (raise it via set_caps)")
 
 
+# every letter and 1-based index, in order: the values _index accepts
+_INDICES = (1, 2, 3)
 _NOT_AN_INDEX = "index {!r} outside 1..3"
 _NOT_A_LETTER = "letter {!r} outside alphabet 1..3"
 
@@ -260,7 +261,7 @@ def _collapse(terms: dict[Monomial, GScalar],
             first = _family_coefficient(terms, mu, nu)
             if first is None:
                 continue
-            for j in _LETTERS:
+            for j in _INDICES:
                 del terms[mu + (j,), nu + (j,)]
             old = terms.get((mu, nu))
             total = first if old is None else old + first

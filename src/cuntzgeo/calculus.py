@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _NOT_AN_INDEX, _UNIT, AlgElem, Monomial, _canonical, _index, _new, _ordered, _Sum)
+    _INDICES, _NOT_AN_INDEX, _UNIT, AlgElem, Monomial, _canonical, _index, _new, _ordered,
+    _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
     """The canonical term map of ``derive(i, a)``, unsorted; ``i`` is not
     checked (``derive`` checks it, and ``d1`` makes its own)."""
     # per letter, the (image letter, entry is +1) pairs of its nonzero entries
-    rows = [[(k, f > 0) for k, f in zip((1, 2, 3), row) if f]
+    rows = [[(k, f > 0) for k, f in zip(_INDICES, row) if f]
             for row in GENERATOR_MATRICES[i]]
 
     def images():
@@ -429,7 +430,7 @@ class TensorElem:
 def one_form_tensor(omega: OneForm) -> TensorElem:
     """View a one-form as a rank-1 tensor."""
     return TensorElem.from_entries(
-        1, {(i,): omega.component(i) for i in (1, 2, 3)})
+        1, {(i,): omega.component(i) for i in _INDICES})
 
 
 def tensor_product(t: TensorElem, u: "TensorElem | OneForm") -> TensorElem:
@@ -488,7 +489,7 @@ def _basis_differentials_from_presentations() -> tuple[TwoForm, TwoForm, TwoForm
 
     Each presentation is a * db, so its differential is d(a) d(b).
     """
-    s1, s2, s3 = (AlgElem.generator(i) for i in (1, 2, 3))
+    s1, s2, s3 = (AlgElem.generator(i) for i in _INDICES)
     return (d0(s2.adjoint()) * d0(s3),
             d0(s1.adjoint()) * d0(s3),
             -(d0(s1.adjoint()) * d0(s2)))
@@ -519,7 +520,7 @@ def d1(omega: OneForm) -> TwoForm:
     per nonzero a_i and one sort per component.
     """
     sums = [_Sum() for _ in WEDGE_PAIRS]
-    for i, a in zip((1, 2, 3), omega.c):
+    for i, a in zip(_INDICES, omega.c):
         if a.is_zero():
             continue
         for acc, e, (p, q) in zip(sums, BASIS_DIFFERENTIALS[i - 1].c, WEDGE_PAIRS):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgElem
+from .algebra import _INDICES, AlgElem
 from .calculus import (
     BASIS_DIFFERENTIALS,
     OneForm,
@@ -40,8 +40,6 @@ from .geometry import (
 # cuntzgeo.checks.levi_civita when it traces a run.
 from .geometry import levi_civita  # noqa: F401
 from .scalars import GScalar
-
-_INDICES = (1, 2, 3)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import os
 import sys
 from collections import Counter
 
-from .algebra import AlgElem, CapacityError
+from .algebra import _INDICES, AlgElem, CapacityError
 from .calculus import OneForm, TwoForm, derive, differential
 from .checks import has_failure, run_checks
 from .curvature import curvature_report
@@ -43,8 +43,6 @@ from .geometry import (
     torsion,
     unitarity_residual,
 )
-
-_INDICES = (1, 2, 3)
 
 
 def _index_doc(table: dict, decimal: bool) -> list[dict]:
@@ -242,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", parents=[common],
                        help="apply a basis derivation to an algebra element")
-    p.add_argument("index", metavar="INDEX", type=int, choices=(1, 2, 3))
+    p.add_argument("index", metavar="INDEX", type=int, choices=_INDICES)
     p.add_argument("expr", metavar="EXPR")
     p.set_defaults(func="cmd_derive")
 

@@ -34,12 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgElem
+from .algebra import _INDICES, AlgElem
 from .calculus import BASIS_DIFFERENTIALS, TensorElem, _check_indices, antisym_lift
 from .geometry import Connection, Metric, _dot, _gaussian, _table, levi_civita
 from .scalars import GScalar, _norm
-
-_INDICES = (1, 2, 3)
 
 ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 

@@ -2,8 +2,9 @@
 
 A metric is a symmetric invertible 3x3 matrix of exact scalars, read as the
 bilinear pairing ``g(e_i ⊗ e_j) = g[i][j]`` extended right-linearly.  A
-connection assigns each basis one-form a rank-2 tensor and extends to the
-whole module by the right Leibniz rule.  The Koszul correction L below has
+connection is determined by its rank-2 tensor on each basis one-form, and
+extends to the whole module by the right Leibniz rule; only those three
+values are stored or computed here.  The Koszul correction L below has
 the same shape, so ``Connection`` and ``SymTensorMap`` share one base that
 holds exactly three rank-2 tensors; ``SymTensorMap`` adds only its symmetry
 rule.
@@ -19,8 +20,8 @@ being metric: on (e_i, e_j) its e_b component is
 which is conn(e_i) ⊗ e_j symmetrized over (i, j), with the middle legs
 swapped and the first two legs paired with the metric.  A connection is
 unitary (metric-compatible) when this equals the differential of the
-metric, which is zero for constant entries; ``unitarity_residual`` is the
-difference.
+metric, which is zero for constant entries, so ``unitarity_residual`` is
+``compatibility_map`` itself, one function under two names.
 
 ``levi_civita(g)`` adds to the canonical torsion-free connection the unique
 symmetric correction L that makes it unitary.  ``koszul_correction`` gives L
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import AlgElem, _index
+from .algebra import _INDICES, AlgElem, _index
 from .calculus import (
     BASIS_DIFFERENTIALS,
     OneForm,
@@ -60,7 +61,6 @@ from .calculus import (
     _det3,
     _is_3x3,
     _unit_multiple,
-    derive,
     wedge,
 )
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
@@ -71,9 +71,6 @@ from .scalars import GScalar, ZERO, _norm
 
 class MetricError(ValueError):
     """The metric input violates shape, exactness, symmetry or invertibility."""
-
-
-_INDICES = (1, 2, 3)
 
 
 def _check_shape(rows: object) -> None:
@@ -91,6 +88,7 @@ class Metric:
 
     def __post_init__(self) -> None:
         _check_shape(self.rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         bad = [x for row in self.rows for x in row if not isinstance(x, GScalar)]
         if bad:
             raise MetricError(f"metric entry {bad[0]!r} is not a GScalar; "
@@ -121,15 +119,6 @@ class Metric:
 
     def det(self) -> GScalar:
         return _det3(self.rows)
-
-    def apply(self, t: TensorElem) -> AlgElem:
-        """Pair a rank-2 tensor: sum of g(e_a ⊗ e_b) times the coefficient."""
-        if t.rank != 2:
-            raise ValueError("the metric pairs rank-2 tensors")
-        acc = AlgElem.zero()
-        for (a, b), c in t.entries:
-            acc = acc + c.scale(self.entry(a, b))
-        return acc
 
     def scale(self, s: GScalar | int) -> "Metric":
         s = GScalar.of(s)
@@ -196,6 +185,7 @@ class _Values:
     vals: tuple[TensorElem, TensorElem, TensorElem]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vals", tuple(self.vals))
         if len(self.vals) != 3 or any(
                 not isinstance(v, TensorElem) or v.rank != 2 for v in self.vals):
             raise ValueError("values must be three rank-2 tensors")
@@ -205,21 +195,11 @@ class _Values:
 
 
 class Connection(_Values):
-    """A right connection, determined by its rank-2 values on e1, e2, e3."""
+    """A right connection, determined by its rank-2 values on e1, e2, e3.
 
-    def apply(self, omega: OneForm) -> TensorElem:
-        """Right Leibniz extension: conn(e_i a) = conn(e_i) a + e_i ⊗ d0(a)."""
-        acc = TensorElem.zero(2)
-        for i in _INDICES:
-            a = omega.component(i)
-            if a.is_zero():
-                continue
-            acc = acc + self.vals[i - 1] * a
-            for j in _INDICES:
-                da = derive(j, a)
-                if not da.is_zero():
-                    acc = acc + TensorElem.from_entries(2, {(i, j): da})
-        return acc
+    ``shifted`` adds a correction term by term with tensor sums: the
+    reference formula that ``levi_civita``'s integer table is tested
+    against."""
 
     def shifted(self, correction: "SymTensorMap") -> "Connection":
         return Connection(tuple(v + c for v, c in zip(self.vals, correction.vals)))
@@ -339,12 +319,9 @@ def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...],
         lambda i, j: OneForm(tuple(_unit_multiple(_norm(*x, q)) for x in c[i][j])))))
 
 
-def unitarity_residual(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
-    """Compatibility minus the differential of the metric on every basis
-    pair.  The metric entries are constants, so dg = 0 and the residual is
-    ``compatibility_map(g, conn)`` itself; it vanishes exactly when the
-    connection is unitary (metric-compatible)."""
-    return compatibility_map(g, conn)
+# The residual is compatibility minus dg on every basis pair, and dg = 0 for
+# constant metric entries; it vanishes exactly when the connection is unitary.
+unitarity_residual = compatibility_map
 
 
 # ---------------------------------------------------------------------------

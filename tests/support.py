@@ -25,11 +25,11 @@ from cuntzgeo import (
     antisym_lift,
     base_connection,
     d0,
-    solve_exact,
     tensor_product,
     wedge,
 )
 from cuntzgeo.calculus import sym_project_legs
+from cuntzgeo.linsolve import solve_exact
 from cuntzgeo.scalars import ZERO
 
 # ---------------------------------------------------------------------------

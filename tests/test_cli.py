@@ -120,6 +120,16 @@ def test_leading_minus_needs_the_separator():
     assert run("derive", "1", "--", "-S2").stdout == "S3\n"
 
 
+def test_derive_rejects_an_index_outside_1_to_3():
+    # argparse checks the index against the package's index range: a usage
+    # error, exit 2, before any expression is read
+    for index in ("0", "4", "x"):
+        r = run("derive", index, "S1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage:") and "invalid" in r.stderr
+
+
 def test_deep_nesting_is_exit_2():
     r = run("eval", "(" * 2000 + "S1" + ")" * 2000)
     assert r.returncode == 2

@@ -108,12 +108,6 @@ def test_load_metric_rejects_scalars_as_rows():
         load_metric([[ONE, ONE, ONE], [ONE, ONE, ONE], ONE])
 
 
-def test_metric_apply_pairs_first_two_legs():
-    g = Metric.diagonal(2, 3, 5)
-    t = TensorElem.basis(2, 2)
-    assert g.apply(t) == AlgElem.scalar(3)
-
-
 def test_load_metric_from_list():
     g = load_metric([["1", "1/2", "0"], ["1/2", "1", "0"], ["0", "0", "1"]])
     assert g.entry(1, 2) == g_of(Fraction(1, 2))
@@ -194,6 +188,18 @@ def test_connection_requires_rank2():
             with pytest.raises(ValueError, match="three rank-2 tensors"):
                 cls(vals)
         assert cls((t, t, t)).value(3) is t
+
+
+def test_list_forms_are_their_tuple_forms():
+    # values and metric rows are stored as tuples, so a list form is the same
+    # value as its tuple form and hashes like it
+    t = TensorElem.basis(1, 1)
+    identity = Metric.identity()
+    for listed, tupled in ((Connection([t, t, t]), Connection((t, t, t))),
+                           (SymTensorMap([t, t, t]), SymTensorMap((t, t, t))),
+                           (Metric([list(row) for row in identity.rows]), identity)):
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
 
 
 def test_sym_tensor_map_rejects_asymmetric():
@@ -481,14 +487,3 @@ def test_levi_civita_is_base_plus_koszul_in_canonical_form(g):
     curv = curvature(conn)
     for t in (*conn.vals, *kz.vals, *curv, ricci(curvature_operator(curv))):
         assert t == TensorElem._make(t.rank, t.entries)
-
-
-def test_connection_apply_right_leibniz():
-    conn = base_connection()
-    a = AlgElem.generator(2)
-    from cuntzgeo import OneForm, d0, one_form_tensor, tensor_product
-
-    lhs = conn.apply(OneForm.of(a, 0, 0))
-    rhs = conn.value(1) * a + tensor_product(
-        one_form_tensor(OneForm.basis(1)), d0(a))
-    assert lhs.equals(rhs)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzgeo import AlgElem, SingularSystemError, solve_exact
+from cuntzgeo import AlgElem
+from cuntzgeo.linsolve import SingularSystemError, solve_exact
 from cuntzgeo.scalars import GScalar, ZERO
 
 from support import small_fractions
