@@ -172,13 +172,20 @@ def _factor(x: object) -> "AlgElem | GScalar | None":
 @dataclass(frozen=True)
 class _Form:
     """A dense element of a rank-3 free module with a central basis: one
-    right coefficient per basis symbol, in the subclass's basis order.
+    right coefficient per basis symbol, in the subclass's basis order,
+    stored as a tuple of exactly three ``AlgElem`` values (ValueError
+    otherwise).
 
     Arithmetic stays within one subclass; mixing a one-form and a two-form
     returns NotImplemented, and ``==`` and ``equals`` compare the types too.
     """
 
     c: tuple[AlgElem, AlgElem, AlgElem]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "c", tuple(self.c))
+        if len(self.c) != 3 or not all(isinstance(a, AlgElem) for a in self.c):
+            raise ValueError(f"{type(self).__name__} takes three AlgElem coefficients")
 
     @classmethod
     def zero(cls):

@@ -16,8 +16,8 @@ connection as it reads eps and a Ricci tensor, each entry
 is one integer sum over i, i and j (with -Gamma_k and D eps), over 2 D².
 Both sums change sign under b <-> c, for any scalar table, so
 R_k(a, c, b) = -R_k(a, b, c) and R_k(a, b, b) = 0: the entries with b < c
-are computed, and each mirror is the negated integer pair over the same
-divisor.
+are computed and reduced, and each mirror is that reduced triple with both
+parts negated, which is reduced already.
 
 The curvature operator tacks the dual basis index on and swaps the middle
 one-form legs; contracting the dual index against the third leg yields the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .algebra import _INDICES, AlgElem
 from .calculus import BASIS_DIFFERENTIALS, TensorElem, _check_indices, antisym_lift
 from .geometry import Connection, Metric, _dot, _gaussian, _table, levi_civita
-from .scalars import GScalar, _norm
+from .scalars import GScalar, _new, _norm
 
 ThetaMap = dict[tuple[int, int, int, int], AlgElem]
 
@@ -69,8 +69,8 @@ def curvature(conn: Connection) -> tuple[TensorElem, TensorElem, TensorElem]:
             for b, c in _PAIRS:
                 x, y = _dot(stacked[a][b] + stacked[a][c] + gk[a],
                             cols[c] + neg[b] + d_eps[b][c])
-                entries[a + 1, b + 1, c + 1] = _norm(x, y, q)
-                entries[a + 1, c + 1, b + 1] = _norm(-x, -y, q)
+                entries[a + 1, b + 1, c + 1] = u, v, w = _norm(x, y, q)
+                entries[a + 1, c + 1, b + 1] = _new(GScalar, (-u, -v, w))
         out.append(TensorElem._of_scalars(3, entries))
     return tuple(out)
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .algebra import AlgElem, Monomial, _Sum, _check_word_lengths, _mul_monomials
+from .algebra import AlgElem, Monomial, _Sum, _check_word_lengths, _mul_monomials, get_caps
 from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE, _norm
 
@@ -152,11 +152,13 @@ def _times_run(x, letters: tuple[Monomial, ...]):
     would.  Any other element or form takes the products."""
     if isinstance(x, AlgElem) and len(x.terms) == 1:
         (word, c), = x.terms
+        cap = get_caps()[0]
         for letter in letters:
             word = _mul_monomials(word, letter)
             if word is None:
                 return AlgElem(())
-            _check_word_lengths((word,))
+            if len(word.mu) > cap or len(word.nu) > cap:
+                _check_word_lengths((word,))  # raises CapacityError
         return AlgElem(((word, c),))
     for letter in letters:
         x = x * AlgElem(((letter, ONE),))

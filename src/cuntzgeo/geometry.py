@@ -37,8 +37,10 @@ other coefficient; ``_gaussian`` reads the metric's scalars.  Each output
 entry is a Gaussian integer over a positive int, reduced once by
 ``scalars._norm`` and wrapped once as a c*1 coefficient
 (``TensorElem._of_scalars`` for a tensor).
-``levi_civita`` adds the base table to L's numerators, so it builds the
-connection with no tensor sum.  Each independent entry is one
+``_koszul`` divides by 2 D² E², for E the lcm of the denominators of g⁻¹
+reduced entry by entry, and ``levi_civita`` adds the base table to each
+reduced entry of L, which keeps it reduced, so it builds the connection
+with no tensor sum and no second gcd.  Each independent entry is one
 Gaussian dot product, and its mirror image shares the result: the
 compatibility pairing is symmetric in (i, j), and so are Koszul's W_j and
 L^j below, so each is computed for i <= j only.
@@ -66,7 +68,7 @@ from .calculus import (
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
 # cuntzgeo.geometry.solve_exact when it traces a run.
 from .linsolve import solve_exact  # noqa: F401
-from .scalars import GScalar, ZERO, _norm
+from .scalars import GScalar, ZERO, _new, _norm
 
 
 class MetricError(ValueError):
@@ -245,8 +247,9 @@ class SymTensorMap(_Values):
 _CYCLE = ((1, 2), (2, 0), (0, 1))  # (i + 1, i + 2) mod 3 for i = 0, 1, 2
 
 
-def _gaussian(xs: Sequence[GScalar]) -> tuple[list, int]:
-    """D times the scalars as (re, im) int pairs, in rows of three, and D."""
+def _gaussian(xs: Sequence[tuple[int, int, int]]) -> tuple[list, int]:
+    """D times the reduced triples (a, b, d), scalars or not, as (re, im)
+    int pairs, in rows of three, and D."""
     d = math.lcm(*(q for _, _, q in xs))
     pairs = [(a * (d // q), b * (d // q)) for a, b, q in xs]
     return [pairs[k:k + 3] for k in range(0, len(pairs), 3)], d
@@ -372,38 +375,51 @@ def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorE
         L^j = g⁻¹ Z_j g⁻¹.
 
     Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
-    With the Gaussian integers G = D g and W_j = -2 D² Z_j, g⁻¹ is
-    D adj(G) / det(G) and D cancels: L^j = adj(G) W_j adj(G) / (-2 det(G)²).
-    Times conj(det(G))², the divisor is the positive int q = 2 |det(G)|⁴,
-    so L^j = X_j / q for a symmetric Gaussian-integer array X_j, and an
-    entry of table_j + L^j is (X_j + q table_j) / q, reduced once.  Each
-    X_j entry with i <= m is one dot product, reduced at once into the entry
-    and its mirror, which share it wherever table_j is symmetric too: the
-    numerators are the largest integers of the chain, so none is kept.
+    With the Gaussian integers G = D g, g⁻¹ = D adj(G) conj(det(G)) /
+    |det(G)|²; each of its six entries with i <= k is reduced by one gcd.
+    For E the lcm of their denominators, H = E g⁻¹ is a symmetric
+    Gaussian-integer array, and with W_j = -2 D² Z_j,
+
+        L^j = -H W_j H / (2 D² E²),
+
+    over the positive int 2 D² E², far smaller than the |det(G)|⁴ that the
+    unreduced adjugate would leave.  Each entry of L^j with i <= m is one
+    dot product, reduced once to (u, v, w); the Christoffel entry is then
+    (u + w bx, v + w by, w) for the table entry (bx, by), and its mirror
+    the same with the mirror's table entry.  Both are reduced already,
+    since gcd(u + w bx, v + w by, w) = gcd(u, v, w) = 1.
     """
-    r, _ = _gaussian([x for row in g.rows for x in row])
+    r, d = _gaussian([x for row in g.rows for x in row])
     neg = [[(-x, -y) for x, y in row] for row in r]
     c = _compatibility(_BASE_TABLE, r)  # D times -T
     # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1), mod 3;
-    # G, adj(G), W_j and L^j are symmetric, so a row is also a column
+    # G, adj(G), H, W_j and L^j are symmetric, so a row is also a column
     adj = [[_dot((r[i1][k1], r[i1][k2]), (r[i2][k2], neg[i2][k1]))
             for k1, k2 in _CYCLE] for i1, i2 in _CYCLE]
     x, y = _dot(r[0], adj[0])  # det(G)
-    f = ((y * y - x * x, 2 * x * y),)  # -conj(det(G))², over 2 |det(G)|⁴
-    q = 2 * (x * x + y * y) ** 2
+    cx, cy, n = d * x, -d * y, x * x + y * y  # D conj(det(G)) over |det(G)|²
+
+    def inverse(i: int, k: int) -> tuple[int, int, int]:
+        """g⁻¹(i, k) as a reduced triple."""
+        a, b = adj[i][k]
+        a, b = a * cx - b * cy, a * cy + b * cx
+        h = math.gcd(a, b, n)
+        return a // h, b // h, n // h
+
+    h, e = _gaussian([s for row in _symmetric(inverse) for s in row])
+    q = 2 * d * d * e * e
     values = []
     for j, b in enumerate(table):
-        # W_j(k,n) = sum_m C(j,k,m) G(m,n) + C(j,n,m) G(m,k) - C(k,n,m) G(m,j)
-        w = _symmetric(lambda k, n: _dot(c[j][k] + c[j][n] + c[k][n],
-                                         r[n] + r[k] + neg[j]))
-        aw = [[_dot(row, col) for col in w] for row in adj]
+        # -W_j(k,n) = sum_m -C(j,k,m) G(m,n) - C(j,n,m) G(m,k) + C(k,n,m) G(m,j)
+        neg_w = _symmetric(lambda k, n: _dot(c[j][k] + c[j][n] + c[k][n],
+                                             neg[n] + neg[k] + r[j]))
+        hw = [[_dot(row, col) for col in neg_w] for row in h]
         entries = {}
         for i in range(3):
             for m in range(i, 3):
-                u, v = _dot((_dot(aw[i], adj[m]),), f)  # q L^j(i, m) = q L^j(m, i)
-                (bx, by), mirror = b[i][m], b[m][i]
-                entries[i + 1, m + 1] = s = _norm(u + q * bx, v + q * by, q)
-                entries[m + 1, i + 1] = s if mirror == (bx, by) else _norm(
-                    u + q * mirror[0], v + q * mirror[1], q)
+                u, v, w = _norm(*_dot(hw[i], h[m]), q)  # L^j(i, m) = L^j(m, i)
+                for p, t in ((i, m), (m, i)):
+                    bx, by = b[p][t]
+                    entries[p + 1, t + 1] = _new(GScalar, (u + w * bx, v + w * by, w))
         values.append(TensorElem._of_scalars(2, entries))
     return tuple(values)

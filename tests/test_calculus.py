@@ -224,6 +224,21 @@ def test_forms_of_different_degree_do_not_mix():
         TwoForm.basis(1, 2) * OneForm.basis(1)
 
 
+@pytest.mark.parametrize("cls", [OneForm, TwoForm])
+def test_forms_store_three_coefficients_as_a_tuple(cls):
+    # a list or generator of coefficients gives the same, hashable form as
+    # the tuple; anything but three AlgElems is refused at construction
+    a, z = AlgElem.generator(1), AlgElem.zero()
+    form = cls((a, z, z))
+    for make in (list, iter):
+        built = cls(make((a, z, z)))
+        assert built == form and hash(built) == hash(form)
+    assert type(cls([a, z, z]).c) is tuple
+    for c in ((a,), (a, z), (a, z, z, z), (a, z, 5), (a, z, ONE), [a, None, z]):
+        with pytest.raises(ValueError, match="three AlgElem coefficients"):
+            cls(c)
+
+
 def test_one_form_product_is_a_two_form():
     product = OneForm.basis(1) * OneForm.basis(2)
     assert type(product) is TwoForm

@@ -267,6 +267,29 @@ def test_runs_keep_the_cap_and_zero_rules_of_letter_products(capsys):
         == parse_alg("2 " + "S1* " * 9)
 
 
+def test_a_run_that_crosses_the_cap_midway_raises(capsys):
+    # the cap is checked after each letter of a run, not only at its end,
+    # and read when the run is parsed, so set_caps applies to the next parse
+    for text in ("S1 " * 20, "S3* " * 20, "S1 S2 " * 10, "S2 " * 10 + "2 " + "S3 " * 10):
+        with pytest.raises(CapacityError):
+            parse_alg(text)
+        assert cli.main(["eval", text]) == 3
+        assert capsys.readouterr().err.startswith("resource cap exceeded:")
+    old = get_caps()
+    try:
+        set_caps(max_word_len=4)
+        with pytest.raises(CapacityError):
+            parse_alg("S1 S2 S3 S1 S2 S3")
+        with pytest.raises(CapacityError):
+            parse_alg("S1* S2* S3* S1* S2*")
+        assert cli.main(["eval", "S1 S1 S1 S1 S1 S1"]) == 3
+        set_caps(max_word_len=6)
+        assert parse_alg("S1 S2 S3 S1 S2 S3") == AlgElem.from_terms(
+            {monomial((1, 2, 3, 1, 2, 3), ()): 1})
+    finally:
+        set_caps(*old)
+
+
 # -- sums ---------------------------------------------------------------------
 
 def _sum_text(signed) -> str:

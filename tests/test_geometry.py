@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -373,7 +374,67 @@ def test_each_independent_entry_takes_one_dot_product(monkeypatch):
         calls.clear()
         run()
         made[name] = len(calls)
-    assert made == {"curvature": 27, "compatibility_map": 18, "koszul_correction": 109}
+    assert made == {"curvature": 27, "compatibility_map": 18, "koszul_correction": 91}
+
+
+def _counted_norm(monkeypatch, log):
+    """Patch scalars._norm where the geometry chain calls it, logging each
+    divisor."""
+    norm = importlib.import_module("cuntzgeo.scalars")._norm
+
+    def counted(a, b, d):
+        log.append(d)
+        return norm(a, b, d)
+
+    for name in ("cuntzgeo.geometry", "cuntzgeo.curvature"):
+        monkeypatch.setattr(importlib.import_module(name), "_norm", counted)
+
+
+def test_each_output_entry_is_reduced_once(monkeypatch):
+    # one gcd per independent entry: the curvature's mirror R_k(a, c, b) is
+    # the reduced R_k(a, b, c) negated, and a Christoffel symbol is a reduced
+    # entry of L shifted by the base table, which needs no second gcd
+    g = load_metric(COMPLEX_DENSE)
+    conn = levi_civita(g)
+    calls = []
+    _counted_norm(monkeypatch, calls)
+    made = {}
+    for name, run in (("curvature", lambda: curvature(conn)),
+                      ("koszul_correction", lambda: koszul_correction(g)),
+                      ("levi_civita", lambda: levi_civita(g))):
+        calls.clear()
+        run()
+        made[name] = len(calls)
+    assert made == {"curvature": 27, "koszul_correction": 18, "levi_civita": 18}
+
+
+def _inverse(g):
+    """g⁻¹ by plain GScalar arithmetic: the adjugate over the determinant."""
+    m, det = g.rows, g.det()
+    inv = [[(m[(k + 1) % 3][(i + 1) % 3] * m[(k + 2) % 3][(i + 2) % 3]
+             - m[(k + 1) % 3][(i + 2) % 3] * m[(k + 2) % 3][(i + 1) % 3]) / det
+            for k in range(3)] for i in range(3)]
+    for i in range(3):
+        for k in range(3):
+            entry = sum((inv[i][a] * m[a][k] for a in range(3)), GScalar())
+            assert entry == GScalar(int(i == k))
+    return inv
+
+
+@pytest.mark.parametrize("rows", [
+    COMPLEX_DENSE, ROADMAP_DENSE, [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [["1/2", "1/3", "1/5"], ["1/3", "-2/7", "1/11"], ["1/5", "1/11", "3"]],
+    [["6", "4/3i", "0"], ["4/3i", "10/9", "2"], ["0", "2", "-5/4 + i"]]])
+def test_koszul_divides_by_2_d_squared_e_squared(monkeypatch, rows):
+    # every entry of L is reduced from a numerator over 2 D² E², where D is
+    # the lcm of the metric's denominators and E that of g⁻¹'s entries
+    g = load_metric(rows)
+    d = math.lcm(*(x[2] for row in g.rows for x in row))
+    e = math.lcm(*(x[2] for row in _inverse(g) for x in row))
+    divisors = []
+    _counted_norm(monkeypatch, divisors)
+    koszul_correction(g)
+    assert divisors == [2 * d * d * e * e] * 18
 
 
 def test_non_scalar_christoffel_symbols_are_rejected():

@@ -20,7 +20,7 @@ from cuntzgeo import (
     parse_alg,
     print_canonical,
 )
-from cuntzgeo.scalars import GScalar, I, MINUS_ONE, ONE, ZERO, rational
+from cuntzgeo.scalars import GScalar, I, MINUS_ONE, ONE, ZERO, _norm, rational
 
 from support import gscalars, nonzero_gscalars, reference_scalar_op, small_fractions
 
@@ -71,6 +71,15 @@ def test_ring_axioms(a, b, c):
 def test_conjugate_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+       st.integers(1, 10**30), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_shifting_a_reduced_triple_by_its_denominator_keeps_it_reduced(a, b, d, k, l):
+    # gcd(a + k d, b + l d, d) = gcd(a, b, d): adding a Gaussian integer to a
+    # reduced scalar needs no second gcd, which levi_civita relies on
+    a, b, d = _norm(a, b, d)
+    assert _norm(a + k * d, b + l * d, d) == (a + k * d, b + l * d, d)
 
 
 @given(nonzero_gscalars)
