@@ -37,13 +37,16 @@ other coefficient; ``_gaussian`` reads the metric's scalars.  Each output
 entry is a Gaussian integer over a positive int, reduced once by
 ``scalars._norm`` and wrapped once as a c*1 coefficient
 (``TensorElem._of_scalars`` for a tensor).
-``_koszul`` divides by 2 D² E², for E the lcm of the denominators of g⁻¹
-reduced entry by entry, and ``levi_civita`` adds the base table to each
-reduced entry of L, which keeps it reduced, so it builds the connection
-with no tensor sum and no second gcd.  Each independent entry is one
-Gaussian dot product, and its mirror image shares the result: the
-compatibility pairing is symmetric in (i, j), and so are Koszul's W_j and
-L^j below, so each is computed for i <= j only.
+Koszul's correction is linear in g⁻¹: every term of Koszul's formula for
+the base connection holds a row of g, which cancels one of the two
+inverses, so each entry of L is a 4-term sum of products h(·,·) g(·,j)
+plus the base table.  ``_koszul`` divides by 2 D E, for E the lcm of the
+denominators of h = g⁻¹ reduced entry by entry, and ``levi_civita`` adds
+the base table to each reduced entry of L, which keeps it reduced, so it
+builds the connection with no tensor sum and no second gcd.  Each
+independent entry is one Gaussian dot product, and its mirror image shares
+the result: the compatibility pairing is symmetric in (i, j), and so is
+L^j, so each is computed for i <= j only.
 """
 
 from __future__ import annotations
@@ -366,34 +369,39 @@ def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorE
     integers (its D is 1) plus the symmetric correction L that makes the
     base connection unitary.
 
-    Unitarity of base + L reads sum_m g(k,m) L^j(m,n) + g(j,m) L^k(m,n) =
-    T(j,k,n) for T = -compatibility_map(g, base); the metric differential
-    vanishes for constant entries.  Lowering n with g, T'(j,k,n) =
-    sum_m T(j,k,m) g(m,n), and Koszul's trick solves for g L^j g:
+    Indices are 0-based and taken mod 3.  Unitarity of base + L reads
+    sum_m g(k,m) L^j(m,n) + g(j,m) L^k(m,n) = T(j,k,n) for
+    T = -compatibility_map(g, base); the metric differential vanishes for
+    constant entries.  Lowering n with g, T'(j,k,n) = sum_m T(j,k,m) g(m,n),
+    and Koszul's trick solves for g L^j g:
 
         Z_j(k,n) = (T'(j,k,n) + T'(j,n,k) - T'(k,n,j)) / 2,
         L^j = g⁻¹ Z_j g⁻¹.
 
-    Z_j is symmetric in (k, n), so each L^j is symmetric by construction.
-    With the Gaussian integers G = D g, g⁻¹ = D adj(G) conj(det(G)) /
-    |det(G)|²; each of its six entries with i <= k is reduced by one gcd.
-    For E the lcm of their denominators, H = E g⁻¹ is a symmetric
-    Gaussian-integer array, and with W_j = -2 D² Z_j,
+    The base table B_j is 1 at (j+2, j+1) and 0 elsewhere, so
+    T'(j,k,n) = -(g(j+2,k) g(j+1,n) + g(k+2,j) g(k+1,n)): every term of Z_j
+    holds a row of g, which cancels one g⁻¹ of g⁻¹ Z_j g⁻¹, as
+    sum_k g⁻¹(i,k) g(a,k) = δ(i,a).  So L is linear in h = g⁻¹:
 
-        L^j = -H W_j H / (2 D² E²),
+        2 L^j(i,p) = -(B_j(i,p) + B_j(p,i))
+                     + h(i,p+1) g(p+2,j) + h(p,i+1) g(i+2,j)
+                     - h(i,p+2) g(p+1,j) - h(p,i+2) g(i+1,j),
 
-    over the positive int 2 D² E², far smaller than the |det(G)|⁴ that the
-    unreduced adjugate would leave.  Each entry of L^j with i <= m is one
-    dot product, reduced once to (u, v, w); the Christoffel entry is then
-    (u + w bx, v + w by, w) for the table entry (bx, by), and its mirror
-    the same with the mirror's table entry.  Both are reduced already,
-    since gcd(u + w bx, v + w by, w) = gcd(u, v, w) = 1.
+    symmetric in (i, p).  With the Gaussian integers G = D g,
+    g⁻¹ = D adj(G) conj(det(G)) / |det(G)|²; each of its six entries with
+    i <= k is reduced by one gcd.  For E the lcm of their denominators,
+    H = E g⁻¹ is a symmetric Gaussian-integer array, and 2 D E L^j(i,p) is
+    -D E (B_j(i,p) + B_j(p,i)) plus one 4-term dot product of entries of H
+    and G, over the positive int 2 D E.  Each entry with i <= p is reduced
+    once to (u, v, w); the Christoffel entry is then (u + w bx, v + w by, w)
+    for the table entry (bx, by), and its mirror the same with the mirror's
+    table entry.  Both are reduced already, since
+    gcd(u + w bx, v + w by, w) = gcd(u, v, w) = 1.
     """
     r, d = _gaussian([x for row in g.rows for x in row])
     neg = [[(-x, -y) for x, y in row] for row in r]
-    c = _compatibility(_BASE_TABLE, r)  # D times -T
-    # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1), mod 3;
-    # G, adj(G), H, W_j and L^j are symmetric, so a row is also a column
+    # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1);
+    # G, adj(G) and H are symmetric, so a row is also a column
     adj = [[_dot((r[i1][k1], r[i1][k2]), (r[i2][k2], neg[i2][k1]))
             for k1, k2 in _CYCLE] for i1, i2 in _CYCLE]
     x, y = _dot(r[0], adj[0])  # det(G)
@@ -407,19 +415,20 @@ def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorE
         return a // h, b // h, n // h
 
     h, e = _gaussian([s for row in _symmetric(inverse) for s in row])
-    q = 2 * d * d * e * e
+    de, q = d * e, 2 * d * e
     values = []
     for j, b in enumerate(table):
-        # -W_j(k,n) = sum_m -C(j,k,m) G(m,n) - C(j,n,m) G(m,k) + C(k,n,m) G(m,j)
-        neg_w = _symmetric(lambda k, n: _dot(c[j][k] + c[j][n] + c[k][n],
-                                             neg[n] + neg[k] + r[j]))
-        hw = [[_dot(row, col) for col in neg_w] for row in h]
+        base, gj, nj = _BASE_TABLE[j], r[j], neg[j]  # G(m, j) = r[j][m]
         entries = {}
-        for i in range(3):
-            for m in range(i, 3):
-                u, v, w = _norm(*_dot(hw[i], h[m]), q)  # L^j(i, m) = L^j(m, i)
-                for p, t in ((i, m), (m, i)):
-                    bx, by = b[p][t]
-                    entries[p + 1, t + 1] = _new(GScalar, (u + w * bx, v + w * by, w))
+        for i, (i1, i2) in enumerate(_CYCLE):
+            for p in range(i, 3):
+                p1, p2 = _CYCLE[p]
+                re, im = _dot((h[i][p1], h[p][i1], h[i][p2], h[p][i2]),
+                              (gj[p2], gj[i2], nj[p1], nj[i1]))
+                re -= de * (base[i][p][0] + base[p][i][0])
+                u, v, w = _norm(re, im, q)  # L^j(i, p) = L^j(p, i)
+                for s, t in ((i, p), (p, i)):
+                    bx, by = b[s][t]
+                    entries[s + 1, t + 1] = _new(GScalar, (u + w * bx, v + w * by, w))
         values.append(TensorElem._of_scalars(2, entries))
     return tuple(values)

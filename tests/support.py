@@ -217,8 +217,23 @@ def reference_scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
 
 
 # ---------------------------------------------------------------------------
-# reference Levi-Civita: the exact 18x18 unitarity solve
+# reference inverse and Levi-Civita: the adjugate and the exact 18x18
+# unitarity solve
 # ---------------------------------------------------------------------------
+
+def adjugate_inverse(g: Metric) -> list[list[GScalar]]:
+    """g⁻¹ by plain GScalar arithmetic: the adjugate over the determinant,
+    checked against g g⁻¹ = I."""
+    m, det = g.rows, g.det()
+    inv = [[(m[(k + 1) % 3][(i + 1) % 3] * m[(k + 2) % 3][(i + 2) % 3]
+             - m[(k + 1) % 3][(i + 2) % 3] * m[(k + 2) % 3][(i + 1) % 3]) / det
+            for k in range(3)] for i in range(3)]
+    for i in range(3):
+        for k in range(3):
+            entry = sum((inv[i][a] * m[a][k] for a in range(3)), GScalar())
+            assert entry == GScalar(int(i == k))
+    return inv
+
 
 _INDICES = (1, 2, 3)
 _SYM_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))

@@ -39,6 +39,7 @@ from cuntzgeo.scalars import GScalar, I, ONE, rational
 import dense_oracle
 from support import (
     NO_SHRINK,
+    adjugate_inverse,
     levi_civita_by_solve,
     metrics,
     random_metric,
@@ -254,6 +255,21 @@ def test_every_index_is_an_int_in_1_to_3(name):
             _INDEX_ENTRY_POINTS[name](bad)
 
 
+@pytest.mark.parametrize("bad", [
+    (True, 1, 1, 1), (1, 1.0, 1, 1), (1, 1, [1], 1), [1, 1, 1, 1]])
+def test_an_index_among_many_is_checked_position_by_position(bad):
+    """A bad index after the 54 valid keys that ``ricci`` checks is named
+    in the message: a bool or float equal to 1, an unhashable position, and
+    an index that is a list, not a tuple."""
+    theta = curvature_operator(curvature(levi_civita(load_metric(ROADMAP_DENSE))))
+    keys = [*theta, bad]
+    _check_indices(4, keys[:-1])
+    match = "does not have rank" if isinstance(bad, list) else r"outside 1\.\.3$"
+    with pytest.raises(ValueError, match=match) as err:
+        _check_indices(4, keys)
+    assert repr(bad) in str(err.value)
+
+
 def test_valid_indices_keep_their_values():
     g = Metric.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
     conn, kz = levi_civita(g), koszul_correction(g)
@@ -353,8 +369,9 @@ def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
 
 def test_each_independent_entry_takes_one_dot_product(monkeypatch):
     # R_k(a, b, c) = -R_k(a, c, b), so the curvature takes one dot product
-    # per b < c; the compatibility pairing, W_j and L^j are symmetric, so
-    # each takes one per i <= j
+    # per b < c; the compatibility pairing and L^j are symmetric, so each
+    # takes one per i <= j.  koszul_correction: 9 for adj(G), 1 for det(G)
+    # and one 4-term dot per entry of L with i <= j, 18 in all
     g = load_metric(COMPLEX_DENSE)
     conn = levi_civita(g)
     geometry = importlib.import_module("cuntzgeo.geometry")
@@ -374,7 +391,7 @@ def test_each_independent_entry_takes_one_dot_product(monkeypatch):
         calls.clear()
         run()
         made[name] = len(calls)
-    assert made == {"curvature": 27, "compatibility_map": 18, "koszul_correction": 91}
+    assert made == {"curvature": 27, "compatibility_map": 18, "koszul_correction": 28}
 
 
 def _counted_norm(monkeypatch, log):
@@ -408,33 +425,59 @@ def test_each_output_entry_is_reduced_once(monkeypatch):
     assert made == {"curvature": 27, "koszul_correction": 18, "levi_civita": 18}
 
 
-def _inverse(g):
-    """g⁻¹ by plain GScalar arithmetic: the adjugate over the determinant."""
-    m, det = g.rows, g.det()
-    inv = [[(m[(k + 1) % 3][(i + 1) % 3] * m[(k + 2) % 3][(i + 2) % 3]
-             - m[(k + 1) % 3][(i + 2) % 3] * m[(k + 2) % 3][(i + 1) % 3]) / det
-            for k in range(3)] for i in range(3)]
-    for i in range(3):
-        for k in range(3):
-            entry = sum((inv[i][a] * m[a][k] for a in range(3)), GScalar())
-            assert entry == GScalar(int(i == k))
-    return inv
-
-
 @pytest.mark.parametrize("rows", [
     COMPLEX_DENSE, ROADMAP_DENSE, [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
     [["1/2", "1/3", "1/5"], ["1/3", "-2/7", "1/11"], ["1/5", "1/11", "3"]],
     [["6", "4/3i", "0"], ["4/3i", "10/9", "2"], ["0", "2", "-5/4 + i"]]])
-def test_koszul_divides_by_2_d_squared_e_squared(monkeypatch, rows):
-    # every entry of L is reduced from a numerator over 2 D² E², where D is
+def test_koszul_divides_by_2_d_e(monkeypatch, rows):
+    # every entry of L is reduced from a numerator over 2 D E, where D is
     # the lcm of the metric's denominators and E that of g⁻¹'s entries
     g = load_metric(rows)
     d = math.lcm(*(x[2] for row in g.rows for x in row))
-    e = math.lcm(*(x[2] for row in _inverse(g) for x in row))
+    e = math.lcm(*(x[2] for row in adjugate_inverse(g) for x in row))
     divisors = []
     _counted_norm(monkeypatch, divisors)
     koszul_correction(g)
-    assert divisors == [2 * d * d * e * e] * 18
+    assert divisors == [2 * d * e] * 18
+
+
+@given(metrics())
+@example(Metric.identity())
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+def test_koszul_correction_is_linear_in_the_inverse(g):
+    """Every entry of L is Koszul's formula with both inverses but one
+    cancelled, in plain GScalar arithmetic over the adjugate inverse.
+
+    Indices are 0-based and taken mod 3; h = g⁻¹.  The base Christoffel
+    table B_j is 1 at (j+2, j+1) only, so the compatibility pairing of the
+    base connection is C(k,n,b) = [b = k+1] g(k+2,n) + [b = n+1] g(n+2,k),
+    and unitarity of base + L, with T = -C lowered by g, reads
+    T'(j,k,n) = -(g(j+2,k) g(j+1,n) + g(k+2,j) g(k+1,n)).  Koszul's trick
+    gives L^j = h Z_j h for Z_j(k,n) = (T'(j,k,n) + T'(j,n,k) - T'(k,n,j))/2.
+    Each of the six terms of Z_j holds a row of g, which cancels one h, as
+    sum_k h(i,k) g(a,k) = δ(i,a).  The two terms g(j+2,·) g(j+1,·) hold two
+    such rows, cancel both h and leave -B_j(i,p) and -B_j(p,i).  So
+
+        2 L^j(i,p) = -(B_j(i,p) + B_j(p,i))
+                     + h(i,p+1) g(p+2,j) + h(p,i+1) g(i+2,j)
+                     - h(i,p+2) g(p+1,j) - h(p,i+2) g(i+1,j).
+
+    The 18x18 solve of ``test_levi_civita_equals_the_unitarity_solve`` is
+    the second reference, and it shares no formula with this one.
+    """
+    def base(j, a, b):
+        return int((a, b) == ((j + 2) % 3, (j + 1) % 3))
+
+    m, h = g.rows, adjugate_inverse(g)
+    kz = koszul_correction(g)
+    for j in range(3):
+        for i in range(3):
+            for p in range(3):
+                i1, i2, p1, p2 = (i + 1) % 3, (i + 2) % 3, (p + 1) % 3, (p + 2) % 3
+                want = (-(base(j, i, p) + base(j, p, i))
+                        + h[i][p1] * m[p2][j] + h[p][i1] * m[i2][j]
+                        - h[i][p2] * m[p1][j] - h[p][i2] * m[i1][j]) / 2
+                assert kz.value(j + 1).entry(i + 1, p + 1).as_scalar() == want
 
 
 def test_non_scalar_christoffel_symbols_are_rejected():

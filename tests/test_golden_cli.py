@@ -3,10 +3,12 @@
 ``golden_cli.json`` maps a case id to the stdout of ``cuntzgeo.cli.main`` on
 that case's arguments.  It covers ``levi-civita`` and ``curvature`` in plain,
 ``--json`` and ``--decimal`` mode on the metrics in ``fixtures/`` (identity,
-diag(1,1,2), a dense rational metric, a complex symmetric metric and the
-indefinite diag(-1,1,1)), ``eval``, ``derive`` and ``d`` in the same three
-modes on the expressions in ``EXPRESSIONS``, and ``verify-paper`` in plain
-and ``--json`` mode.
+diag(1,1,2), a dense rational metric, a complex symmetric metric, the
+indefinite diag(-1,1,1), and ``complex_32``, a dense complex metric whose
+parts have 32-bit numerators and denominators, so that the Levi-Civita and
+curvature coefficients run to hundreds of digits), ``eval``, ``derive`` and
+``d`` in the same three modes on the expressions in ``EXPRESSIONS``, and
+``verify-paper`` in plain and ``--json`` mode.
 
 The expressions reach the one-form product and ``d1``, and their
 coefficients are real, imaginary and mixed scalars and algebra elements of
@@ -26,7 +28,7 @@ from cuntzgeo import cli
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_cli.json"
-METRICS = ("identity", "diag_1_1_2", "dense", "complex", "indefinite")
+METRICS = ("identity", "diag_1_1_2", "dense", "complex", "indefinite", "complex_32")
 MODES = {"plain": [], "json": ["--json"], "decimal": ["--decimal"]}
 ONE_FORM = "e1 (S1 + S2*) + (2 + i) e2 S3 - 3/2i e3 + e3 (1/4 - i) S2*"
 EXPRESSIONS = {
