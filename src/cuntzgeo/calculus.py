@@ -50,8 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, _UNIT, AlgElem, Monomial, _canonical, _index, _new, _ordered,
-    _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Monomial, _canonical, _index, _new, _ordered, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -157,11 +156,6 @@ WEDGE_PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 3))
 
 def _coeff(x: "AlgElem | GScalar | int") -> AlgElem:
     return x if isinstance(x, AlgElem) else AlgElem.scalar(x)
-
-
-def _unit_multiple(c: GScalar) -> AlgElem:
-    """c*1 for a reduced GScalar c, wrapped with no check (0 when c is)."""
-    return AlgElem(((_UNIT, c),)) if c else AlgElem(())
 
 
 def _factor(x: object) -> "AlgElem | GScalar | None":
@@ -349,15 +343,15 @@ class TensorElem:
 
     @staticmethod
     def _of_scalars(rank: int, scalars: Mapping[Index, GScalar]) -> "TensorElem":
-        """The tensor with the scalar c*1 at each index: the canonical form
-        that ``_make`` gives, built with no merge and no checks.
+        """The tensor with ``AlgElem.scalar(c)`` at each index: the canonical
+        form that ``_make`` gives, built with no merge and no index check.
 
         Precondition: every index is a tuple of ``rank`` ints in 1..3 and
         every scalar a reduced ``GScalar`` (as ``scalars._norm`` returns
-        it).  Zero scalars are dropped, and the indices, which are distinct,
-        are sorted once.
+        it), which ``AlgElem.scalar`` wraps as it is.  Zero scalars are
+        dropped, and the indices, which are distinct, are sorted once.
         """
-        return TensorElem(rank, tuple((idx, _unit_multiple(c))
+        return TensorElem(rank, tuple((idx, AlgElem.scalar(c))
                                       for idx, c in sorted(scalars.items()) if c))
 
     @staticmethod

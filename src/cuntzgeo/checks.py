@@ -33,12 +33,10 @@ from .geometry import (
     christoffel,
     compatibility_map,
     koszul_correction,
+    levi_civita,
     torsion,
     unitarity_residual,
 )
-# Not called here.  Kept as a module attribute because bench/spans.py wraps
-# cuntzgeo.checks.levi_civita when it traces a run.
-from .geometry import levi_civita  # noqa: F401
 from .scalars import GScalar
 
 
@@ -57,10 +55,6 @@ def _check(ident: str, anchor: str, expected: str, computed) -> CheckResult:
     return CheckResult(ident, anchor, expected, text, status)
 
 
-def _gens() -> tuple[AlgElem, AlgElem, AlgElem]:
-    return tuple(AlgElem.generator(i) for i in _INDICES)
-
-
 def _tensor_table(t: TensorElem) -> str:
     """Compact deterministic text for a tensor: 'idx:coeff' joined by ', '."""
     if not t.entries:
@@ -71,7 +65,7 @@ def _tensor_table(t: TensorElem) -> str:
 
 def run_checks() -> list[CheckResult]:
     out: list[CheckResult] = []
-    s = _gens()
+    s = tuple(AlgElem.generator(i) for i in _INDICES)
 
     # Cuntz relations.
     for i in _INDICES:
@@ -96,17 +90,12 @@ def run_checks() -> list[CheckResult]:
     # Commutators, recomputed on all generators and adjoints.
     brackets = {(1, 2): (3, -1), (2, 3): (1, -1), (1, 3): (2, 1)}
     for (a, b), (k, sign) in sorted(brackets.items()):
-        ok = True
-        for x in (*s, *(g.adjoint() for g in s)):
-            lhs = derive(a, derive(b, x)) - derive(b, derive(a, x))
-            rhs = derive(k, x).scale(GScalar.of(sign))
-            if not lhs.equals(rhs):
-                ok = False
+        ok = all((derive(a, derive(b, x)) - derive(b, derive(a, x))).equals(
+                     derive(k, x).scale(GScalar.of(sign)))
+                 for x in (*s, *(g.adjoint() for g in s)))
         text = f"{'-' if sign < 0 else ''}d{k}"
-        out.append(CheckResult(
-            f"derivation.bracket.{a}{b}",
-            f"[d{a},d{b}] = {text}", text,
-            text if ok else "mismatch", "pass" if ok else "fail"))
+        out.append(_check(f"derivation.bracket.{a}{b}", f"[d{a},d{b}] = {text}",
+                          text, text if ok else "mismatch"))
     out.append(CheckResult(
         "derivation.bracket.note",
         "recomputed brackets differ in sign from the stated table for "
@@ -194,8 +183,7 @@ def run_checks() -> list[CheckResult]:
                     kz.value(j).entry(i, m)))
 
     # Christoffel table of the solved connection at the identity metric.
-    report = curvature_report(g1)
-    conn = report.connection
+    conn = levi_civita(g1)
     gamma = christoffel(conn)
     plus = {(1, 3, 2), (2, 1, 3), (3, 2, 1)}
     minus = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
@@ -219,6 +207,7 @@ def run_checks() -> list[CheckResult]:
                 residual[i - 1][j - 1]))
 
     # Curvature, Ricci and the scalar.
+    report = curvature_report(g1)
     for i in _INDICES:
         others = [k for k in _INDICES if k != i]
         expected_entries: dict[tuple[int, int, int], str] = {}

@@ -269,6 +269,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not isinstance(getattr(args, "expr", ""), str):
+        # argparse before CPython 3.12 drops every "--", so it can hand
+        # "derive 2 -- --" an empty list for EXPR
+        parser.error(f"{args.command}: argument EXPR: expected one argument")
     try:
         code = globals()[args.func](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

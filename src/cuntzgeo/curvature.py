@@ -31,7 +31,6 @@ scalar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .algebra import _INDICES, AlgElem
@@ -86,11 +85,11 @@ def curvature_operator(
 
 
 def _sum(xs: list[GScalar]) -> GScalar:
-    """The sum of the scalars: one numerator sum over the lcm of their
-    denominators, reduced once."""
-    d = math.lcm(*(q for _, _, q in xs))
-    return _norm(sum(a * (d // q) for a, _, q in xs),
-                 sum(b * (d // q) for _, b, q in xs), d)
+    """The sum of at most three scalars, which ``_gaussian`` reads as one
+    row: one numerator sum over the lcm of their denominators, reduced
+    once."""
+    (pairs,), d = _gaussian(xs)
+    return _norm(*map(sum, zip(*pairs)), d)
 
 
 def ricci(theta: ThetaMap) -> TensorElem:

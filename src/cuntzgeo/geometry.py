@@ -33,10 +33,11 @@ table for D the lcm of its scalars' denominators d (a scalar is the reduced
 triple (a, b, d), see ``cuntzgeo.scalars``).  One reader, ``_table``, turns
 the c*1 entries of rank-2 tensors (a connection, the curvature's eps
 symbol, a Ricci tensor) into such a table and raises ValueError on any
-other coefficient; ``_gaussian`` reads the metric's scalars.  Each output
-entry is a Gaussian integer over a positive int, reduced once by
-``scalars._norm`` and wrapped once as a c*1 coefficient
-(``TensorElem._of_scalars`` for a tensor).
+other coefficient; ``_gaussian`` reads a list of scalars, such as the
+metric's entries.  Each output entry is a Gaussian integer over a positive
+int, reduced once by ``scalars._norm`` and wrapped once by ``AlgElem.scalar``
+(through ``TensorElem._of_scalars`` for a tensor).
+
 Koszul's correction is linear in g⁻¹: every term of Koszul's formula for
 the base connection holds a row of g, which cancels one of the two
 inverses, so each entry of L is a 4-term sum of products h(·,·) g(·,j)
@@ -65,9 +66,9 @@ from .calculus import (
     TwoForm,
     _det3,
     _is_3x3,
-    _unit_multiple,
     wedge,
 )
+from .exprs import ParseError, parse_scalar
 # Not called here.  Kept as a module attribute because bench/spans.py wraps
 # cuntzgeo.geometry.solve_exact when it traces a run.
 from .linsolve import solve_exact  # noqa: F401
@@ -138,8 +139,6 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     by the rule of ``cuntzgeo.scalars``, as ``Metric.from_rows`` takes them;
     floats and bools are rejected (the engine is exact).
     """
-    from .exprs import ParseError, parse_scalar  # deferred: exprs imports calculus
-
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -299,30 +298,24 @@ def _symmetric(entry) -> list:
     return out
 
 
-def _compatibility(gamma: list, r: list) -> list:
-    """C[i][j][b] = sum_a gamma[i][a][b] g(a,j) + gamma[j][a][b] g(a,i): the
-    e_b component of the compatibility pairing at (e_i, e_j) for the
-    Christoffel table gamma and the metric rows r, scales multiplied.
-
-    It is conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i with legs 2 and 3 swapped and the
-    first two legs paired with the metric, so C[i][j] = C[j][i].
-    """
-    # cols[i][b][a] = gamma[i][a][b]; g is symmetric, so its column j is r[j]
-    cols = [[list(col) for col in zip(*gi)] for gi in gamma]
-    return _symmetric(lambda i, j: [_dot(cols[i][b] + cols[j][b], r[j] + r[i])
-                                    for b in range(3)])
-
-
 def compatibility_map(g: Metric, conn: Connection) -> tuple[tuple[OneForm, ...], ...]:
     """How the connection differentiates the metric: the one-form
-    ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j), which is
-    symmetric in (i, j)."""
+    ``[i - 1][j - 1]`` is the pairing on the basis pair (e_i, e_j).
+
+    Its e_b component is sum_a Gamma_i(a, b) g(a, j) + Gamma_j(a, b) g(a, i):
+    conn(e_i) ⊗ e_j + conn(e_j) ⊗ e_i with legs 2 and 3 swapped and the first
+    two legs paired with the metric.  That is symmetric in (i, j), so each
+    one-form with i <= j is computed and wrapped once, each component one
+    Gaussian dot product over the product of the two tables' D.
+    """
     gamma, d_gamma = _table(conn.vals, "connection coefficient")
     r, d_g = _gaussian([x for row in g.rows for x in row])
     q = d_gamma * d_g
-    c = _compatibility(gamma, r)
-    return tuple(map(tuple, _symmetric(
-        lambda i, j: OneForm(tuple(_unit_multiple(_norm(*x, q)) for x in c[i][j])))))
+    # cols[i][b][a] = Gamma_i(a, b); g is symmetric, so its column j is r[j]
+    cols = [[list(col) for col in zip(*gi)] for gi in gamma]
+    return tuple(map(tuple, _symmetric(lambda i, j: OneForm(tuple(
+        AlgElem.scalar(_norm(*_dot(cols[i][b] + cols[j][b], r[j] + r[i]), q))
+        for b in range(3))))))
 
 
 # The residual is compatibility minus dg on every basis pair, and dg = 0 for

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cuntzgeo import cli
+from cuntzgeo import GScalar, checks, cli, derive
 
 CMD = [sys.executable, "-m", "cuntzgeo"]
 
@@ -118,6 +118,18 @@ def test_leading_minus_needs_the_separator():
     r = run("eval", "--", "-S1")
     assert (r.returncode, r.stdout) == (0, "- S1\n")
     assert run("derive", "1", "--", "-S2").stdout == "S3\n"
+
+
+def test_a_separator_as_the_expression_is_exit_2():
+    """An EXPR of "--" after "--" is a usage error where argparse drops every
+    "--" (it hands ``derive`` an empty list), and a parse error of the text
+    "--" where it drops only the first: exit 2 either way, never 5."""
+    for argv in (("derive", "2", "--", "--"), ("derive", "--", "2", "--"),
+                 ("eval", "--", "--"), ("d", "--", "--")):
+        r = run(*argv)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "internal error" not in r.stderr
 
 
 def test_derive_rejects_an_index_outside_1_to_3():
@@ -356,6 +368,19 @@ def test_verify_paper_reports_sign_note_as_info():
     assert "bracket" in info[0]["id"]
     statuses = {c["status"] for c in doc["checks"]}
     assert statuses == {"pass", "info"}
+
+
+def test_a_wrong_derivation_fails_the_bracket_rows(monkeypatch, capsys):
+    """With twice each derivation the brackets are 4 [d_a, d_b] against
+    2 d_k, so every bracket row reads fail, computed "mismatch"."""
+    monkeypatch.setattr(checks, "derive",
+                        lambda i, x: derive(i, x).scale(GScalar.of(2)))
+    rows = {r.ident: r for r in checks.run_checks()}
+    for ab in ("12", "13", "23"):
+        r = rows[f"derivation.bracket.{ab}"]
+        assert (r.status, r.computed) == ("fail", "mismatch")
+    assert cli.main(["verify-paper"]) == 1
+    assert capsys.readouterr().err == "verification failed\n"
 
 
 def test_help_lists_subcommands():

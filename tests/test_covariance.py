@@ -11,10 +11,12 @@ that of e_a ⊗ e_b ⊗ e_c in the curvature on e_k,
     Ric′(i, j) = Σ M_ai M_bj Ric(a, b),
     Scal′ = Scal.
 
-Rotating an element moves the derivations by the twisted matrix DMD (see
-``test_rotating_an_element_twists_the_derivations``).  The laws are computed
-here with plain ``GScalar`` and ``AlgElem`` sums over the public outputs,
-never with a geometry helper.
+Rotating an element moves the derivations by the twisted matrix R = DMD
+(see ``test_rotating_an_element_twists_the_derivations``), and with them d0
+and d1 (``test_rotating_an_element_rotates_d0`` and
+``test_rotating_a_one_form_rotates_d1``).  The laws are computed here with
+plain ``GScalar`` and ``AlgElem`` sums over the public outputs, never with a
+geometry helper.
 """
 
 import itertools
@@ -23,10 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzgeo import AlgElem, Metric, christoffel, curvature_report, derive, rotate
+from cuntzgeo import (AlgElem, Metric, OneForm, christoffel, curvature_report, d0, d1,
+                      derive, rotate)
 from cuntzgeo.scalars import ONE, ZERO
 
-from support import METRIC_CLASSES, NO_SHRINK, metrics, rotations, small_alg_elems
+from support import (METRIC_CLASSES, NO_SHRINK, metrics, one_forms, rotations,
+                     small_alg_elems)
 
 
 def _rotate(m, table: dict, rank: int) -> dict:
@@ -107,3 +111,61 @@ def test_rotating_an_element_twists_the_derivations(m, x):
         rhs = sum((derive(j + 1, rx).scale(m[i][j] * (d[i] * d[j])) for j in range(3)),
                   AlgElem.zero())
         assert rotate(m, derive(i + 1, x)).equals(rhs)
+
+
+def _twisted(m):
+    """R = DMD, for D = diag(1, -1, -1): R_ij = D_ii M_ij D_jj."""
+    d = (1, -1, -1)
+    return [[m[i][j] * (d[i] * d[j]) for j in range(3)] for i in range(3)]
+
+
+def _apply(r, coeffs) -> list:
+    """The column r · coeffs of three AlgElem: Σ_j r_ij coeffs[j] at each i."""
+    return [sum((c.scale(r[i][j]) for j, c in enumerate(coeffs)), AlgElem.zero())
+            for i in range(3)]
+
+
+def _vec(two_form) -> tuple:
+    """vec(c12, c13, c23) = (c23, -c13, c12): vec(α β) is the cross product
+    α × β of the coefficient columns of two one-forms."""
+    c12, c13, c23 = two_form.c
+    return c23, -c13, c12
+
+
+@given(rotations(), small_alg_elems)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_rotating_an_element_rotates_d0(m, x):
+    """ρ(d0 x) = R d0(ρ x), for ρ = rotate(M, .) on each coefficient and
+    R = DMD.
+
+    The i-th coefficient of d0 x is ∂_i x, so the law is the derivation law,
+    rotate(M, ∂_i x) = Σ_j R_ij ∂_j rotate(M, x), read coefficient by
+    coefficient.
+    """
+    lhs = [rotate(m, c) for c in d0(x).c]
+    rhs = _apply(_twisted(m), d0(rotate(m, x)).c)
+    assert all(a.equals(b) for a, b in zip(lhs, rhs))
+
+
+@given(rotations(), one_forms)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_rotating_a_one_form_rotates_d1(m, omega):
+    """Rᵀ vec(ρ(d1 ω)) = vec(d1(Rᵀ ρ(ω))), for ρ and R = DMD as for d0.
+
+    Let Φ(ω) = Rᵀ ρ(ω), the one-form with coefficients Σ_j R_ji ρ(ω_j), and
+    Φ₂ the map on two-forms with vec(Φ₂ θ) = Rᵀ vec(ρ(θ)); the law reads
+    Φ₂(d1 ω) = d1(Φ(ω)).
+    - Φ(d0 x) = Rᵀ R d0(ρ x) = d0(ρ x) by the d0 law, as R is orthogonal.
+    - Φ(x ω) = ρ(x) Φ(ω): the basis is central and ρ is an automorphism.
+    - Φ₂(α β) = Φ(α) Φ(β): vec(α β) = α × β, and Rᵀa × Rᵀb = det(R) Rᵀ(a × b)
+      with det(R) = det(M) = 1.  Only the scalars of R move, so this holds
+      for noncommuting coefficients kept in the order of the factors.
+    d1(x d0 y) = d0 x d0 y, and every one-form is a sum of such terms
+    (e1 = S2* d0(S3), e2 = S1* d0(S3), e3 = -S1* d0(S2)), so
+    Φ₂(d1(x d0 y)) = d0(ρ x) d0(ρ y) = d1(ρ(x) d0(ρ y)) = d1(Φ(x d0 y)).
+    With R in place of Rᵀ the law fails.
+    """
+    rt = [list(col) for col in zip(*_twisted(m))]
+    lhs = _apply(rt, _vec(OneForm(tuple(rotate(m, c) for c in d1(omega).c))))
+    rhs = _vec(d1(OneForm(tuple(_apply(rt, [rotate(m, c) for c in omega.c])))))
+    assert all(a.equals(b) for a, b in zip(lhs, rhs))
