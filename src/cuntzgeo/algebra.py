@@ -70,16 +70,22 @@ empty accumulator adopts its first summand's terms, negated for a negative
 sign, with no merge and no collapse: a canonical summand added to 0 is its
 own canonical form.  Everything else is a stream of (monomial, coefficient)
 pairs that need not be canonical: products, derivations and outside terms
-(``from_terms``).  ``_canonical`` adds the coefficients of a repeated
-monomial, then canonicalizes with a collapse from every term into an
-unsorted dict, and ``AlgElem._make`` sorts that once into display order.
-Only what is returned is sorted: ``calculus.d1`` folds the canonical map of
-each derivation into its accumulator.  Every product of two elements is one
-``_make``, whatever their sizes.  A sum makes no new word, so the
-word-length cap is checked by ``_canonical`` and by the one other place
-that makes words: the parser, which multiplies a written run of generators
-into a one-term product by folding its word with ``_mul_monomials``, and
-checks each letter with ``_check_word_lengths``.
+(``from_terms``).  ``_canonical`` merges them in one pass into an unsorted
+dict: it adds the coefficients of a repeated monomial, deletes a key the
+moment its sum is 0 and never stores a fresh 0, then collapses from every
+term; ``AlgElem._make`` sorts that once into display order.  Only what is
+returned is sorted: ``calculus.d1`` folds the canonical map of each
+derivation into its accumulator.  Every product of two elements is one
+``_make``, whatever their sizes.
+
+The word-length cap is checked where words grow and where they come in:
+a product, when the longest words of its factors could sum past the cap
+(then every word it forms, also one whose coefficients cancel); the
+parser, which multiplies a written run of generators into a one-term
+product by folding its word with ``_mul_monomials`` and checks each letter;
+and ``from_terms``.  Sums, adjoints and derivations make no longer word and
+do not check it, so an element built under a larger cap passes through
+them unchecked.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
 words, so keys hash and compare in C.  Products, derivations and a merge's
@@ -139,6 +145,17 @@ def _check_word_lengths(monos: Iterable[Monomial]) -> None:
         if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
             raise CapacityError(
                 f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
+
+
+def _longest(terms: Iterable[tuple[Monomial, GScalar]]) -> tuple[int, int]:
+    """The lengths of the longest ``mu`` and the longest ``nu`` of the terms."""
+    longest_mu = longest_nu = 0
+    for (mu, nu), _ in terms:
+        if len(mu) > longest_mu:
+            longest_mu = len(mu)
+        if len(nu) > longest_nu:
+            longest_nu = len(nu)
+    return longest_mu, longest_nu
 
 
 def _check_term_count(n: int) -> None:
@@ -245,6 +262,8 @@ def _collapse(terms: dict[Monomial, GScalar],
     level first.  The first candidates are the families of ``seeds``
     (default: every term); the module docstring says when fewer suffice.
     """
+    if len(terms) < 3:  # a family has three members
+        return
     pending = {
         (m.mu[:-1], m.nu[:-1])
         for m in (terms if seeds is None else seeds)
@@ -313,7 +332,7 @@ class _Sum:
                 terms[m] = total
             else:
                 del terms[m]
-        _collapse(terms, [m for m, _ in items])
+        _collapse(terms, x if isinstance(x, dict) else [m for m, _ in items])
         _check_term_count(len(terms))
 
     def value(self) -> "AlgElem":
@@ -322,19 +341,24 @@ class _Sum:
 
 def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GScalar]:
     """The canonical term map of the sum of (monomial, coefficient) pairs
-    over the alphabet (operations keep them on it): a repeated monomial
-    adds its coefficients, zeros are dropped and complete families collapse.
-    Only the word-length cap, which products can break, and the term cap
-    are checked."""
-    merged: dict[Monomial, GScalar] = {}
+    over the alphabet (operations keep them on it), in one pass: a repeated
+    monomial adds its coefficients, a key whose sum is 0 is deleted at once
+    and a fresh 0 is never stored, then complete families collapse.  Only
+    the term cap is checked; callers that can make a word over the cap
+    check the pairs first (``from_terms``, ``__mul__``)."""
+    terms: dict[Monomial, GScalar] = {}
     for m, c in pairs:
-        old = merged.get(m)
-        merged[m] = c if old is None else old + c
-    _check_word_lengths(merged)
-    cleaned = {m: c for m, c in merged.items() if c}
-    _collapse(cleaned)
-    _check_term_count(len(cleaned))
-    return cleaned
+        old = terms.get(m)
+        if old is None:
+            if c != ZERO:  # 0 is the one reduced triple; tuples compare in C
+                terms[m] = c
+        elif (total := old + c) != ZERO:
+            terms[m] = total
+        else:
+            del terms[m]
+    _collapse(terms)
+    _check_term_count(len(terms))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -353,16 +377,20 @@ class AlgElem:
 
     @staticmethod
     def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
-        """The element of ``_canonical(pairs)``, in display order."""
+        """The element of ``_canonical(pairs)``, in display order.  No word
+        length is checked here: the callers that can pass the cap do it."""
         return AlgElem(_ordered(_canonical(pairs).items()))
 
     @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
-        """The canonical element of outside terms; every letter is checked."""
+        """The canonical element of outside terms; every letter and every
+        word length is checked, a term with coefficient 0 included."""
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
                 _index(letter, _NOT_A_LETTER)
-        return AlgElem._make((m, GScalar.of(c)) for m, c in mapping.items())
+        pairs = [(m, GScalar.of(c)) for m, c in mapping.items()]
+        _check_word_lengths(mapping)
+        return AlgElem._make(pairs)
 
     @staticmethod
     def zero() -> "AlgElem":
@@ -430,9 +458,17 @@ class AlgElem:
     def __mul__(self, other: object) -> "AlgElem":
         if not isinstance(other, AlgElem):
             return self.__rmul__(other)  # a scalar is central
-        return AlgElem._make((prod, ca * cb)
-                             for ma, ca in self.terms for mb, cb in other.terms
-                             if (prod := _mul_monomials(ma, mb)) is not None)
+        a, b = self.terms, other.terms
+        pairs = ((prod, ca * cb) for ma, ca in a for mb, cb in b
+                 if (prod := _mul_monomials(ma, mb)) is not None)
+        # A product's mu is at most the longest mu of a plus that of b, and
+        # so for nu.  Where a word may pass the cap, check every word
+        # formed, also one whose coefficients cancel.
+        (mu_a, nu_a), (mu_b, nu_b) = _longest(a), _longest(b)
+        if mu_a + mu_b > _MAX_WORD_LEN or nu_a + nu_b > _MAX_WORD_LEN:
+            pairs = list(pairs)
+            _check_word_lengths(m for m, _ in pairs)
+        return AlgElem._make(pairs)
 
     def __rmul__(self, other: object) -> "AlgElem":
         c = GScalar._coerce(other)

@@ -64,14 +64,27 @@ GENERATOR_MATRICES: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
+def _image(row: tuple[int, int, int]) -> tuple[int, bool] | None:
+    """(image letter, entry is +1) of the one nonzero entry of a row of a
+    generator matrix, or None for a zero row."""
+    for k, f in zip(_INDICES, row):
+        if f:
+            return k, f > 0
+    return None
+
+
+# _IMAGES[i][letter] is the image of a letter under X_i: None for letter i
+_IMAGES = {i: (None, *map(_image, rows)) for i, rows in GENERATOR_MATRICES.items()}
+
+
 def derive(i: int, a: AlgElem) -> AlgElem:
     """Apply the i-th basis derivation (Leibniz over every tensor position).
 
     Replacing one letter at a time implements the Leibniz rule on the word
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
-    transform by the same rows.  Their entries are 0 and ±1, so each entry
-    is applied as a sign, and ``algebra._canonical`` adds the images that
-    land on one monomial.
+    transform by the same rows.  Each row has at most one nonzero entry,
+    ±1, so a letter has at most one image, applied as a sign, and
+    ``algebra._canonical`` adds the images that land on one monomial.
     """
     i = _index(i, "derivation index {!r} outside 1..3")
     return AlgElem(_ordered(_derive_terms(i, a).items()))
@@ -79,19 +92,21 @@ def derive(i: int, a: AlgElem) -> AlgElem:
 
 def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
     """The canonical term map of ``derive(i, a)``, unsorted; ``i`` is not
-    checked (``derive`` checks it, and ``d1`` makes its own)."""
-    # per letter, the (image letter, entry is +1) pairs of its nonzero entries
-    rows = [[(k, f > 0) for k, f in zip(_INDICES, row) if f]
-            for row in GENERATOR_MATRICES[i]]
+    checked (``derive`` checks it, and ``d1`` makes its own).  An image
+    keeps the lengths of its term's words, so no word length is checked:
+    like a sum or an adjoint, a derivation makes no longer word."""
+    images_of = _IMAGES[i]
 
     def images():
         for (mu, nu), c in a.terms:
             neg = -c
             for p, letter in enumerate(mu):
-                for k, pos in rows[letter - 1]:
+                if (image := images_of[letter]) is not None:
+                    k, pos = image
                     yield _new(Monomial, (mu[:p] + (k,) + mu[p + 1:], nu)), c if pos else neg
             for p, letter in enumerate(nu):
-                for k, pos in rows[letter - 1]:
+                if (image := images_of[letter]) is not None:
+                    k, pos = image
                     yield _new(Monomial, (mu, nu[:p] + (k,) + nu[p + 1:])), c if pos else neg
 
     return _canonical(images())

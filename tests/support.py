@@ -28,7 +28,7 @@ from cuntzgeo import (
     tensor_product,
     wedge,
 )
-from cuntzgeo.calculus import sym_project_legs
+from cuntzgeo.calculus import GENERATOR_MATRICES, sym_project_legs
 from cuntzgeo.linsolve import solve_exact
 from cuntzgeo.scalars import ZERO
 
@@ -146,6 +146,23 @@ def reference_sum(a: AlgElem, b: AlgElem, sign: int = 1) -> AlgElem:
         old = acc.get(m)
         acc[m] = c if old is None else old + c
     return AlgElem._make(acc.items())
+
+
+def reference_derive(i: int, x: AlgElem) -> AlgElem:
+    """derive(i, x) by the Leibniz rule on the full rows of X_i: each letter
+    of each word goes to sum_k X_i[letter][k] S_k, zero entries included,
+    one letter at a time, and ``AlgElem.from_terms`` canonicalizes the
+    merged images.  It shares no image code with ``calculus.derive``."""
+    rows = GENERATOR_MATRICES[i]
+    images = {}
+    for m, c in x.terms:
+        for side, word in enumerate(m):
+            for p, letter in enumerate(word):
+                for k, entry in zip((1, 2, 3), rows[letter - 1]):
+                    image = word[:p] + (k,) + word[p + 1:]
+                    key = Monomial(image, m.nu) if side == 0 else Monomial(m.mu, image)
+                    images[key] = images.get(key, ZERO) + c * entry
+    return AlgElem.from_terms(images)
 
 
 def reference_d1(omega: OneForm) -> TwoForm:

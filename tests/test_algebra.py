@@ -220,6 +220,21 @@ def test_caps_word_length():
         set_caps(*old)
 
 
+def test_caps_word_length_of_cancelled_products():
+    """A product checks every word it forms, even one whose coefficients
+    cancel: both terms of x make S1^5 from y, with opposite signs."""
+    x = cuntzgeo.parse_alg("S1 S1 - S1 S1 S1 S1*")
+    y = cuntzgeo.parse_alg("S1 S1 S1")
+    assert (x * y).is_zero()
+    old = get_caps()
+    try:
+        set_caps(max_word_len=4)
+        with pytest.raises(CapacityError, match="word length exceeds cap 4"):
+            _ = x * y
+    finally:
+        set_caps(*old)
+
+
 def test_deep_nu_is_decided_within_caps():
     # a shallow term spread to the deep nu-length would be 3^depth terms,
     # beyond the default cap of 100,000

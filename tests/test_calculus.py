@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cuntzgeo import (
     BASIS_DIFFERENTIALS,
@@ -28,9 +28,11 @@ from cuntzgeo import (
     wedge,
 )
 from cuntzgeo import algebra, calculus
+from cuntzgeo.calculus import GENERATOR_MATRICES
 from cuntzgeo.scalars import GScalar, ONE, ZERO, rational
 
 from support import (
+    alg_elems,
     merge_pairs,
     one_forms,
     random_elem,
@@ -38,6 +40,7 @@ from support import (
     random_word,
     rank2_tensors,
     reference_d1,
+    reference_derive,
     small_alg_elems,
 )
 
@@ -61,6 +64,37 @@ def test_derivation_table(i, j):
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_derivation_kills_unit(i):
     assert derive(i, AlgElem.unit()).is_zero()
+
+
+def test_generator_rows_have_at_most_one_nonzero_entry():
+    """``derive`` gives each letter at most one image, so it relies on this."""
+    for rows in GENERATOR_MATRICES.values():
+        for row in rows:
+            assert sum(1 for f in row if f) <= 1
+            assert all(f in (-1, 0, 1) for f in row)
+
+
+# S2S2* + S3S3*, whose images under D1 cancel in pairs, and an element whose
+# images on (2j, 2j) under D1 all carry 1, a family that collapses to S2S2*
+CANCELLING = AlgElem.from_terms({monomial("2", "2"): 1, monomial("3", "3"): 1})
+COMPLETING = AlgElem.from_terms(
+    {monomial("31", "21"): 1, monomial("23", "22"): 1, monomial("33", "23"): 2})
+
+
+@given(alg_elems)
+@example(CANCELLING)
+@example(COMPLETING)
+@settings(max_examples=100)
+def test_derive_equals_the_full_row_reference(x):
+    for i in (1, 2, 3):
+        assert derive(i, x) == reference_derive(i, x)
+
+
+def test_derive_cancels_and_collapses_its_images():
+    assert derive(1, CANCELLING) == AlgElem.zero()
+    assert derive(1, COMPLETING) == AlgElem.from_terms({
+        monomial("2", "2"): 1, monomial("33", "22"): 1, monomial("32", "23"): 2,
+        monomial("31", "31"): -1, monomial("23", "32"): -1, monomial("33", "33"): -2})
 
 
 @given(small_alg_elems, small_alg_elems)
