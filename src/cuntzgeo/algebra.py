@@ -78,14 +78,9 @@ returned is sorted: ``calculus.d1`` folds the canonical map of each
 derivation into its accumulator.  Every product of two elements is one
 ``_make``, whatever their sizes.
 
-The word-length cap is checked where words grow and where they come in:
-a product, when the longest words of its factors could sum past the cap
-(then every word it forms, also one whose coefficients cancel); the
-parser, which multiplies a written run of generators into a one-term
-product by folding its word with ``_mul_monomials`` and checks each letter;
-and ``from_terms``.  Sums, adjoints and derivations make no longer word and
-do not check it, so an element built under a larger cap passes through
-them unchecked.
+The word-length cap is checked where a product forms a word, in
+``_mul_monomials``, and where outside words come in, in ``from_terms``.
+Sums, adjoints and derivations form no product word and do not check it.
 
 Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
 words, so keys hash and compare in C.  Products, derivations and a merge's
@@ -145,17 +140,6 @@ def _check_word_lengths(monos: Iterable[Monomial]) -> None:
         if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
             raise CapacityError(
                 f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
-
-
-def _longest(terms: Iterable[tuple[Monomial, GScalar]]) -> tuple[int, int]:
-    """The lengths of the longest ``mu`` and the longest ``nu`` of the terms."""
-    longest_mu = longest_nu = 0
-    for (mu, nu), _ in terms:
-        if len(mu) > longest_mu:
-            longest_mu = len(mu)
-        if len(nu) > longest_nu:
-            longest_nu = len(nu)
-    return longest_mu, longest_nu
 
 
 def _check_term_count(n: int) -> None:
@@ -231,15 +215,23 @@ def monomial(mu: Sequence[int] | str, nu: Sequence[int] | str = ()) -> Monomial:
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two monomials, or None when the prefixes clash (product 0)."""
+    """Product of two monomials, or None when the prefixes clash (product 0).
+
+    Every product word of the package is formed here, so this is where the
+    word cap is checked: on both words of the product, whichever of them
+    grew, since a factor may come from a larger cap."""
     nu, mu2 = a.nu, b.mu
     if len(nu) <= len(mu2):
-        if mu2[: len(nu)] == nu:
-            return _new(Monomial, (a.mu + mu2[len(nu):], b.nu))
+        if mu2[: len(nu)] != nu:
+            return None
+        m = _new(Monomial, (a.mu + mu2[len(nu):], b.nu))
+    elif nu[: len(mu2)] == mu2:
+        m = _new(Monomial, (a.mu, b.nu + nu[len(mu2):]))
+    else:
         return None
-    if nu[: len(mu2)] == mu2:
-        return _new(Monomial, (a.mu, b.nu + nu[len(mu2):]))
-    return None
+    if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
+        _check_word_lengths((m,))  # raises CapacityError
+    return m
 
 
 def _family_coefficient(terms: dict[Monomial, GScalar], mu: Word, nu: Word):
@@ -344,8 +336,8 @@ def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GSca
     over the alphabet (operations keep them on it), in one pass: a repeated
     monomial adds its coefficients, a key whose sum is 0 is deleted at once
     and a fresh 0 is never stored, then complete families collapse.  Only
-    the term cap is checked; callers that can make a word over the cap
-    check the pairs first (``from_terms``, ``__mul__``)."""
+    the term cap is checked: the word cap is checked where words are
+    formed (``_mul_monomials``) or come in (``from_terms``)."""
     terms: dict[Monomial, GScalar] = {}
     for m, c in pairs:
         old = terms.get(m)
@@ -377,8 +369,8 @@ class AlgElem:
 
     @staticmethod
     def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
-        """The element of ``_canonical(pairs)``, in display order.  No word
-        length is checked here: the callers that can pass the cap do it."""
+        """The element of ``_canonical(pairs)``, in display order; no word
+        length is checked here (see ``_canonical``)."""
         return AlgElem(_ordered(_canonical(pairs).items()))
 
     @staticmethod
@@ -456,19 +448,15 @@ class AlgElem:
         return AlgElem(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: object) -> "AlgElem":
+        """The product, one ``_make`` over the pairs of terms.  Each word
+        formed, also one whose coefficients cancel, passes the word cap in
+        ``_mul_monomials``, so an over-long word raises ``CapacityError``
+        as soon as it is formed."""
         if not isinstance(other, AlgElem):
             return self.__rmul__(other)  # a scalar is central
-        a, b = self.terms, other.terms
-        pairs = ((prod, ca * cb) for ma, ca in a for mb, cb in b
-                 if (prod := _mul_monomials(ma, mb)) is not None)
-        # A product's mu is at most the longest mu of a plus that of b, and
-        # so for nu.  Where a word may pass the cap, check every word
-        # formed, also one whose coefficients cancel.
-        (mu_a, nu_a), (mu_b, nu_b) = _longest(a), _longest(b)
-        if mu_a + mu_b > _MAX_WORD_LEN or nu_a + nu_b > _MAX_WORD_LEN:
-            pairs = list(pairs)
-            _check_word_lengths(m for m, _ in pairs)
-        return AlgElem._make(pairs)
+        return AlgElem._make(
+            (prod, ca * cb) for ma, ca in self.terms for mb, cb in other.terms
+            if (prod := _mul_monomials(ma, mb)) is not None)
 
     def __rmul__(self, other: object) -> "AlgElem":
         c = GScalar._coerce(other)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .algebra import AlgElem, Monomial, _Sum, _check_word_lengths, _mul_monomials, get_caps
+from .algebra import AlgElem, Monomial, _Sum, _mul_monomials
 from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE, _norm
 
@@ -147,18 +147,15 @@ def _components(v) -> tuple[AlgElem, ...]:
 def _times_run(x, letters: tuple[Monomial, ...]):
     """``x`` times the letters of a generator run, left to right, as one
     product per letter gives it.  An element of one term stays one word, so
-    the word folds with ``_mul_monomials``; the word cap is checked after
-    every letter and the fold stops at the first zero, as those products
+    the word folds with ``_mul_monomials``, which checks the word cap after
+    every letter; the fold stops at the first zero, as those products
     would.  Any other element or form takes the products."""
     if isinstance(x, AlgElem) and len(x.terms) == 1:
         (word, c), = x.terms
-        cap = get_caps()[0]
         for letter in letters:
             word = _mul_monomials(word, letter)
             if word is None:
                 return AlgElem(())
-            if len(word.mu) > cap or len(word.nu) > cap:
-                _check_word_lengths((word,))  # raises CapacityError
         return AlgElem(((word, c),))
     for letter in letters:
         x = x * AlgElem(((letter, ONE),))

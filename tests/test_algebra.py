@@ -235,6 +235,23 @@ def test_caps_word_length_of_cancelled_products():
         set_caps(*old)
 
 
+def test_caps_both_words_of_every_product():
+    """A factor built under a larger cap passes its long word on unchanged:
+    1 * y and y * 1 grow no word, and S2 S2* * y grows the other one, yet
+    each product forms a word over the lower cap."""
+    old = get_caps()
+    try:
+        set_caps(max_word_len=20)
+        y = cuntzgeo.parse_alg("S1* " * 17)
+        set_caps(max_word_len=16)
+        for x, z in ((AlgElem.unit(), y), (y, AlgElem.unit()),
+                     (cuntzgeo.parse_alg("S2 S2*"), y)):
+            with pytest.raises(CapacityError, match="word length exceeds cap 16"):
+                _ = x * z
+    finally:
+        set_caps(*old)
+
+
 def test_deep_nu_is_decided_within_caps():
     # a shallow term spread to the deep nu-length would be 3^depth terms,
     # beyond the default cap of 100,000
