@@ -26,7 +26,7 @@ zero coefficients are dropped, and any complete equal-coefficient family
 ``{(mu.j, nu.j) : j = 1, 2, 3}`` collapses to ``(mu, nu)`` (the second Cuntz
 relation read right-to-left).  A canonical form is empty iff the element is
 0, so :meth:`AlgElem.equals` only tests that the difference is empty: it
-folds it in a ``_Sum`` and never sorts.  Equal ``terms`` are one canonical
+folds it in a ``_Sum`` and never sorts.  Equal term maps are one canonical
 form and decide at once; different ones do not decide, as canonical forms
 are not unique (``1 + S_1S_1^*`` and ``2 S_1S_1^* + S_2S_2^* + S_3S_3^*``).
 
@@ -65,18 +65,25 @@ the canonical form of the merged terms, as a collapse from every term would.
 canonical term maps that ``_canonical`` returns.  ``+`` and ``-`` are a
 one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
 their summands into one accumulator, so their work is linear in the
-summands' terms and the merges they cause, plus one sort at the end.  An
-empty accumulator adopts its first summand's terms, negated for a negative
-sign, with no merge and no collapse: a canonical summand added to 0 is its
-own canonical form.  Everything else is a stream of (monomial, coefficient)
-pairs that need not be canonical: products, derivations and outside terms
-(``from_terms``).  ``_canonical`` merges them in one pass into an unsorted
-dict: it adds the coefficients of a repeated monomial, deletes a key the
-moment its sum is 0 and never stores a fresh 0, then collapses from every
-term; ``AlgElem._make`` sorts that once into display order.  Only what is
-returned is sorted: ``calculus.d1`` folds the canonical map of each
-derivation into its accumulator.  Every product of two elements is one
-``_make``, whatever their sizes.
+summands' terms and the merges they cause.  An empty accumulator adopts its
+first summand's terms, negated for a negative sign, with no merge and no
+collapse: a canonical summand added to 0 is its own canonical form.
+Everything else is a stream of (monomial, coefficient) pairs that need not
+be canonical: products, derivations and outside terms (``from_terms``).
+``_canonical`` merges them in one pass into a dict: it adds the
+coefficients of a repeated monomial, deletes a key the moment its sum is 0
+and never stores a fresh 0, then collapses from every term, seeded from the
+members ``(mu.1, nu.1)``, since a complete family holds its member of letter
+1.  ``calculus.d1`` folds the canonical map of each derivation into its
+accumulator.  Every product of two elements is one ``_make``, whatever their
+sizes.
+
+Display order, (|nu|, nu, |mu|, mu), is a matter of presentation.  An
+element holds the canonical map that ``_canonical`` or ``_Sum`` built, in
+the order its keys were inserted, and every operation, ``==`` and the hash
+work from that map, whose order they do not see.  Only the ``terms`` reader
+sorts (``_ordered``), each time it is read, so a product, derivation, sum or
+adjoint that nothing prints is never sorted.
 
 The word-length cap is checked where a product forms a word, in
 ``_mul_monomials``, and where outside words come in, in ``from_terms``.
@@ -102,7 +109,7 @@ at the empty word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import GScalar, ONE, ZERO
@@ -251,16 +258,19 @@ def _collapse(terms: dict[Monomial, GScalar],
     Whenever all three children ``(mu.j, nu.j)`` are present with one shared
     coefficient, they merge into ``(mu, nu)``.  Each merge can complete the
     family one level up, so candidates cascade until exhausted, deepest
-    level first.  The first candidates are the families of ``seeds``
-    (default: every term); the module docstring says when fewer suffice.
+    level first.  The first candidates are the families of ``seeds``; the
+    module docstring says when they suffice.  With no seeds they are the
+    families of every term, found from the members ``(mu.1, nu.1)`` alone,
+    since a complete family holds its member of letter 1.
     """
     if len(terms) < 3:  # a family has three members
         return
-    pending = {
-        (m.mu[:-1], m.nu[:-1])
-        for m in (terms if seeds is None else seeds)
-        if m.mu and m.nu and m.mu[-1] == m.nu[-1]
-    }
+    if seeds is None:
+        pending = [(m.mu[:-1], m.nu[:-1]) for m in terms
+                   if m.mu and m.nu and m.mu[-1] == 1 == m.nu[-1]]
+    else:
+        pending = {(m.mu[:-1], m.nu[:-1]) for m in seeds
+                   if m.mu and m.nu and m.mu[-1] == m.nu[-1]}
     # only complete families and the families a merge changes need a visit
     levels: dict[int, list[tuple[Word, Word]]] = {}
     for mu, nu in pending:
@@ -285,7 +295,8 @@ def _collapse(terms: dict[Monomial, GScalar],
 
 
 def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
-    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu)."""
+    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu); only
+    the ``AlgElem.terms`` reader calls it."""
     return tuple(sorted(items, key=lambda kv: kv[0].sort_key()))
 
 
@@ -295,26 +306,26 @@ class _Sum:
 
     ``add(x, sign)`` leaves the terms of ``acc + x`` (``acc - x`` for a
     negative sign), term cap included, but touches only the keys of ``x``
-    and the families they complete; ``value`` sorts once.  The lemma in the
-    module docstring says why the result is the canonical form exactly.
-    A summand is an AlgElem or a canonical term map (as ``_canonical``
-    returns it); an empty accumulator adopts its terms, negated for a
-    negative sign, with no merge and no collapse.
+    and the families they complete.  The lemma in the module docstring says
+    why the result is the canonical form exactly.  A summand is an AlgElem
+    or a canonical term map (as ``_canonical`` returns it); an empty
+    accumulator adopts its terms, negated for a negative sign, with no merge
+    and no collapse.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, start: "AlgElem | None" = None) -> None:
-        self.terms: dict[Monomial, GScalar] = {} if start is None else dict(start.terms)
+        self.terms: dict[Monomial, GScalar] = {} if start is None else dict(start._map)
 
     def add(self, x: "AlgElem | dict[Monomial, GScalar]", sign: int = 1) -> None:
-        items = x.items() if isinstance(x, dict) else x.terms
+        summand = x if isinstance(x, dict) else x._map
         terms = self.terms
         if not terms:
-            self.terms = {m: -c for m, c in items} if sign < 0 else dict(items)
+            self.terms = {m: -c for m, c in summand.items()} if sign < 0 else dict(summand)
             _check_term_count(len(self.terms))
             return
-        for m, c in items:
+        for m, c in summand.items():
             old = terms.get(m)
             if old is None:
                 terms[m] = -c if sign < 0 else c
@@ -324,11 +335,13 @@ class _Sum:
                 terms[m] = total
             else:
                 del terms[m]
-        _collapse(terms, x if isinstance(x, dict) else [m for m, _ in items])
+        _collapse(terms, summand)
         _check_term_count(len(terms))
 
     def value(self) -> "AlgElem":
-        return AlgElem(_ordered(self.terms.items()))
+        """The element of the sum, unsorted.  It takes the accumulator's dict
+        as it is, so the fold ends here."""
+        return AlgElem(self.terms)
 
 
 def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GScalar]:
@@ -353,25 +366,55 @@ def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GSca
     return terms
 
 
-@dataclass(frozen=True)
 class AlgElem:
     """An algebra element in canonical form.
 
-    ``terms`` is a tuple of (monomial, nonzero coefficient) pairs sorted by
-    the display order (|nu|, nu, |mu|, mu).  Structural equality (``==``)
-    means identical canonical form; use :meth:`equals` for mathematical
-    equality.
+    It holds its canonical term map (monomial -> nonzero coefficient) as
+    ``_canonical`` or ``_Sum`` built it, and never changes it.  ``terms`` is
+    the public view: the map as a tuple of (monomial, coefficient) pairs in
+    the display order (|nu|, nu, |mu|, mu), sorted each time it is read.
+    Every operation works from the map, so only what is read is sorted.
+    Structural equality (``==``) means identical canonical form, whatever
+    order the map was built in, and so does the hash; use :meth:`equals`
+    for mathematical equality.  Attributes cannot be set or deleted.
     """
 
-    terms: tuple[tuple[Monomial, GScalar], ...]
+    __slots__ = ("_map",)
+
+    def __init__(self, terms: dict[Monomial, GScalar]) -> None:
+        """The element of a canonical term map, taken as it is: no copy, so
+        the caller must not change the map afterwards."""
+        _set_map(self, terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AlgElem, (self._map,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._map == other._map
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._map.items()))
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, GScalar], ...]:
+        """The (monomial, nonzero coefficient) pairs in display order."""
+        return _ordered(self._map.items())
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
-        """The element of ``_canonical(pairs)``, in display order; no word
-        length is checked here (see ``_canonical``)."""
-        return AlgElem(_ordered(_canonical(pairs).items()))
+        """The element of ``_canonical(pairs)``; no word length is checked
+        here (see ``_canonical``)."""
+        return AlgElem(_canonical(pairs))
 
     @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
@@ -386,39 +429,39 @@ class AlgElem:
 
     @staticmethod
     def zero() -> "AlgElem":
-        return AlgElem(())
+        return AlgElem({})
 
     @staticmethod
     def unit() -> "AlgElem":
-        return AlgElem(((_UNIT, ONE),))
+        return AlgElem({_UNIT: ONE})
 
     @staticmethod
     def scalar(c: "GScalar | int") -> "AlgElem":
         c = GScalar.of(c)
-        return AlgElem(((_UNIT, c),)) if c else AlgElem(())
+        return AlgElem({_UNIT: c} if c else {})
 
     @staticmethod
     def generator(i: int) -> "AlgElem":
         i = _index(i, "generator index {!r} outside 1..3")
-        return AlgElem(((Monomial((i,), ()), ONE),))
+        return AlgElem({Monomial((i,), ()): ONE})
 
     # -- views --------------------------------------------------------------
 
     def term_map(self) -> dict[Monomial, GScalar]:
-        return dict(self.terms)
+        """A copy of the canonical term map, in no particular order."""
+        return dict(self._map)
 
     def is_zero(self) -> bool:
         """True iff the element is 0: a canonical form is empty exactly
         then (see the module docstring)."""
-        return not self.terms
+        return not self._map
 
     def as_scalar(self) -> GScalar | None:
         """The scalar c when this element is c*1, else None."""
-        if not self.terms:
+        terms = self._map
+        if not terms:
             return ZERO
-        if len(self.terms) == 1 and self.terms[0][0].is_unit:
-            return self.terms[0][1]
-        return None
+        return terms.get(_UNIT) if len(terms) == 1 else None
 
     # -- ring operations ----------------------------------------------------
 
@@ -445,7 +488,7 @@ class AlgElem:
         return (-self) + other
 
     def __neg__(self) -> "AlgElem":
-        return AlgElem(tuple((m, -c) for m, c in self.terms))
+        return AlgElem({m: -c for m, c in self._map.items()})
 
     def __mul__(self, other: object) -> "AlgElem":
         """The product, one ``_make`` over the pairs of terms.  Each word
@@ -454,8 +497,9 @@ class AlgElem:
         as soon as it is formed."""
         if not isinstance(other, AlgElem):
             return self.__rmul__(other)  # a scalar is central
+        right = other._map.items()
         return AlgElem._make(
-            (prod, ca * cb) for ma, ca in self.terms for mb, cb in other.terms
+            (prod, ca * cb) for ma, ca in self._map.items() for mb, cb in right
             if (prod := _mul_monomials(ma, mb)) is not None)
 
     def __rmul__(self, other: object) -> "AlgElem":
@@ -465,12 +509,14 @@ class AlgElem:
     def scale(self, c: GScalar) -> "AlgElem":
         if not c:
             return AlgElem.zero()
-        return AlgElem(tuple((m, c * coeff) for m, coeff in self.terms))
+        return AlgElem({m: c * coeff for m, coeff in self._map.items()})
 
     def adjoint(self) -> "AlgElem":
-        # The adjoint maps complete families to complete families, so the
-        # adjoint of a canonical form is canonical once re-sorted.
-        return AlgElem(_ordered((m.adjoint(), c.conjugate()) for m, c in self.terms))
+        # The adjoint maps complete families to complete families and
+        # distinct monomials to distinct ones, so the adjoint of a canonical
+        # map is canonical as it stands.
+        return AlgElem({_new(Monomial, (nu, mu)): c.conjugate()
+                        for (mu, nu), c in self._map.items()})
 
     # -- equality decision ---------------------------------------------------
 
@@ -478,7 +524,7 @@ class AlgElem:
         """Mathematical equality modulo the Cuntz relations: the canonical
         difference is empty (see the module docstring for why that suffices).
 
-        Equal ``terms`` are one canonical form, so they decide at once;
+        Equal term maps are one canonical form, so they decide at once;
         otherwise the difference is folded and tested with no sort.  An
         object with its own ``equals`` (a form or a tensor) decides, so the
         answer is the same both ways round: ``False``.  Any other non-scalar
@@ -486,8 +532,8 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             if GScalar._coerce(other) is None and hasattr(other, "equals"):
                 return other.equals(self)
-            return not (self - other).terms
-        if self.terms == other.terms:
+            return (self - other).is_zero()
+        if self._map == other._map:
             return True
         acc = _Sum(self)
         acc.add(other, -1)
@@ -505,7 +551,7 @@ class AlgElem:
         for letter in word:
             _index(letter, _NOT_A_LETTER)
         out: dict[Word, GScalar] = {}
-        for m, c in self.terms:
+        for m, c in self._map.items():
             k = len(m.nu)
             if word[:k] == m.nu:
                 img = m.mu + word[k:]
@@ -520,3 +566,6 @@ class AlgElem:
         inner = ", ".join(f"{m!r}: {c!r}" for m, c in self.terms)
         return f"AlgElem({{{inner}}})"
 
+
+# the slot's own setter: ``AlgElem.__setattr__`` refuses every assignment
+_set_map = AlgElem._map.__set__

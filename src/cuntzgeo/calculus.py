@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Monomial, _canonical, _index, _new, _ordered, _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Monomial, _canonical, _index, _new, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -84,21 +84,23 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
     transform by the same rows.  Each row has at most one nonzero entry,
     ±1, so a letter has at most one image, applied as a sign, and
-    ``algebra._canonical`` adds the images that land on one monomial.
+    ``algebra._canonical`` adds the images that land on one monomial.  The
+    terms are walked in the order of the element's map, and the result is
+    not sorted: its ``terms`` reader sorts it when read.
     """
     i = _index(i, "derivation index {!r} outside 1..3")
-    return AlgElem(_ordered(_derive_terms(i, a).items()))
+    return AlgElem(_derive_terms(i, a))
 
 
 def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
-    """The canonical term map of ``derive(i, a)``, unsorted; ``i`` is not
+    """The canonical term map of ``derive(i, a)``; ``i`` is not
     checked (``derive`` checks it, and ``d1`` makes its own).  An image
     keeps the lengths of its term's words, so no word length is checked:
     like a sum or an adjoint, a derivation makes no longer word."""
     images_of = _IMAGES[i]
 
     def images():
-        for (mu, nu), c in a.terms:
+        for (mu, nu), c in a._map.items():
             neg = -c
             for p, letter in enumerate(mu):
                 if (image := images_of[letter]) is not None:
@@ -529,18 +531,18 @@ def d1(omega: OneForm) -> TwoForm:
     ``derive(p, a_i)`` when q = i.  ``derive`` is linear, so negating a_i
     gives the same canonical form as subtracting ``derive(q, a_i)``, and each
     term's coefficient is negated once.  Each derivation is folded as its
-    canonical term map, unsorted: canonical forms are not unique
-    (``1 + S1S1*`` and ``2 S1S1* + S2S2* + S3S3*`` are both canonical), so
-    raw images would change the result.  So the result is the same
-    canonical form as the fold of TwoForm sums over i, with two derivations
-    per nonzero a_i and one sort per component.
+    canonical term map: canonical forms are not unique (``1 + S1S1*`` and
+    ``2 S1S1* + S2S2* + S3S3*`` are both canonical), so raw images would
+    change the result.  So the result is the same canonical form as the
+    fold of TwoForm sums over i, with two derivations per nonzero a_i and no
+    sort: a component is sorted only when its ``terms`` are read.
     """
     sums = [_Sum() for _ in WEDGE_PAIRS]
     for i, a in zip(_INDICES, omega.c):
         if a.is_zero():
             continue
         for acc, e, (p, q) in zip(sums, BASIS_DIFFERENTIALS[i - 1].c, WEDGE_PAIRS):
-            if e.terms:
+            if not e.is_zero():
                 acc.add(a, 1 if e.as_scalar() == ONE else -1)
             if p == i:
                 acc.add(_derive_terms(q, -a))

@@ -150,15 +150,15 @@ def _times_run(x, letters: tuple[Monomial, ...]):
     the word folds with ``_mul_monomials``, which checks the word cap after
     every letter; the fold stops at the first zero, as those products
     would.  Any other element or form takes the products."""
-    if isinstance(x, AlgElem) and len(x.terms) == 1:
-        (word, c), = x.terms
+    if isinstance(x, AlgElem) and len(x._map) == 1:
+        (word, c), = x._map.items()
         for letter in letters:
             word = _mul_monomials(word, letter)
             if word is None:
-                return AlgElem(())
-        return AlgElem(((word, c),))
+                return AlgElem.zero()
+        return AlgElem({word: c})
     for letter in letters:
-        x = x * AlgElem(((letter, ONE),))
+        x = x * AlgElem({letter: ONE})
     return x
 
 
@@ -381,14 +381,15 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
 
 
 def _alg_text(x: AlgElem, decimal: bool) -> str:
-    if not x.terms:
+    """The text of an element; its ``terms`` are read, and sorted, once."""
+    if x.is_zero():
         return "0"
     return _join_terms([_term(c, _mono_text(m), decimal) for m, c in x.terms])
 
 
 def _form_term(label: str, a: AlgElem, decimal: bool) -> tuple[int, str]:
-    if len(a.terms) == 1:
-        m, c = a.terms[0]
+    if len(a._map) == 1:  # one term needs no sort
+        (m, c), = a._map.items()
         return _term(c, label if m.is_unit else f"{label} {_mono_text(m)}", decimal)
     return 1, f"{label} ({_alg_text(a, decimal)})"
 

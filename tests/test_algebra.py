@@ -1,6 +1,8 @@
 """Normal forms, products, adjoints, equality and the word-tree oracle."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from cuntzgeo import (
 )
 import cuntzgeo
 from cuntzgeo.algebra import _Sum
-from cuntzgeo.calculus import derive
+from cuntzgeo.calculus import d0, d1, derive
 from cuntzgeo.scalars import GScalar, ONE, rational
 
 from support import (
@@ -540,3 +542,67 @@ def test_seeded_oracle_agreement_counts():
             for w in words_of_length(level + 1)
         )
         assert x.equals(y) == oracle
+
+
+# -- the order of an element's term map ----------------------------------------
+
+def _built_in_two_orders(x: AlgElem, seed: int) -> tuple[AlgElem, AlgElem]:
+    """x's terms through from_terms in a shuffled order and in its reverse,
+    so two elements of one canonical form whose maps (of two terms or more)
+    were filled in different orders."""
+    items = list(x.term_map().items())
+    random.Random(seed).shuffle(items)
+    a, b = AlgElem.from_terms(dict(items)), AlgElem.from_terms(dict(items[::-1]))
+    assert len(items) < 2 or list(a.term_map()) != list(b.term_map())
+    return a, b
+
+
+def _display_sorted(x: AlgElem) -> tuple:
+    return tuple(sorted(x.term_map().items(), key=lambda kv: kv[0].sort_key()))
+
+
+@given(alg_elems, alg_elems, st.integers(0, 2**16), st.sampled_from((1, 2, 3)))
+@settings(max_examples=60)
+def test_insertion_order_is_invisible(x, y, seed, i):
+    """An element keeps its term map in insertion order and sorts only when
+    ``terms`` is read: ==, hash, repr, terms and equals agree for two orders,
+    terms is the map sorted by Monomial.sort_key, and every operation on the
+    two gives one result."""
+    a, b = _built_in_two_orders(x, seed)
+    assert a == b == x and hash(a) == hash(b) == hash(x)
+    assert repr(a) == repr(b) == repr(x)
+    assert a.terms == b.terms == x.terms == _display_sorted(a) == _display_sorted(b)
+    assert a.equals(b) and b.equals(a)
+    for value in (a * y, y * b, a + y, y - b, a.adjoint(), -b, b.scale(rational(2, 3)),
+                  derive(i, a)):
+        assert value.terms == _display_sorted(value)
+    assert (a * y, y * a, a + y, y - a, a.adjoint(), derive(i, a)) == (
+        b * y, y * b, b + y, y - b, b.adjoint(), derive(i, b))
+    assert d0(a) == d0(b) and d1(OneForm.of(a, y, a)) == d1(OneForm.of(b, y, b))
+
+
+@given(alg_elems, st.integers(0, 2**16))
+@settings(max_examples=40)
+def test_elements_and_forms_as_set_members_and_dict_keys(x, seed):
+    a, b = _built_in_two_orders(x, seed)
+    assert b in {a} and {a: "x"}[b] == "x" and len({a, b, x}) == 1
+    one, one_twin = OneForm.of(a, 0, S1), OneForm.of(b, 0, S1)
+    assert one_twin in {one} and {one: 1}[one_twin] == 1
+    two = TwoForm.of(S2, a, 0)
+    assert {two: 2}[TwoForm.of(S2, b, 0)] == 2
+
+
+def test_elements_are_immutable_and_copy():
+    """Attributes can be neither set nor deleted, the stored map included;
+    copies and pickles are equal elements."""
+    x = AlgElem.from_terms({monomial("12", "3"): 2, monomial("", "1"): rational(1, 2)})
+    for name in ("terms", "_map", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, {})
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x.terms == _display_sorted(x)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is AlgElem and c == x and hash(c) == hash(x) and c.terms == x.terms

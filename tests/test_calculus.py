@@ -21,6 +21,7 @@ from cuntzgeo import (
     junk_project,
     monomial,
     one_form_tensor,
+    print_canonical,
     represented_product,
     rotate,
     sym_project,
@@ -461,27 +462,38 @@ def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
 
 
 def test_d1_and_equals_sort_only_what_they_return(monkeypatch):
-    """d1 sorts each of its three components once, and equals sorts nothing,
-    whether its arguments have the same terms or not."""
+    """No operation sorts: d1, equals, *, +, -, derive, d0 and adjoint make
+    no _ordered call, whether equals sees the same terms or not.  Only
+    reading ``terms`` sorts: once per read, so d1's three components take
+    three sorts, and print_canonical of a form sorts each nonzero component
+    at most once (a one-term component not at all)."""
     calls = [0]
-    sort_once = algebra._ordered
+    sort = algebra._ordered
 
     def counted(items):
         calls[0] += 1
-        return sort_once(items)
+        return sort(items)
 
     monkeypatch.setattr(algebra, "_ordered", counted)
-    monkeypatch.setattr(calculus, "_ordered", counted)
     x, x_twin, y = S1 + S2.adjoint(), S2.adjoint() + S1, S3 * S1.adjoint()
     omega, omega_twin = OneForm.of(x, y, S2 - S1), OneForm.of(x_twin, y, S2 - S1)
     other = OneForm.of(y, x, S2 - S1)
     calls[0] = 0
-    d1(omega)
-    assert calls[0] == 3
-    calls[0] = 0
+    two = d1(omega)
     assert x.equals(x_twin) and not x.equals(y)
     assert omega.equals(omega_twin) and not omega.equals(other)
+    for value in (x * y, x + y, x - y, derive(2, x * y), d0(x * y), (x * y).adjoint(),
+                  d1(omega * x), omega * omega):
+        assert not value.is_zero()
     assert calls[0] == 0
+    for a in two.c:
+        assert len(a.terms) > 1
+    assert calls[0] == 3
+    for form in (two, d0(x * y), omega):
+        calls[0] = 0
+        print_canonical(form)
+        assert calls[0] <= sum(not a.is_zero() for a in form.c)
+        assert calls[0] == sum(len(a.term_map()) > 1 for a in form.c)
 
 
 def test_d1_negates_each_coefficient_once(monkeypatch):
