@@ -99,13 +99,13 @@ def ricci(theta: ThetaMap) -> TensorElem:
     leaves the first two legs: Ric(a, b) = sum_k theta(a, b, k, k).
 
     Raises ValueError when a key of theta is not a rank-4 index over 1..3
-    or a contracted entry is not a scalar.
+    or a contracted entry is not a scalar (or not an element at all).
     """
     _check_indices(4, theta)  # theta is the caller's map
     terms: dict[tuple[int, int], list[GScalar]] = {}
     for (a, b, c, k), coeff in theta.items():
         if c == k:
-            s = coeff.as_scalar()
+            s = coeff.as_scalar() if isinstance(coeff, AlgElem) else None
             if s is None:
                 raise ValueError(f"curvature entry {(a, b, c, k)} is not a scalar")
             terms.setdefault((a, b), []).append(s)

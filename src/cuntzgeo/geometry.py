@@ -69,10 +69,10 @@ from .calculus import (
     wedge,
 )
 from .exprs import ParseError, parse_scalar
-# Not called here.  Kept as a module attribute because bench/spans.py wraps
-# cuntzgeo.geometry.solve_exact when it traces a run.
-from .linsolve import solve_exact  # noqa: F401
 from .scalars import GScalar, ZERO, _new, _norm
+
+# bench/spans.py wraps this name when it traces; ROADMAP item 4(b) deletes both.
+solve_exact = None
 
 
 class MetricError(ValueError):

@@ -19,17 +19,14 @@ from cuntzgeo import (
     MetricError,
     Monomial,
     OneForm,
-    SymTensorMap,
     TensorElem,
     TwoForm,
     antisym_lift,
-    base_connection,
     d0,
     tensor_product,
     wedge,
 )
 from cuntzgeo.calculus import GENERATOR_MATRICES, sym_project_legs
-from cuntzgeo.linsolve import solve_exact
 from cuntzgeo.scalars import ZERO
 
 # ---------------------------------------------------------------------------
@@ -234,8 +231,7 @@ def reference_scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
 
 
 # ---------------------------------------------------------------------------
-# reference inverse and Levi-Civita: the adjugate and the exact 18x18
-# unitarity solve
+# reference inverse: the adjugate
 # ---------------------------------------------------------------------------
 
 def adjugate_inverse(g: Metric) -> list[list[GScalar]]:
@@ -250,54 +246,6 @@ def adjugate_inverse(g: Metric) -> list[list[GScalar]]:
             entry = sum((inv[i][a] * m[a][k] for a in range(3)), GScalar())
             assert entry == GScalar(int(i == k))
     return inv
-
-
-_INDICES = (1, 2, 3)
-_SYM_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-_UNKNOWNS = tuple((j, pair) for j in _INDICES for pair in _SYM_PAIRS)
-_EQUATIONS = tuple((j, k, m) for (j, k) in _SYM_PAIRS for m in _INDICES)
-
-
-def _unknown_index(j: int, a: int, m: int) -> int:
-    pair = (a, m) if a <= m else (m, a)
-    return _UNKNOWNS.index((j, pair))
-
-
-def levi_civita_by_solve(g: Metric) -> Connection:
-    """The Levi-Civita connection from the unitarity equations themselves.
-
-    The 18 unknowns are the symmetric coefficients L^j(a, m) of the
-    correction to the base connection; the equations are
-    compatibility(base + L) = dg = 0 (the metric entries are constants), one
-    per symmetric basis pair (j, k) and component m, solved with
-    ``solve_exact``.  The right-hand side comes from the tensor-algebra
-    ``reference_compatibility``, so the solve shares no code with the index
-    arithmetic in ``cuntzgeo.geometry``.
-    """
-    base = base_connection()
-    target = reference_compatibility(g, base)
-
-    size = len(_UNKNOWNS)
-    matrix = [[ZERO] * size for _ in range(size)]
-    rhs = []
-    for row, (j, k, m) in enumerate(_EQUATIONS):
-        # component m of the operator at (e_j, e_k):
-        #   sum_a g(a,k) L^j(a,m) + sum_a g(a,j) L^k(a,m)
-        for a in _INDICES:
-            col = _unknown_index(j, a, m)
-            matrix[row][col] = matrix[row][col] + g.entry(a, k)
-            col = _unknown_index(k, a, m)
-            matrix[row][col] = matrix[row][col] + g.entry(a, j)
-        rhs.append(-target[j - 1][k - 1].component(m))
-
-    solution = solve_exact(matrix, rhs)
-
-    values = []
-    for j in _INDICES:
-        entries = {(a, m): solution[_unknown_index(j, a, m)]
-                   for a in _INDICES for m in _INDICES}
-        values.append(TensorElem.from_entries(2, entries))
-    return base.shifted(SymTensorMap(tuple(values)))
 
 
 # ---------------------------------------------------------------------------

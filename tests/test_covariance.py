@@ -14,9 +14,11 @@ that of e_a ⊗ e_b ⊗ e_c in the curvature on e_k,
 Rotating an element moves the derivations by the twisted matrix R = DMD
 (see ``test_rotating_an_element_twists_the_derivations``), and with them d0
 and d1 (``test_rotating_an_element_rotates_d0`` and
-``test_rotating_a_one_form_rotates_d1``).  The laws are computed here with
-plain ``GScalar`` and ``AlgElem`` sums over the public outputs, never with a
-geometry helper.
+``test_rotating_a_one_form_rotates_d1``), and with them the presentations
+of the basis one-forms as x d0(y)
+(``test_rotating_the_presentations_rotates_the_basis``).  The laws are
+computed here with plain ``GScalar`` and ``AlgElem`` sums over the public
+outputs, never with a geometry helper.
 """
 
 import itertools
@@ -145,6 +147,32 @@ def test_rotating_an_element_rotates_d0(m, x):
     lhs = [rotate(m, c) for c in d0(x).c]
     rhs = _apply(_twisted(m), d0(rotate(m, x)).c)
     assert all(a.equals(b) for a, b in zip(lhs, rhs))
+
+
+# e_i = x_i d0(y_i): e1 = S2* d0(S3), e2 = S1* d0(S3), e3 = -S1* d0(S2)
+_PRESENTATIONS = ((AlgElem.generator(2).adjoint(), AlgElem.generator(3)),
+                  (AlgElem.generator(1).adjoint(), AlgElem.generator(3)),
+                  (-AlgElem.generator(1).adjoint(), AlgElem.generator(2)))
+
+
+@given(rotations())
+@settings(max_examples=25, deadline=None)
+def test_rotating_the_presentations_rotates_the_basis(m):
+    """ρ(x_i) d0(ρ(y_i)) = Σ_j R_ij e_j for the presentations e_i = x_i d0(y_i),
+    with ρ and R = DMD as for d0.
+
+    By the d0 law and RᵀR = I, d0(ρ y) = Rᵀ ρ(d0 y), with ρ on each
+    coefficient.  Only the scalars of R move, and ρ is an automorphism, so
+    ρ(x) d0(ρ y) = Rᵀ ρ(x d0 y).  For the presentations x_i d0(y_i) = e_i,
+    whose coefficients are scalars that ρ fixes, that is Rᵀ applied to the
+    i-th unit column: its coefficient on e_j is R_ij.  With R_ji in place of
+    R_ij the law fails.
+    """
+    r = _twisted(m)
+    for i, (x, y) in enumerate(_PRESENTATIONS):
+        assert x * d0(y) == OneForm.basis(i + 1)
+        lhs = rotate(m, x) * d0(rotate(m, y))
+        assert all(c.equals(AlgElem.scalar(r[i][j])) for j, c in enumerate(lhs.c))
 
 
 @given(rotations(), one_forms)

@@ -175,6 +175,9 @@ def test_ricci_and_scal_reject_non_scalar_entries():
     theta[(1, 1, 2, 2)] = s1  # a contracted entry
     with pytest.raises(ValueError, match="not a scalar"):
         ricci(theta)
+    # a contracted value that is not an element at all
+    with pytest.raises(ValueError, match=r"curvature entry \(1, 1, 1, 1\) is not a scalar"):
+        ricci({(1, 1, 1, 1): 5})
     ric = TensorElem.basis(2, 2) + TensorElem.basis(1, 2) * s1
     with pytest.raises(ValueError, match="not a scalar"):
         scalar_curvature(g, ric)
