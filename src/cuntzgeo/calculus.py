@@ -134,11 +134,15 @@ def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
 
     The matrix, three lists or tuples of three exact scalars, must be
     exactly special orthogonal; this is checked, since a non-isometry would
-    not define an automorphism of the relations.
+    not define an automorphism of the relations.  Its entries must be real:
+    A^T A = I has no conjugate, so a complex orthogonal matrix passes it
+    without being unitary, and S_i* S_i = 1 would fail for its images.
     """
     if not _is_3x3(matrix):
         raise ValueError("rotation matrix must be 3x3")
     rows = [[GScalar.of(x) for x in row] for row in matrix]
+    if any(x[1] for row in rows for x in row):
+        raise ValueError("rotation matrix must be real")
     for i in range(3):
         for j in range(3):
             dot = sum((rows[k][i] * rows[k][j] for k in range(3)), ZERO)

@@ -69,15 +69,17 @@ class ParseError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-# The name of the alternative that matched is the token kind.  A ``.`` between
-# two ``\d`` digits is a decimal literal; any other character is unexpected.
+# The name of the alternative that matched is the token kind.  Digits are
+# ASCII 0-9 (``\d`` would match any Unicode decimal digit, such as '٣'); a
+# ``.`` between two of them is a decimal literal; any other character is
+# unexpected.
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<gen>S[123](?:\s*\*)?(?:\s*(?:\.\s*)?S[123](?:\s*\*)?)*)
   | (?P<form2>e(?:1[23]|23))
   | (?P<form1>e[123])
-  | (?P<num>(?P<numer>\d+)(?:/(?P<den>\d+))?(?P<imag>i?))
-  | (?P<decimal>(?<=\d)\.(?=\d))
+  | (?P<num>(?P<numer>[0-9]+)(?:/(?P<den>[0-9]+))?(?P<imag>i?))
+  | (?P<decimal>(?<=[0-9])\.(?=[0-9]))
   | (?P<imag_unit>i)
   | (?P<op>[()+\-*.d])
   | (?P<bad>.)

@@ -64,6 +64,7 @@ from .calculus import (
     OneForm,
     TensorElem,
     TwoForm,
+    _check_indices,
     _det3,
     _is_3x3,
     wedge,
@@ -79,26 +80,41 @@ class MetricError(ValueError):
     """The metric input violates shape, exactness, symmetry or invertibility."""
 
 
-def _check_shape(rows: object) -> None:
-    """Raise MetricError unless rows is three lists or tuples of three, not
-    scalars (``calculus._is_3x3``)."""
-    if not _is_3x3(rows):
-        raise MetricError("metric must be a 3x3 array")
+def _entry(cell: object) -> GScalar:
+    """One metric cell as a scalar: a string in the scalar grammar
+    (``parse_scalar``) or an exact scalar by the rule of ``cuntzgeo.scalars``;
+    anything else, a float or a bool among them, is a MetricError."""
+    if isinstance(cell, str):
+        try:
+            return parse_scalar(cell)
+        except ParseError as exc:
+            raise MetricError(f"bad metric entry {cell!r}: {exc}") from exc
+    if (x := GScalar._coerce(cell)) is not None:
+        return x
+    if isinstance(cell, float):
+        raise MetricError(
+            f"metric entry {cell!r} is a float; use an exact string like \"1/2\"")
+    raise MetricError(f"metric entry is not a scalar: {cell!r}")
 
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric invertible bilinear pairing on the one-form module."""
+    """Symmetric invertible bilinear pairing on the one-form module.
+
+    ``Metric(rows)`` is the one door for a metric: rows must be three lists
+    or tuples of three (``calculus._is_3x3``), and each cell is read by
+    ``_entry``, so it takes strings in the scalar grammar, ints, Fractions
+    and GScalars, and rejects floats and bools.  Then the matrix must be
+    symmetric and invertible.  Every check raises MetricError.
+    """
 
     rows: tuple[tuple[GScalar, GScalar, GScalar], ...]
 
     def __post_init__(self) -> None:
-        _check_shape(self.rows)
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        bad = [x for row in self.rows for x in row if not isinstance(x, GScalar)]
-        if bad:
-            raise MetricError(f"metric entry {bad[0]!r} is not a GScalar; "
-                              "Metric.from_rows converts ints and Fractions")
+        if not _is_3x3(self.rows):
+            raise MetricError("metric must be a 3x3 array")
+        object.__setattr__(self, "rows", tuple(
+            tuple(map(_entry, row)) for row in self.rows))
         for i in range(3):
             for j in range(i + 1, 3):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -107,18 +123,13 @@ class Metric:
             raise MetricError("metric not invertible (determinant is zero)")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[GScalar | int]]) -> "Metric":
-        _check_shape(rows)
-        return Metric(tuple(tuple(GScalar.of(x) for x in row) for row in rows))
-
-    @staticmethod
     def identity() -> "Metric":
         return Metric.diagonal(1, 1, 1)
 
     @staticmethod
     def diagonal(a: GScalar | int, b: GScalar | int, c: GScalar | int) -> "Metric":
         z = ZERO
-        return Metric.from_rows(((a, z, z), (z, b, z), (z, z, c)))
+        return Metric(((a, z, z), (z, b, z), (z, z, c)))
 
     def entry(self, i: int, j: int) -> GScalar:
         return self.rows[_index(i) - 1][_index(j) - 1]
@@ -128,16 +139,16 @@ class Metric:
 
     def scale(self, s: GScalar | int) -> "Metric":
         s = GScalar.of(s)
-        return Metric.from_rows(
-            tuple(tuple(s * x for x in row) for row in self.rows))
+        return Metric(tuple(tuple(s * x for x in row) for row in self.rows))
 
 
 def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     """Build a metric from a JSON file path or a 3x3 array of lists or tuples.
 
-    Entries are expression strings in the scalar grammar or exact scalars
-    by the rule of ``cuntzgeo.scalars``, as ``Metric.from_rows`` takes them;
-    floats and bools are rejected (the engine is exact).
+    A path is read and decoded here; the array is ``Metric(data)``, which
+    reads every entry by the one rule of ``Metric``: expression strings in
+    the scalar grammar or exact scalars, never floats or bools (the engine
+    is exact).
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -156,25 +167,7 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
             raise MetricError("metric file nests too deeply to decode") from exc
     else:
         data = source
-    _check_shape(data)
-    rows = []
-    for row in data:
-        out_row = []
-        for cell in row:
-            if isinstance(cell, str):
-                try:
-                    out_row.append(parse_scalar(cell))
-                except ParseError as exc:
-                    raise MetricError(f"bad metric entry {cell!r}: {exc}") from exc
-            elif (x := GScalar._coerce(cell)) is not None:
-                out_row.append(x)
-            elif isinstance(cell, float):
-                raise MetricError(
-                    f"metric entry {cell!r} is a float; use an exact string like \"1/2\"")
-            else:
-                raise MetricError(f"metric entry is not a scalar: {cell!r}")
-        rows.append(tuple(out_row))
-    return Metric(tuple(rows))
+    return Metric(data)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +265,14 @@ def _table(tensors: Sequence[TensorElem], what: str) -> tuple[list, int]:
 
     Raises ValueError, naming the entry as (t + 1, a + 1, b + 1) or, for one
     tensor, (a + 1, b + 1), when a coefficient is not a scalar multiple of
-    1: the index formulas hold for scalar entries only.
+    1: the index formulas hold for scalar entries only.  The constructor of
+    a ``TensorElem`` checks nothing, so each index is checked here
+    (``calculus._check_indices``); one outside 1..3 would land on another
+    entry of the flat table.
     """
     flat = [ZERO] * (9 * len(tensors))
     for t, tensor in enumerate(tensors):
+        _check_indices(2, (idx for idx, _ in tensor.entries))
         for (a, b), c in tensor.entries:
             flat[9 * t + 3 * a + b - 4] = s = c.as_scalar()
             if s is None:

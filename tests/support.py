@@ -377,6 +377,6 @@ def metrics(draw, classes=METRIC_CLASSES, heights=(2, 8, 32)) -> Metric:
                 re_part = -re_part
             rows[i][j] = rows[j][i] = GScalar(re_part, im_part)
     try:
-        return Metric.from_rows(rows)
+        return Metric(rows)
     except MetricError:
         assume(False)

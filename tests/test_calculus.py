@@ -166,6 +166,15 @@ def test_rotate_rejects_reflection():
         rotate(refl, S1)
 
 
+def test_rotate_rejects_a_complex_orthogonal_matrix():
+    """M^T M = I and det M = 1 hold for M below, but M is not unitary:
+    rotating would send S1 to 5/4 S1 + 3/4i S2, whose S1* S1 is 17/8, not 1."""
+    a, b = rational(5, 4), GScalar(0, Fraction(3, 4))
+    m = ((a, b, 0), (-b, a, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="^rotation matrix must be real$"):
+        rotate(m, S1)
+
+
 def test_rotate_rejects_a_scalar_row():
     # a GScalar is the triple (a, b, d): read as a row, ZERO would be
     # (0, 0, 1) and complete the identity

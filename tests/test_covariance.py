@@ -53,7 +53,7 @@ def _rotate(m, table: dict, rank: int) -> dict:
 def _geometry(rows):
     """Γ, R (keyed (k, a, b, c)) and Ric as scalar tables keyed 0-based, and
     Scal."""
-    rep = curvature_report(Metric.from_rows(rows))
+    rep = curvature_report(Metric(rows))
     gamma = {tuple(i - 1 for i in k): v.as_scalar()
              for k, v in christoffel(rep.connection).items()}
     curv = {(k, a, b, c): rep.curv[k].entry(a + 1, b + 1, c + 1).as_scalar()

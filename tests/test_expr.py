@@ -131,6 +131,9 @@ def test_decimal_mode():
     ("d(S1) *", "adjoint '*'", 6),
     # a superscript digit is not a digit of a literal
     ("1.²", "unexpected character", 2),
+    # only ASCII digits make a literal, as only they make a letter
+    ("٣ S1", "unexpected character '٣'", 0),
+    ("１/２", "unexpected character '１'", 0),
 ])
 def test_parse_errors_carry_offsets(text, fragment, offset):
     with pytest.raises(ParseError) as err:

@@ -68,36 +68,57 @@ def test_identity_metric():
 
 def test_metric_rejects_asymmetric():
     with pytest.raises(MetricError, match="symmetric"):
-        Metric.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+        Metric([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_metric_rejects_singular():
     with pytest.raises(MetricError, match="determinant"):
-        Metric.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        Metric([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
-@pytest.mark.parametrize("entry", [1, Fraction(1), 1.0, True])
-def test_metric_entries_must_be_gscalars(entry):
-    one, zero = GScalar.of(1), GScalar.of(0)
-    rows = ((entry, zero, zero), (zero, one, zero), (zero, zero, one))
-    with pytest.raises(MetricError, match="not a GScalar"):
-        Metric(rows)
-    if type(entry) in (int, Fraction):  # from_rows converts these
-        assert Metric.from_rows(rows) == Metric.identity()
+# (cell, the metric it gives or the MetricError text): Metric and load_metric
+# read each cell by one rule
+_CELLS = {
+    "int": (1, Metric.identity()),
+    "Fraction": (Fraction(1), Metric.identity()),
+    "GScalar": (ONE, Metric.identity()),
+    "string": ("1/2 + i", Metric.diagonal(GScalar(Fraction(1, 2), 1), 1, 1)),
+    "float": (1.0, 'metric entry 1.0 is a float; use an exact string like "1/2"'),
+    "bool": (True, "metric entry is not a scalar: True"),
+    "bad string": ("po/tato", "bad metric entry 'po/tato': "),
+    "non-ASCII digit": ("١", "bad metric entry '١': unexpected character"),
+    "non-scalar": (None, "metric entry is not a scalar: None"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CELLS))
+def test_metric_and_load_metric_read_entries_by_one_rule(kind):
+    cell, want = _CELLS[kind]
+    rows = ((cell, 0, 0), (0, 1, 0), (0, 0, 1))
+    if isinstance(want, Metric):
+        assert Metric(rows) == load_metric(rows) == want
+        return
+    texts = []
+    for build in (Metric, load_metric):
+        with pytest.raises(MetricError) as err:
+            build(rows)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(want)
 
 
 def test_metric_rejects_bad_shape():
     with pytest.raises(MetricError, match="3x3"):
-        Metric.from_rows([[1, 0], [0, 1]])
+        Metric([[1, 0], [0, 1]])
 
 
 # a GScalar is a tuple of three ints, but it is one scalar, not a metric row
 _SCALAR_ROWS = [ONE, I, ONE + I]
 
 
-def test_from_rows_rejects_scalars_as_rows():
+def test_metric_rejects_scalars_as_rows():
     with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
-        Metric.from_rows(_SCALAR_ROWS)
+        Metric(_SCALAR_ROWS)
     with pytest.raises(MetricError, match="^metric must be a 3x3 array$"):
         Metric(tuple(_SCALAR_ROWS))
 
@@ -270,7 +291,7 @@ def test_an_index_among_many_is_checked_position_by_position(bad):
 
 
 def test_valid_indices_keep_their_values():
-    g = Metric.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+    g = Metric([[2, 1, 0], [1, 3, 1], [0, 1, 5]])
     conn, kz = levi_civita(g), koszul_correction(g)
     s1, zero = AlgElem.generator(1), AlgElem.zero()
     omega, w = OneForm.of(s1, 2, 3), TwoForm.of(s1, 2, 3)
@@ -487,6 +508,19 @@ def test_non_scalar_christoffel_symbols_are_rejected():
         compatibility_map(Metric.identity(), conn)
     with pytest.raises(ValueError, match="not a scalar"):
         curvature(conn)
+
+
+def test_tensor_indices_outside_1_to_3_are_rejected():
+    """A directly built TensorElem is unchecked; its entry (1, 5) would land
+    on Gamma_1(2, 2) in the flat table if the readers did not check it."""
+    z = TensorElem(2, ())
+    bad = TensorElem(2, (((1, 5), AlgElem.scalar(1)),))
+    conn = Connection((bad, z, z))
+    for compute in (lambda: compatibility_map(Metric.identity(), conn),
+                    lambda: curvature(conn),
+                    lambda: scalar_curvature(Metric.identity(), bad)):
+        with pytest.raises(ValueError, match=r"^index \(1, 5\) outside 1\.\.3$"):
+            compute()
 
 
 # -- the Levi-Civita connection --------------------------------------------------

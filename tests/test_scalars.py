@@ -235,7 +235,8 @@ OPERAND_CASES = [
     ("S1 * True", lambda: S1 * True, TypeError),
     ("OneForm.of(True, 0, 0)", lambda: OneForm.of(True, 0, 0), TypeError),
     ("from_entries bool", lambda: TensorElem.from_entries(2, {(1, 2): True}), TypeError),
-    ("from_rows bool", lambda: Metric.from_rows(_with_cell(True)), TypeError),
+    ("Metric bool", lambda: Metric(_with_cell(True)),
+     (MetricError, "metric entry is not a scalar: True")),
     ("S1 + 1/3", lambda: S1 + THIRD, lambda: S1 + GScalar.of(THIRD)),
     ("1/3 + S1", lambda: THIRD + S1, lambda: GScalar.of(THIRD) + S1),
     ("S1 - 1/3", lambda: S1 - THIRD, lambda: S1 - GScalar.of(THIRD)),
@@ -252,9 +253,9 @@ OPERAND_CASES = [
     ("load_metric float", lambda: load_metric(_with_cell(1.5)),
      (MetricError, 'metric entry 1.5 is a float; use an exact string like "1/2"')),
     ("load_metric Fraction", lambda: load_metric(_with_cell(THIRD)),
-     lambda: Metric.from_rows(_with_cell(GScalar.of(THIRD)))),
+     lambda: Metric(_with_cell(GScalar.of(THIRD)))),
     ("load_metric GScalar", lambda: load_metric(_with_cell(ONE + I)),
-     lambda: Metric.from_rows(_with_cell(ONE + I))),
+     lambda: Metric(_with_cell(ONE + I))),
 ]
 
 
