@@ -295,9 +295,13 @@ def _collapse(terms: dict[Monomial, GScalar],
 
 
 def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
-    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu); only
-    the ``AlgElem.terms`` reader calls it."""
-    return tuple(sorted(items, key=lambda kv: kv[0].sort_key()))
+    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu) of
+    ``Monomial.sort_key``; only the ``AlgElem.terms`` reader calls it.  The
+    key is that tuple with both words spread out, one call per term: after
+    equal lengths the letters line up, so the order is the same, and a flat
+    tuple of ints compares faster than one holding tuples."""
+    return tuple(sorted(items, key=lambda kv: (len(nu := kv[0].nu), *nu,
+                                               len(mu := kv[0].mu), *mu)))
 
 
 class _Sum:

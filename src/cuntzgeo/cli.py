@@ -29,12 +29,14 @@ import json
 import os
 import sys
 from collections import Counter
+from math import gcd
 
 from .algebra import _INDICES, AlgElem, CapacityError
 from .calculus import OneForm, TwoForm, derive, differential
 from .checks import has_failure, run_checks
 from .curvature import curvature_report
-from .exprs import ParseError, parse_alg, parse_expr, print_canonical, print_tensor
+from .exprs import (ParseError, _frac_text, parse_alg, parse_expr, print_canonical,
+                    print_tensor)
 from .geometry import (
     MetricError,
     christoffel,
@@ -49,6 +51,12 @@ def _index_doc(table: dict, decimal: bool) -> list[dict]:
     """The entries of an index-keyed table in index order (a tensor's order)."""
     return [{"index": list(idx), "value": print_canonical(table[idx], decimal)}
             for idx in sorted(table)]
+
+
+def _part_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, from the two integers of a triple."""
+    g = gcd(n, d)
+    return _frac_text(n // g, d // g, False)
 
 
 def _print_json(doc: dict) -> None:
@@ -72,10 +80,10 @@ def cmd_eval(args) -> int:
                 {
                     "mu": list(m.mu),
                     "nu": list(m.nu),
-                    "re": str(c.re),
-                    "im": str(c.im),
+                    "re": _part_text(x, d),
+                    "im": _part_text(y, d),
                 }
-                for m, c in value.terms
+                for m, (x, y, d) in value.terms
             ],
         })
     else:

@@ -15,13 +15,17 @@ explicit product):
 literals.  One regular expression scans the whole text into tokens.  A run
 of generator letters (adjacent, or separated by whitespace or one ``.``) is
 one token that carries the monomial of each letter; a letter takes a
-following ``*`` (whitespace may come between) as its adjoint.  The tokens
+following ``*`` (whitespace may come between) as its adjoint.  There are six
+letter monomials, built once in a table (``_LETTERS``) that every run shares,
+so a letter costs a lookup and no new object, and a parse keeps no
+per-letter objects alive.  The tokens
 are then parsed and evaluated in one recursive-descent pass that folds sums
 and multiplies products left to right.  A sum folds into one mutable
 accumulator (one per component for forms) that touches only each summand's
 terms and ends in the left fold's result exactly, so parsing takes time
 linear in the number of summands.  A run multiplies in letter by letter as
-one word (``_times_run``), so a written word costs no element product.
+one word (``_times_run``), so a written word costs no element product, and
+a run after a scalar starts from its first letter.
 Problems raise :class:`ParseError` carrying the character offset — they
 never abort the process.  That includes input beyond the parser's bounds:
 groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and integer
@@ -35,8 +39,12 @@ integers.
 Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
 right (parenthesized when they have several terms), and always emits text
-that parses back to the same canonical form.  It reads each coefficient's
-triple (a, b, d) and reduces a/d and b/d with one gcd each.
+that parses back to the same canonical form.  One loop writes each term
+with its sign in front (`` + `` or `` - ``), from tables of the letter
+texts, and one join drops or shortens the first sign.  It reads each
+coefficient's triple (a, b, d); a real or an imaginary scalar is in lowest
+terms already, since gcd(a, b, d) = 1, so only a scalar with two nonzero
+parts takes a gcd for each part.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .algebra import AlgElem, Monomial, _Sum, _mul_monomials
+from .algebra import _UNIT, AlgElem, Monomial, _Sum, _mul_monomials
 from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE, _norm
 
@@ -85,37 +93,43 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE)
 # one letter of a generator run: its digit and its adjoint star, if any
-_LETTER = re.compile(r"S([123])(\s*\*)?")
+_LETTER = re.compile(r"S([123])\s*(\*?)")
+# the monomial of each letter, keyed as ``_LETTER`` finds it; every run
+# shares these six, so a letter costs a lookup and no object
+_LETTERS = {(d, star): Monomial((), (int(d),)) if star else Monomial((int(d),), ())
+            for d in "123" for star in ("", "*")}
 
 
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
     """``(kind, pos, value)`` tokens, ending in ``("eof", len(text), None)``;
-    punctuation and ``d`` are their own kind."""
+    punctuation and ``d`` are their own kind.  The kinds are tested in the
+    order they are most frequent in long sums: whitespace, punctuation,
+    numbers, runs."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind, pos = m.lastgroup, m.start()
+        kind = m.lastgroup
         if kind == "ws":
             continue
-        if kind == "gen":
-            value = tuple(Monomial((), (int(d),)) if star else Monomial((int(d),), ())
-                          for d, star in _LETTER.findall(m[0]))
-        elif kind == "form1":
-            value = int(text[pos + 1])
-        elif kind == "form2":
-            value = (int(text[pos + 1]), int(text[pos + 2]))
+        pos = m.start()
+        if kind == "op":
+            kind, value = m[0], None
         elif kind == "num":
-            num, den = m["numer"], m["den"]
-            if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
+            num, den, imag = m.group("numer", "den", "imag")
+            if len(num) > MAX_LITERAL_DIGITS or den and len(den) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
             n, q = int(num), int(den or 1)
             if q == 0:
                 raise ParseError("zero denominator in scalar", pos)
-            value = _norm(0, n, q) if m["imag"] else _norm(n, 0, q)
+            value = _norm(0, n, q) if imag else _norm(n, 0, q)
+        elif kind == "gen":
+            value = tuple(map(_LETTERS.__getitem__, _LETTER.findall(m[0])))
+        elif kind == "form1":
+            value = int(text[pos + 1])
+        elif kind == "form2":
+            value = (int(text[pos + 1]), int(text[pos + 2]))
         elif kind == "imag_unit":
             kind, value = "num", I
-        elif kind == "op":
-            kind, value = m[0], None
         elif kind == "decimal":
             raise ParseError(
                 "decimal literals are not supported; use an exact fraction "
@@ -154,6 +168,8 @@ def _times_run(x, letters: tuple[Monomial, ...]):
     would.  Any other element or form takes the products."""
     if isinstance(x, AlgElem) and len(x._map) == 1:
         (word, c), = x._map.items()
+        if word == _UNIT:  # the unit times the first letter is that letter
+            word, letters = letters[0], letters[1:]
         for letter in letters:
             word = _mul_monomials(word, letter)
             if word is None:
@@ -175,9 +191,6 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, int, object]:
-        return self.tokens[self.i]
-
     def take(self) -> tuple[str, int, object]:
         tok = self.tokens[self.i]
         self.i += 1
@@ -190,17 +203,17 @@ class _Parser:
 
     def take_sign(self) -> int:
         """1 or -1 for a consumed '+' or '-'; 0, consuming nothing, otherwise."""
-        kind = self.peek()[0]
+        kind = self.tokens[self.i][0]
         if kind not in ("+", "-"):
             return 0
         self.i += 1
         return -1 if kind == "-" else 1
 
     def parse_expr(self):
-        start = self.peek()[1]
+        start = self.tokens[self.i][1]
         sign = self.take_sign()
         first, pos = self.parse_term()
-        if self.peek()[0] not in ("+", "-"):
+        if self.tokens[self.i][0] not in ("+", "-"):
             return (-first, start) if sign < 0 else (first, pos)
         sums = [_Sum() for _ in _components(first)]
         val = first
@@ -210,24 +223,27 @@ class _Parser:
             if not (sign := self.take_sign()):
                 break
             val, item_pos = self.parse_term()
-            if _degree(val) != _degree(first):
+            if type(val) is not type(first):  # one type per degree
                 raise ParseError("cannot add terms of different degree", item_pos)
         values = tuple(acc.value() for acc in sums)
         return (values[0] if isinstance(first, AlgElem) else type(first)(values)), start
 
     def parse_term(self):
-        start = self.peek()[1]
+        tokens = self.tokens
+        start = tokens[self.i][1]
         acc, pos = self.parse_factor()
         while True:
-            kind, tok_pos, _ = self.peek()
+            kind, tok_pos, value = tokens[self.i]
             if kind == ".":
                 self.i += 1
+                kind, _, value = tokens[self.i]
             elif kind == "*":
                 raise ParseError("adjoint '*' may only follow a generator", tok_pos)
             elif kind not in _FACTOR_START:
                 return acc, pos
-            if self.peek()[0] == "gen":
-                acc, pos = _times_run(acc, self.take()[2]), start
+            if kind == "gen":
+                self.i += 1
+                acc, pos = _times_run(acc, value), start
                 continue
             val, factor_pos = self.parse_factor()
             if _degree(acc) + _degree(val) > 2:
@@ -278,7 +294,7 @@ class _Parser:
 def _parse(text: str, mode: str | None):
     parser = _Parser(_tokenize(text), mode)
     value, _ = parser.parse_expr()
-    kind, pos, _ = parser.peek()
+    kind, pos, _ = parser.tokens[parser.i]
     if kind != "eof":
         raise ParseError("unexpected trailing input", pos)
     return value
@@ -318,9 +334,7 @@ def parse_scalar(text: str) -> GScalar:
 # ---------------------------------------------------------------------------
 
 def _frac_text(n: int, d: int, decimal: bool) -> str:
-    """Text of the rational n/d for d > 0, in lowest terms."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
+    """Text of the rational n/d, given in lowest terms with d > 0."""
     if d == 1:
         return str(n)
     if not decimal:
@@ -343,43 +357,47 @@ def _frac_text(n: int, d: int, decimal: bool) -> str:
 
 
 def _imag_text(y: int, d: int, decimal: bool) -> str:
-    """Text of the imaginary scalar ``(y/d) i`` for y > 0."""
+    """Text of the imaginary scalar ``(y/d) i`` for y > 0, y/d in lowest terms."""
     return "i" if y == d else _frac_text(y, d, decimal) + "i"
 
 
+# the text of each letter, indexed by the letter: in mu, and in nu as an adjoint
+_MU_TEXT = (None, "S1", "S2", "S3")
+_NU_TEXT = (None, "S1*", "S2*", "S3*")
+
+
 def _mono_text(m: Monomial) -> str:
-    parts = [f"S{letter}" for letter in m.mu]
-    parts.extend(f"S{letter}*" for letter in reversed(m.nu))
-    return " ".join(parts)
+    return " ".join([_MU_TEXT[letter] for letter in m.mu]
+                    + [_NU_TEXT[letter] for letter in reversed(m.nu)])
 
 
-def _term(c: GScalar, symbol: str, decimal: bool) -> tuple[int, str]:
-    """(sign, body) of the term ``c * symbol``; an empty symbol is the unit.
-    A scalar with two nonzero parts prints in parentheses with sign 1."""
+def _term(c: GScalar, symbol: str, decimal: bool) -> str:
+    """The term ``c * symbol`` led by its sign, `` + `` or `` - ``; an empty
+    symbol is the unit.  A scalar with two nonzero parts prints in
+    parentheses after `` + ``.  Only such a scalar needs a gcd: a part of a
+    reduced triple whose other part is 0 is in lowest terms already."""
     x, y, d = c
     if not y:
-        sign, mag = (-1, -x) if x < 0 else (1, x)
+        sign, mag = (" - ", -x) if x < 0 else (" + ", x)
         if symbol and mag == d:
-            return sign, symbol
+            return sign + symbol
         text = _frac_text(mag, d, decimal)
     elif not x:
-        sign, mag = (-1, -y) if y < 0 else (1, y)
+        sign, mag = (" - ", -y) if y < 0 else (" + ", y)
         text = _imag_text(mag, d, decimal)
     else:
-        op = "-" if y < 0 else "+"
-        body = f"({_frac_text(x, d, decimal)} {op} {_imag_text(abs(y), d, decimal)})"
-        return 1, f"{body} {symbol}" if symbol else body
-    return sign, f"{text} {symbol}" if symbol else text
+        g, h = gcd(x, d), gcd(y, d)
+        re_text = _frac_text(x // g, d // g, decimal)
+        im_text = _imag_text(abs(y) // h, d // h, decimal)
+        sign, text = " + ", f"({re_text} {'-' if y < 0 else '+'} {im_text})"
+    return f"{sign}{text} {symbol}" if symbol else sign + text
 
 
-def _join_terms(parts: list[tuple[int, str]]) -> str:
-    out = []
-    for k, (sign, body) in enumerate(parts):
-        if k == 0:
-            out.append(("- " if sign < 0 else "") + body)
-        else:
-            out.append((" + " if sign > 0 else " - ") + body)
-    return "".join(out)
+def _join_terms(terms: list[str]) -> str:
+    """The signed terms as one text: the first loses its `` + ``, or reads
+    ``- `` for `` - ``."""
+    text = "".join(terms)
+    return text[3:] if text[1] == "+" else "- " + text[3:]
 
 
 def _alg_text(x: AlgElem, decimal: bool) -> str:
@@ -389,11 +407,11 @@ def _alg_text(x: AlgElem, decimal: bool) -> str:
     return _join_terms([_term(c, _mono_text(m), decimal) for m, c in x.terms])
 
 
-def _form_term(label: str, a: AlgElem, decimal: bool) -> tuple[int, str]:
+def _form_term(label: str, a: AlgElem, decimal: bool) -> str:
     if len(a._map) == 1:  # one term needs no sort
         (m, c), = a._map.items()
         return _term(c, label if m.is_unit else f"{label} {_mono_text(m)}", decimal)
-    return 1, f"{label} ({_alg_text(a, decimal)})"
+    return f" + {label} ({_alg_text(a, decimal)})"
 
 
 def _form_text(labels: tuple[str, ...], coeffs, decimal: bool) -> str:

@@ -4,6 +4,7 @@ hypothesis strategies sized to keep exact arithmetic fast."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -276,6 +277,93 @@ def reference_scalar_op(op: str, x, y=None) -> tuple[Fraction, Fraction]:
         return a * c - b * d, a * d + b * c
     norm = c * c + d * d
     return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+# ---------------------------------------------------------------------------
+# reference printer: the canonical text written out plainly, one helper per
+# step, with a gcd on every fraction; print_canonical must match it
+# ---------------------------------------------------------------------------
+
+def _ref_frac_text(n: int, d: int, decimal: bool) -> str:
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d == 1:
+        return str(n)
+    if not decimal:
+        return f"{n}/{d}"
+    den = d
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{n}/{d}"
+    k = max(twos, fives)
+    scaled = n * 10**k // d
+    sign = "-" if scaled < 0 else ""
+    digits = abs(scaled)
+    return f"{sign}{digits // 10**k}.{digits % 10**k:0{k}d}"
+
+
+def _ref_imag_text(y: int, d: int, decimal: bool) -> str:
+    return "i" if y == d else _ref_frac_text(y, d, decimal) + "i"
+
+
+def _ref_mono_text(m: Monomial) -> str:
+    parts = [f"S{letter}" for letter in m.mu]
+    parts.extend(f"S{letter}*" for letter in reversed(m.nu))
+    return " ".join(parts)
+
+
+def _ref_term(c: GScalar, symbol: str, decimal: bool) -> tuple[int, str]:
+    x, y, d = c
+    if not y:
+        sign, mag = (-1, -x) if x < 0 else (1, x)
+        if symbol and mag == d:
+            return sign, symbol
+        text = _ref_frac_text(mag, d, decimal)
+    elif not x:
+        sign, mag = (-1, -y) if y < 0 else (1, y)
+        text = _ref_imag_text(mag, d, decimal)
+    else:
+        op = "-" if y < 0 else "+"
+        body = f"({_ref_frac_text(x, d, decimal)} {op} {_ref_imag_text(abs(y), d, decimal)})"
+        return 1, f"{body} {symbol}" if symbol else body
+    return sign, f"{text} {symbol}" if symbol else text
+
+
+def _ref_join_terms(parts: list[tuple[int, str]]) -> str:
+    out = []
+    for k, (sign, body) in enumerate(parts):
+        if k == 0:
+            out.append(("- " if sign < 0 else "") + body)
+        else:
+            out.append((" + " if sign > 0 else " - ") + body)
+    return "".join(out)
+
+
+def _ref_alg_text(x: AlgElem, decimal: bool) -> str:
+    if x.is_zero():
+        return "0"
+    return _ref_join_terms([_ref_term(c, _ref_mono_text(m), decimal) for m, c in x.terms])
+
+
+def reference_print(x, decimal: bool = False) -> str:
+    """The canonical text of an element or a form, from its ``terms``."""
+    if isinstance(x, AlgElem):
+        return _ref_alg_text(x, decimal)
+    parts = []
+    for label, a in zip(x.LABELS, x.c):
+        if len(a.terms) == 1:
+            (m, c), = a.terms
+            parts.append(_ref_term(c, label if m.is_unit else f"{label} {_ref_mono_text(m)}",
+                                   decimal))
+        elif not a.is_zero():
+            parts.append((1, f"{label} ({_ref_alg_text(a, decimal)})"))
+    return _ref_join_terms(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cuntzgeo import (
     set_caps,
 )
 import cuntzgeo
-from cuntzgeo.algebra import _Sum
+from cuntzgeo.algebra import _Sum, _ordered
 from cuntzgeo.calculus import d0, d1, derive
 from cuntzgeo.scalars import GScalar, ONE, rational
 
@@ -432,6 +432,18 @@ def test_monomial_is_a_tuple_of_its_words():
     random.Random(3).shuffle(shuffled)
     assert sorted(shuffled, key=Monomial.sort_key) == ordered
     assert cuntzgeo.Monomial is Monomial and "Monomial" in cuntzgeo.__all__
+
+
+_words = st.lists(st.integers(1, 3), max_size=6).map(tuple)
+
+
+@given(st.lists(st.builds(Monomial, _words, _words), unique=True, max_size=40))
+@settings(max_examples=200)
+def test_display_order_is_the_sort_key_order(monos):
+    """``terms`` sorts by its own one-call key; the order is that of
+    ``Monomial.sort_key``, for words of every length."""
+    pairs = [(m, ONE) for m in monos]
+    assert _ordered(pairs) == tuple(sorted(pairs, key=lambda kv: kv[0].sort_key()))
 
 
 @pytest.fixture

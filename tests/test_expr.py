@@ -1,6 +1,9 @@
 """Grammar, diagnostics and the parse/print round trip."""
 
+import contextlib
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,11 +27,18 @@ from cuntzgeo import (
     print_canonical,
     set_caps,
 )
-from cuntzgeo import algebra, cli
+from cuntzgeo import algebra, cli, exprs
 from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
 from cuntzgeo.scalars import GScalar, rational
 
-from support import alg_elems, one_forms, small_alg_elems, split_terms
+from support import (
+    alg_elems,
+    monomials,
+    one_forms,
+    reference_print,
+    small_alg_elems,
+    split_terms,
+)
 
 
 def test_parse_monomials():
@@ -134,6 +144,18 @@ def test_decimal_mode():
     # only ASCII digits make a literal, as only they make a letter
     ("٣ S1", "unexpected character '٣'", 0),
     ("１/２", "unexpected character '１'", 0),
+    # one row per token kind whose branch of the tokenizer or parser moved
+    ("2 S1 + 0.5 S2", "decimal literals", 8),
+    ("S1 + d", "'(' after 'd'", 6),
+    ("d e1", "'(' after 'd'", 2),
+    ("S1 / 2", "unexpected character '/'", 3),
+    ("1/ 2", "unexpected character '/'", 1),
+    ("1/2/3 S1", "unexpected character '/'", 3),
+    ("S1S2*^", "unexpected character '^'", 5),
+    ("S1 . S2 S4", "unexpected character 'S'", 8),
+    ("2 S3*?", "unexpected character '?'", 5),
+    ("e12 *", "adjoint '*'", 4),
+    ("S1 e2* S3", "adjoint '*'", 5),
 ])
 def test_parse_errors_carry_offsets(text, fragment, offset):
     with pytest.raises(ParseError) as err:
@@ -227,6 +249,19 @@ def test_a_generator_run_makes_no_element_product(monkeypatch, sep, star):
         x = parse_alg(text)
         assert x.terms[0][0] == monomial((1, 2, 3, 3, 2, 1), (3, 2, 1, 3, 1, 2))
     assert calls == 0
+
+
+@pytest.mark.parametrize("sep", ["", " ", ".", " . ", "\t", " .\n"])
+@pytest.mark.parametrize("star", ["*", " *", "\n*"])
+def test_a_run_carries_the_shared_letter_monomials(sep, star):
+    """Each letter of a run token is one of the six table monomials itself,
+    not a copy, whatever separates the letters and their stars."""
+    text = sep.join(["S1", f"S2{star}", "S3", f"S1{star}"])
+    (kind, pos, letters), eof = exprs._tokenize(text)
+    assert (kind, pos, eof) == ("gen", 0, ("eof", len(text), None))
+    assert letters == (monomial((1,)), monomial((), (2,)), monomial((3,)), monomial((), (1,)))
+    table = exprs._LETTERS.values()
+    assert all(any(letter is entry for entry in table) for letter in letters)
 
 
 _LETTER_SPELLINGS = st.lists(
@@ -439,3 +474,41 @@ def test_two_form_round_trip(a, b, c):
         assert parsed == AlgElem.zero() or parsed == TwoForm.zero()
     else:
         assert parsed == w
+
+
+# -- the printer against its reference -----------------------------------------
+
+# a part of a coefficient: any small fraction, or a terminating decimal
+_parts = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(lambda n, a, b: Fraction(n, 2**a * 5**b),
+              st.integers(-999, 999), st.integers(0, 3), st.integers(0, 3)),
+).filter(bool)
+# real, imaginary and complex coefficients
+_coefficients = st.one_of(
+    st.builds(GScalar, _parts),
+    st.builds(GScalar, st.just(0), _parts),
+    st.builds(GScalar, _parts, _parts),
+)
+_elems = st.dictionaries(monomials, _coefficients, max_size=5).map(AlgElem.from_terms)
+_printed = st.one_of(
+    _elems,
+    st.tuples(_elems, _elems, _elems).map(OneForm),
+    st.tuples(_elems, _elems, _elems).map(TwoForm),
+)
+
+
+@given(_printed, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_print_canonical_matches_the_reference_printer(x, decimal):
+    assert print_canonical(x, decimal) == reference_print(x, decimal)
+
+
+@given(_elems)
+@settings(max_examples=100, deadline=None)
+def test_eval_json_parts_are_fraction_strings(x):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["eval", "--json", print_canonical(x)]) == 0
+    parts = [(term["re"], term["im"]) for term in json.loads(out.getvalue())["terms"]]
+    assert parts == [(str(c.re), str(c.im)) for _, c in x.terms]
