@@ -108,6 +108,15 @@ at the empty word.
 
 from __future__ import annotations
 
+__all__ = [
+    "AlgElem",
+    "CapacityError",
+    "Monomial",
+    "get_caps",
+    "monomial",
+    "set_caps",
+]
+
 import itertools
 from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, NamedTuple, Sequence

@@ -46,6 +46,27 @@ the wedge map itself.
 
 from __future__ import annotations
 
+__all__ = [
+    "BASIS_DIFFERENTIALS",
+    "OneForm",
+    "RepTwoForm",
+    "TensorElem",
+    "TwoForm",
+    "antisym_lift",
+    "d0",
+    "d1",
+    "derive",
+    "differential",
+    "flip",
+    "junk_project",
+    "one_form_tensor",
+    "represented_product",
+    "rotate",
+    "sym_project",
+    "tensor_product",
+    "wedge",
+]
+
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -343,15 +364,39 @@ class TensorElem:
 
     Stored as (index tuple -> right coefficient); the basis symbols are
     central, so a single right coefficient per index is fully general.
+
+    The constructor is the one place that checks indices: every index must
+    be a tuple of ``rank`` ints in 1..3 (``_check_indices``), else
+    ValueError.  So no reader of ``entries`` meets an index that would land
+    on another entry or be dropped.  Three builders skip the check through
+    ``_unchecked``: ``_make``, which checks its merged indices itself,
+    ``_of_scalars``, by its precondition, and ``__neg__``, whose indices
+    are those of a built tensor.
     """
 
     rank: int
     entries: tuple[tuple[Index, AlgElem], ...]
 
+    def __post_init__(self) -> None:
+        _check_indices(self.rank, (idx for idx, _ in self.entries))
+
+    @staticmethod
+    def _unchecked(rank: int, entries: tuple[tuple[Index, AlgElem], ...]) -> "TensorElem":
+        """The tensor of ``entries``, built without ``__post_init__``."""
+        t = object.__new__(TensorElem)
+        object.__setattr__(t, "rank", rank)
+        object.__setattr__(t, "entries", entries)
+        return t
+
     @staticmethod
     def _make(rank: int, pairs: Iterable[tuple[Index, AlgElem]]) -> "TensorElem":
         """The tensor summing (index, coefficient) pairs: a repeated index
-        adds its coefficients, and zero entries are dropped."""
+        adds its coefficients, and zero entries are dropped.
+
+        Every merged index is checked before the sort, so an index outside
+        1..3 is rejected even when its coefficients sum to zero, and keys
+        that would not sort are a ValueError, not a TypeError.  The checked
+        result is built with ``_unchecked``."""
         merged: dict[Index, AlgElem] = {}
         for idx, c in pairs:
             old = merged.get(idx)
@@ -359,21 +404,23 @@ class TensorElem:
         _check_indices(rank, merged)
         # the indices are distinct, so sorting the pairs never compares two
         # coefficients
-        return TensorElem(rank, tuple(sorted(
+        return TensorElem._unchecked(rank, tuple(sorted(
             (idx, c) for idx, c in merged.items() if not c.is_zero())))
 
     @staticmethod
     def _of_scalars(rank: int, scalars: Mapping[Index, GScalar]) -> "TensorElem":
         """The tensor with ``AlgElem.scalar(c)`` at each index: the canonical
-        form that ``_make`` gives, built with no merge and no index check.
+        form that ``_make`` gives, built with no merge and, through
+        ``_unchecked``, no index check.
 
-        Precondition: every index is a tuple of ``rank`` ints in 1..3 and
-        every scalar a reduced ``GScalar`` (as ``scalars._norm`` returns
-        it), which ``AlgElem.scalar`` wraps as it is.  Zero scalars are
-        dropped, and the indices, which are distinct, are sorted once.
+        Precondition: every index is a tuple of ``rank`` ints in 1..3 (the
+        package's own loops over the index range make them) and every
+        scalar a reduced ``GScalar`` (as ``scalars._norm`` returns it),
+        which ``AlgElem.scalar`` wraps as it is.  Zero scalars are dropped,
+        and the indices, which are distinct, are sorted once.
         """
-        return TensorElem(rank, tuple((idx, AlgElem.scalar(c))
-                                      for idx, c in sorted(scalars.items()) if c))
+        return TensorElem._unchecked(rank, tuple((idx, AlgElem.scalar(c))
+                                                 for idx, c in sorted(scalars.items()) if c))
 
     @staticmethod
     def from_entries(rank: int,
@@ -418,7 +465,7 @@ class TensorElem:
         return self._fold(other, -1)
 
     def __neg__(self) -> "TensorElem":
-        return TensorElem(self.rank, tuple((idx, -c) for idx, c in self.entries))
+        return TensorElem._unchecked(self.rank, tuple((idx, -c) for idx, c in self.entries))
 
     def __mul__(self, other: object) -> "TensorElem":
         """Right multiplication on the coefficient."""

@@ -31,6 +31,15 @@ scalar.
 
 from __future__ import annotations
 
+__all__ = [
+    "CurvatureReport",
+    "curvature",
+    "curvature_operator",
+    "curvature_report",
+    "ricci",
+    "scalar_curvature",
+]
+
 from dataclasses import dataclass
 
 from .algebra import _INDICES, AlgElem

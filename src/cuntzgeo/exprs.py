@@ -49,6 +49,16 @@ parts takes a gcd for each part.
 
 from __future__ import annotations
 
+__all__ = [
+    "ParseError",
+    "parse_alg",
+    "parse_expr",
+    "parse_one_form",
+    "parse_scalar",
+    "print_canonical",
+    "print_tensor",
+]
+
 import re
 from math import gcd
 

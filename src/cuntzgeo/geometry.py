@@ -52,6 +52,21 @@ L^j, so each is computed for i <= j only.
 
 from __future__ import annotations
 
+__all__ = [
+    "Connection",
+    "Metric",
+    "MetricError",
+    "SymTensorMap",
+    "base_connection",
+    "christoffel",
+    "compatibility_map",
+    "koszul_correction",
+    "levi_civita",
+    "load_metric",
+    "torsion",
+    "unitarity_residual",
+]
+
 import json
 import math
 from dataclasses import dataclass
@@ -64,7 +79,6 @@ from .calculus import (
     OneForm,
     TensorElem,
     TwoForm,
-    _check_indices,
     _det3,
     _is_3x3,
     wedge,
@@ -265,14 +279,12 @@ def _table(tensors: Sequence[TensorElem], what: str) -> tuple[list, int]:
 
     Raises ValueError, naming the entry as (t + 1, a + 1, b + 1) or, for one
     tensor, (a + 1, b + 1), when a coefficient is not a scalar multiple of
-    1: the index formulas hold for scalar entries only.  The constructor of
-    a ``TensorElem`` checks nothing, so each index is checked here
-    (``calculus._check_indices``); one outside 1..3 would land on another
-    entry of the flat table.
+    1: the index formulas hold for scalar entries only.  Every index is a
+    pair in 1..3, which the ``TensorElem`` constructor checks, so each
+    entry has its own place in the flat table.
     """
     flat = [ZERO] * (9 * len(tensors))
     for t, tensor in enumerate(tensors):
-        _check_indices(2, (idx for idx, _ in tensor.entries))
         for (a, b), c in tensor.entries:
             flat[9 * t + 3 * a + b - 4] = s = c.as_scalar()
             if s is None:

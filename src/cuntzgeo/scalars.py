@@ -25,6 +25,11 @@ so the arithmetic of scalars, elements, forms and tensors refuses it.
 
 from __future__ import annotations
 
+__all__ = [
+    "GScalar",
+    "rational",
+]
+
 from fractions import Fraction
 from math import gcd
 

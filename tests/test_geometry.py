@@ -28,10 +28,12 @@ from cuntzgeo import (
     koszul_correction,
     levi_civita,
     load_metric,
+    print_tensor,
     ricci,
     scalar_curvature,
     torsion,
     unitarity_residual,
+    wedge,
 )
 from cuntzgeo.calculus import WEDGE_PAIRS, _check_indices
 from cuntzgeo.scalars import GScalar, I, ONE, rational
@@ -511,16 +513,35 @@ def test_non_scalar_christoffel_symbols_are_rejected():
 
 
 def test_tensor_indices_outside_1_to_3_are_rejected():
-    """A directly built TensorElem is unchecked; its entry (1, 5) would land
-    on Gamma_1(2, 2) in the flat table if the readers did not check it."""
-    z = TensorElem(2, ())
-    bad = TensorElem(2, (((1, 5), AlgElem.scalar(1)),))
-    conn = Connection((bad, z, z))
-    for compute in (lambda: compatibility_map(Metric.identity(), conn),
-                    lambda: curvature(conn),
-                    lambda: scalar_curvature(Metric.identity(), bad)):
-        with pytest.raises(ValueError, match=r"^index \(1, 5\) outside 1\.\.3$"):
-            compute()
+    """The constructor checks every index: an entry (1, 5) would land on
+    Gamma_1(2, 2) in a flat table and (True, 2) would read as (1, 2).
+    ``_make`` checks an index even when its coefficients sum to zero."""
+    for index, shown in (((1, 5), r"\(1, 5\)"), ((True, 2), r"\(True, 2\)")):
+        with pytest.raises(ValueError, match=rf"^index {shown} outside 1\.\.3$"):
+            TensorElem(2, ((index, AlgElem.scalar(1)),))
+    with pytest.raises(ValueError, match=r"^index \(1, 2, 3\) does not have rank 2$"):
+        TensorElem(2, (((1, 2, 3), AlgElem.scalar(1)),))
+    with pytest.raises(ValueError, match=r"^index \(1, 5\) outside 1\.\.3$"):
+        TensorElem.from_entries(2, {(1, 5): 0})
+
+
+_TENSOR_READERS = {
+    "wedge": wedge,
+    "torsion": lambda t: torsion(Connection((t, t, t))),
+    "christoffel": lambda t: christoffel(Connection((t, t, t))),
+    "print_tensor": print_tensor,
+}
+
+
+@pytest.mark.parametrize("index", [(1, 5), (True, 2)], ids=["1-5", "True-2"])
+@pytest.mark.parametrize("reader", sorted(_TENSOR_READERS))
+def test_no_tensor_reader_meets_an_index_outside_1_to_3(reader, index):
+    """Unchecked, these readers misread such an entry without an error:
+    ``wedge`` gives e12 for (True, 2) and 0 for (1, 5), ``torsion`` and
+    ``christoffel`` follow it, and ``print_tensor`` prints e1(x)e5.  The
+    tensor is built inside the check, so the constructor raises first."""
+    with pytest.raises(ValueError, match=r"^index \(\w+, \d\) outside 1\.\.3$"):
+        _TENSOR_READERS[reader](TensorElem(2, ((index, AlgElem.scalar(1)),)))
 
 
 # -- the Levi-Civita connection --------------------------------------------------

@@ -4,6 +4,8 @@ scans for unused imports and unused module-level definitions."""
 import ast
 import importlib
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import cuntzgeo
@@ -15,6 +17,37 @@ BENCH = ROOT / "bench"
 def test_every_export_resolves():
     missing = [name for name in cuntzgeo.__all__ if not hasattr(cuntzgeo, name)]
     assert missing == []
+
+
+EXPORTS = [
+    "AlgElem", "BASIS_DIFFERENTIALS", "CapacityError", "Connection", "CurvatureReport",
+    "GScalar", "Metric", "MetricError", "Monomial", "OneForm", "ParseError",
+    "RepTwoForm", "SymTensorMap", "TensorElem", "TwoForm", "antisym_lift",
+    "base_connection", "christoffel", "compatibility_map", "curvature",
+    "curvature_operator", "curvature_report", "d0", "d1", "derive", "differential",
+    "flip", "get_caps", "junk_project", "koszul_correction", "levi_civita",
+    "load_metric", "monomial", "one_form_tensor", "parse_alg", "parse_expr",
+    "parse_one_form", "parse_scalar", "print_canonical", "print_tensor", "rational",
+    "represented_product", "ricci", "rotate", "scalar_curvature", "set_caps",
+    "sym_project", "tensor_product", "torsion", "unitarity_residual", "wedge",
+]
+
+
+def test_the_public_surface_is_the_modules_lists():
+    """The package exports the 51 names, each written in exactly one
+    module's ``__all__``; ``cuntzgeo.curvature`` is the function, not the
+    submodule that the star import of its names shadows."""
+    assert sorted(cuntzgeo.__all__) == EXPORTS
+    star: dict = {}
+    exec("from cuntzgeo import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == EXPORTS
+    assert cuntzgeo.curvature is sys.modules["cuntzgeo.curvature"].curvature
+    homes = Counter(
+        name
+        for path in (ROOT / "src" / "cuntzgeo").glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+        for name in getattr(importlib.import_module(f"cuntzgeo.{path.stem}"), "__all__", ()))
+    assert sorted(homes) == EXPORTS and set(homes.values()) == {1}
 
 
 def test_readme_library_example_prints_its_comment(capsys):
@@ -41,8 +74,10 @@ def test_benchmark_entry_points_resolve(monkeypatch):
 
 
 def _unused_imports(path: Path) -> list[str]:
-    """Names imported in ``path`` that it never loads (a name in ``__all__``
-    counts as loaded); lines marked ``# noqa: F401`` are exempt."""
+    """Names imported in ``path`` that it never loads (a name in a literal
+    ``__all__`` list counts as loaded; a computed ``__all__`` is ordinary
+    code, whose loads count); lines marked ``# noqa: F401`` are exempt.  A
+    star import binds no name of its own, so it is not a candidate."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -55,11 +90,12 @@ def _unused_imports(path: Path) -> list[str]:
             if "# noqa: F401" in lines[node.lineno - 1]:
                 continue
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(name, node.lineno)
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
