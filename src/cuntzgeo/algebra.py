@@ -519,7 +519,10 @@ class AlgElem:
         c = GScalar._coerce(other)
         return NotImplemented if c is None else self.scale(c)
 
-    def scale(self, c: GScalar) -> "AlgElem":
+    def scale(self, c: "GScalar | int") -> "AlgElem":
+        """``c`` times this element, for an exact scalar ``c`` (``GScalar.of``
+        reads it, so anything else is a TypeError)."""
+        c = GScalar.of(c)
         if not c:
             return AlgElem.zero()
         return AlgElem({m: c * coeff for m, coeff in self._map.items()})

@@ -39,9 +39,9 @@ which :func:`d1` sums in this order:
 ``D_i(a_i)`` never occurs, so a nonzero ``a_i`` costs two derivations.
 
 Rank-2 and rank-3 tensors over the one-form module support the structural
-maps of the calculus: the symmetrizer :func:`sym_project`, the
-flip :func:`flip`, the section :func:`antisym_lift` of the wedge map, and
-the wedge map itself.
+maps of the calculus: the symmetrizer :func:`sym_project`, the flip
+:func:`flip` (the leg swap), the section :func:`antisym_lift` of the wedge
+map, and the wedge map itself.
 """
 
 from __future__ import annotations
@@ -228,6 +228,11 @@ class _Form:
         z = AlgElem.zero()
         return cls((z, z, z))
 
+    @classmethod
+    def of(cls, *coeffs: "AlgElem | GScalar | int"):
+        """The form with these three coefficients, in the basis order."""
+        return cls(tuple(map(_coeff, coeffs)))
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -263,10 +268,6 @@ class OneForm(_Form):
     LABELS = ("e1", "e2", "e3")  # the basis symbols, in the order of c
 
     @staticmethod
-    def of(c1, c2, c3) -> "OneForm":
-        return OneForm((_coeff(c1), _coeff(c2), _coeff(c3)))
-
-    @staticmethod
     def basis(i: int) -> "OneForm":
         cs = [AlgElem.zero()] * 3
         cs[_index(i) - 1] = AlgElem.unit()
@@ -290,10 +291,6 @@ class TwoForm(_Form):
     for i < j, e_ij is ``c[i + j - 3]``."""
 
     LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
-
-    @staticmethod
-    def of(c12, c13, c23) -> "TwoForm":
-        return TwoForm((_coeff(c12), _coeff(c13), _coeff(c23)))
 
     @staticmethod
     def basis(i: int, j: int) -> "TwoForm":
@@ -349,8 +346,11 @@ Index = tuple[int, ...]
 
 
 def _check_indices(rank: int, indices: Iterable[Index]) -> None:
-    """Raise ValueError unless each index is a tuple of ``rank`` ints that
-    pass ``algebra._index``; the message names the whole index."""
+    """Raise ValueError unless ``rank`` is an int (not a bool) of at least 1
+    and each index is a tuple of ``rank`` ints that pass ``algebra._index``;
+    the message names the whole index."""
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"tensor rank {rank!r} is not an int of at least 1")
     for idx in indices:
         if not isinstance(idx, tuple) or len(idx) != rank:
             raise ValueError(f"index {idx!r} does not have rank {rank}")
@@ -365,13 +365,13 @@ class TensorElem:
     Stored as (index tuple -> right coefficient); the basis symbols are
     central, so a single right coefficient per index is fully general.
 
-    The constructor is the one place that checks indices: every index must
-    be a tuple of ``rank`` ints in 1..3 (``_check_indices``), else
-    ValueError.  So no reader of ``entries`` meets an index that would land
-    on another entry or be dropped.  Three builders skip the check through
-    ``_unchecked``: ``_make``, which checks its merged indices itself,
-    ``_of_scalars``, by its precondition, and ``__neg__``, whose indices
-    are those of a built tensor.
+    The constructor is the one place that checks indices: the rank must be
+    an int of at least 1, and every index a tuple of ``rank`` ints in 1..3
+    (``_check_indices``), else ValueError.  So no reader of ``entries``
+    meets an index that would land on another entry or be dropped.  Three
+    builders skip the check through ``_unchecked``: ``_make``, which checks
+    its merged indices itself, ``_of_scalars``, by its precondition, and
+    ``__neg__``, whose indices are those of a built tensor.
     """
 
     rank: int
@@ -473,8 +473,9 @@ class TensorElem:
         return NotImplemented if f is None else TensorElem._make(
             self.rank, ((idx, c * f) for idx, c in self.entries))
 
-    def scale(self, s: GScalar) -> "TensorElem":
-        return TensorElem._make(self.rank, ((idx, c.scale(s)) for idx, c in self.entries))
+    def scale(self, s: "AlgElem | GScalar | int") -> "TensorElem":
+        """``self * s``: the operand rule of ``*``."""
+        return self * s
 
     def flip_legs(self, a: int, b: int) -> "TensorElem":
         """Swap tensor positions a and b (0-based); valid since the basis is
@@ -524,10 +525,12 @@ def sym_project(t: TensorElem) -> TensorElem:
 
 
 def flip(t: TensorElem) -> TensorElem:
-    """The module flip on rank-2 tensors: 2*sym_project - id."""
+    """The module flip on rank-2 tensors.  The flip is 2*sym_project - id,
+    and on the central basis sym_project averages a tensor and its leg
+    swap, so the flip reduces to that swap."""
     if t.rank != 2:
         raise ValueError("flip expects a rank-2 tensor")
-    return sym_project(t).scale(GScalar.of(2)) - t
+    return t.flip_legs(0, 1)
 
 
 def antisym_lift(w: TwoForm) -> TensorElem:

@@ -88,7 +88,13 @@ def curvature_operator(
 ) -> ThetaMap:
     """Attach the dual index and swap the middle legs: entry (a, c, b, k)
     is the (a, b, c) coefficient of curv[k].  The swap is a bijection, so
-    the nonzero entries carry over one to one."""
+    the nonzero entries carry over one to one.
+
+    Raises ValueError unless curv is a tuple or list of three rank-3
+    tensors."""
+    if not (isinstance(curv, (tuple, list)) and len(curv) == 3 and all(
+            isinstance(t, TensorElem) and t.rank == 3 for t in curv)):
+        raise ValueError("curvature_operator expects three rank-3 tensors")
     return {(a, c, b, k): coeff
             for k in _INDICES for (a, b, c), coeff in curv[k - 1].entries}
 

@@ -53,7 +53,6 @@ __all__ = [
     "ParseError",
     "parse_alg",
     "parse_expr",
-    "parse_one_form",
     "parse_scalar",
     "print_canonical",
     "print_tensor",
@@ -193,11 +192,12 @@ def _times_run(x, letters: tuple[Monomial, ...]):
 class _Parser:
     """Recursive descent over the tokens that evaluates as it reads.  The
     ``parse_*`` methods return ``(value, pos)``: ``pos`` is where a degree
-    fault about the value is reported (for a lone group, inside it)."""
+    fault about the value is reported (for a lone group, inside it).  With
+    ``alg`` set, a form symbol or ``d`` is a context fault."""
 
-    def __init__(self, tokens: list[tuple[str, int, object]], mode: str | None):
+    def __init__(self, tokens: list[tuple[str, int, object]], alg: bool):
         self.tokens = tokens
-        self.mode = mode
+        self.alg = alg
         self.i = 0
         self.depth = 0
 
@@ -267,17 +267,15 @@ class _Parser:
         if kind == "gen":
             return _times_run(AlgElem.unit(), value), pos
         if kind == "form1":
-            if self.mode == "alg":
+            if self.alg:
                 raise ParseError("one-form symbol in algebra context", pos)
             return OneForm.basis(value), pos
         if kind == "form2":
-            if self.mode == "alg":
+            if self.alg:
                 raise ParseError("two-form symbol in algebra context", pos)
-            if self.mode == "one":
-                raise ParseError("two-form symbol in one-form context", pos)
             return TwoForm.basis(*value), pos
         if kind == "d":
-            if self.mode == "alg":
+            if self.alg:
                 raise ParseError("differential in algebra context", pos)
             self.expect("(", "'(' after 'd'")
             inner, _ = self.parse_group(pos)
@@ -301,8 +299,8 @@ class _Parser:
         return inner
 
 
-def _parse(text: str, mode: str | None):
-    parser = _Parser(_tokenize(text), mode)
+def _parse(text: str, alg: bool):
+    parser = _Parser(_tokenize(text), alg)
     value, _ = parser.parse_expr()
     kind, pos, _ = parser.tokens[parser.i]
     if kind != "eof":
@@ -312,22 +310,12 @@ def _parse(text: str, mode: str | None):
 
 def parse_expr(text: str):
     """Parse and evaluate; result is an AlgElem, OneForm or TwoForm."""
-    return _parse(text, None)
+    return _parse(text, False)
 
 
 def parse_alg(text: str) -> AlgElem:
     """Parse text that must denote an algebra element."""
-    return _parse(text, "alg")
-
-
-def parse_one_form(text: str) -> OneForm:
-    """Parse text that must denote a one-form (e_i symbols and d(algebra))."""
-    value = _parse(text, "one")
-    if isinstance(value, AlgElem):
-        raise ParseError("expected a one-form, got an algebra element", 0)
-    if not isinstance(value, OneForm):
-        raise ParseError("expected a one-form, got a two-form", 0)
-    return value
+    return _parse(text, True)
 
 
 def parse_scalar(text: str) -> GScalar:

@@ -86,7 +86,8 @@ from .calculus import (
 from .exprs import ParseError, parse_scalar
 from .scalars import GScalar, ZERO, _new, _norm
 
-# bench/spans.py wraps this name when it traces; ROADMAP item 4(b) deletes both.
+# bench/spans.py wraps this name when it traces; the benchmark change of
+# ROADMAP item 3 deletes the wrap, and this name goes with it.
 solve_exact = None
 
 

@@ -89,11 +89,6 @@ def random_elem(rng: random.Random, max_terms: int = 4,
     return AlgElem.from_terms(terms)
 
 
-def random_one_form(rng: random.Random) -> OneForm:
-    return OneForm(tuple(random_elem(rng, max_terms=2, max_len=2)
-                         for _ in range(3)))
-
-
 def random_rank2(rng: random.Random, scalar: bool = False) -> TensorElem:
     entries = {}
     for _ in range(rng.randint(0, 5)):

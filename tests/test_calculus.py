@@ -374,6 +374,47 @@ def test_tensor_indices_are_ints():
         TensorElem.basis(1, 2).entry(True, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TensorElem(True, (((1,), AlgElem.unit()),)),
+    lambda: TensorElem(2.0, ()),
+    lambda: TensorElem.zero(0),
+    lambda: TensorElem.basis(),
+    lambda: TensorElem.from_entries(-1, {}),
+], ids=["bool", "float", "zero-0", "empty-basis", "negative"])
+def test_tensor_rank_is_an_int_of_at_least_1(build):
+    """A rank of True would admit a one-letter index, 2.0 would equal
+    zero(2), and rank 0 would be a tensor that prints as a scalar."""
+    with pytest.raises(ValueError, match="tensor rank .* is not an int of at least 1"):
+        build()
+
+
+def test_scale_is_multiplication_by_the_operand():
+    """``scale`` follows the operand rule of ``*``: an exact scalar or, for a
+    tensor, an element on the right; anything else is a TypeError."""
+    t = TensorElem.basis(1, 2) + TensorElem.basis(2, 1) * 3
+    assert t.scale(S2) == t * S2
+    assert t.scale(S2).entry(1, 2) == S2 and print_canonical(t.scale(S2).entry(2, 1)) == "3 S2"
+    assert t.scale(rational(1, 2)) == t * rational(1, 2)
+    assert t.scale(0).is_zero()
+    for bad in (0.5, True, "2"):
+        with pytest.raises(TypeError):
+            t.scale(bad)
+    assert S1.scale(rational(1, 2)) == S1 * rational(1, 2)
+    assert S1.scale(3) == 3 * S1
+    for bad in (S2, 0.5, True, "2"):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            S1.scale(bad)
+
+
+def test_flip_is_the_leg_swap():
+    """The flip 2*sym_project - id is the swap of the two legs."""
+    t = TensorElem.basis(1, 2) * S1 + TensorElem.basis(3, 3) * 2
+    assert flip(t) == TensorElem.basis(2, 1) * S1 + TensorElem.basis(3, 3) * 2
+    assert flip(t).equals(sym_project(t) * 2 - t)
+    with pytest.raises(ValueError, match="rank-2"):
+        flip(TensorElem.basis(1, 2, 3))
+
+
 def test_tensor_equals_is_false_for_other_types():
     t = TensorElem.basis(1, 2)
     assert not t.equals(OneForm.zero())

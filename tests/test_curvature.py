@@ -198,6 +198,20 @@ def test_ricci_checks_the_indices_it_contracts():
             ricci(theta)
 
 
+@pytest.mark.parametrize("curv", [
+    lambda c: c + (c[0],),
+    lambda c: c[:2],
+    lambda c: TensorElem.basis(1, 2),
+    lambda c: "abc",
+    lambda c: (c[0], c[1], TensorElem.basis(1, 2)),
+], ids=["four", "pair", "rank-2", "string", "rank-2-member"])
+def test_curvature_operator_takes_three_rank_3_tensors(curv):
+    c = curvature(levi_civita(Metric.identity()))
+    assert curvature_operator(list(c)) == curvature_operator(c)
+    with pytest.raises(ValueError, match="three rank-3 tensors"):
+        curvature_operator(curv(c))
+
+
 def test_curvature_report_bundles_everything():
     rep = curvature_report(Metric.identity())
     assert rep.scalar == AlgElem.scalar(rational(-3, 4))

@@ -22,7 +22,6 @@ from cuntzgeo import (
     monomial,
     parse_alg,
     parse_expr,
-    parse_one_form,
     parse_scalar,
     print_canonical,
     set_caps,
@@ -79,7 +78,8 @@ def test_differential_in_grammar():
 
 
 def test_one_form_arithmetic():
-    v = parse_one_form("e1 S2 - 1/2 e3")
+    v = parse_expr("e1 S2 - 1/2 e3")
+    assert isinstance(v, OneForm)
     assert v.component(1) == AlgElem.generator(2)
     assert v.component(3) == AlgElem.scalar(rational(-1, 2))
 
@@ -167,10 +167,6 @@ def test_parse_errors_carry_offsets(text, fragment, offset):
 def test_context_errors():
     with pytest.raises(ParseError, match="one-form symbol in algebra context"):
         parse_alg("e1")
-    with pytest.raises(ParseError, match="two-form symbol"):
-        parse_one_form("e12")
-    with pytest.raises(ParseError, match="expected a one-form"):
-        parse_one_form("S1")
     with pytest.raises(ParseError, match="different degree"):
         parse_expr("S1 + e1")
     with pytest.raises(ParseError, match="degree 2"):
@@ -360,7 +356,6 @@ def test_one_form_sum_is_the_left_fold(x, rng):
     for sign, v in signed:
         fold = fold - v if sign < 0 else fold + v
     assert parse_expr(_sum_text(signed)) == fold
-    assert parse_one_form(_sum_text(signed)) == fold
 
 
 @given(small_alg_elems, st.randoms(use_true_random=False))
@@ -462,7 +457,7 @@ def test_one_form_round_trip(v):
     if v.is_zero():
         assert text == "0"
     else:
-        assert parse_one_form(text) == v
+        assert parse_expr(text) == v
 
 
 @given(small_alg_elems, small_alg_elems, small_alg_elems)

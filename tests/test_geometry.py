@@ -589,6 +589,27 @@ def test_levi_civita_matches_dense_oracle_on_seeded_metrics():
                     assert got.re == want
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_torsion_matches_dense_oracle_on_random_connections(seed):
+    """torsion(conn)[i] on e_ab is the oracle's Gamma_i(a, b) - Gamma_i(b, a)
+    + d(e_i)_ab, on connections built from random Fraction tables; the
+    oracle's diagonal is 0, as a two-form has no e_aa."""
+    rng = random.Random(seed)
+    gamma = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.6
+               else Fraction(0) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    conn = Connection(tuple(
+        TensorElem.from_entries(2, {(a + 1, b + 1): GScalar.of(gi[a][b])
+                                    for a in range(3) for b in range(3)})
+        for gi in gamma))
+    want = dense_oracle.torsion_residual(gamma)
+    for i, t in enumerate(torsion(conn)):
+        for a in range(3):
+            assert want[i][a][a] == 0
+            for b in set(range(3)) - {a}:
+                got = t.component(a + 1, b + 1).as_scalar()
+                assert got is not None and got.im == 0 and got.re == want[i][a][b]
+
+
 @given(metrics())
 @example(Metric.identity())
 @example(Metric.identity().scale(2))
