@@ -12,10 +12,11 @@ symbol, a tensor or metric index), is an ``int`` that is not a ``bool``, in
 its letters are checked where they enter an element (``from_terms``,
 ``tree_action``).
 
-Words are stored as tuples of letters.  By convention the second word is
-recorded so that ``S_nu^* = S_{nu(k)}^* ... S_{nu(1)}^*``; equivalently,
-``(mu, nu)`` stands for ``S_{mu(1)} .. S_{mu(p)} S_{nu(q)}^* .. S_{nu(1)}^*``.
-With that convention the product rule is prefix matching:
+A word is a tuple of letters outside an element (:class:`Monomial`).  By
+convention the second word is recorded so that
+``S_nu^* = S_{nu(k)}^* ... S_{nu(1)}^*``; equivalently, ``(mu, nu)`` stands
+for ``S_{mu(1)} .. S_{mu(p)} S_{nu(q)}^* .. S_{nu(1)}^*``.  With that
+convention the product rule is prefix matching:
 
     (mu, nu) * (mu', nu') = (mu + r, nu')   if mu' = nu + r
                           = (mu, nu' + r)   if nu  = mu' + r
@@ -67,36 +68,48 @@ one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
 their summands into one accumulator, so their work is linear in the
 summands' terms and the merges they cause.  An empty accumulator adopts its
 first summand's terms, negated for a negative sign, with no merge and no
-collapse: a canonical summand added to 0 is its own canonical form.
-Everything else is a stream of (monomial, coefficient) pairs that need not
-be canonical: products, derivations and outside terms (``from_terms``).
-``_canonical`` merges them in one pass into a dict: it adds the
-coefficients of a repeated monomial, deletes a key the moment its sum is 0
-and never stores a fresh 0, then collapses from every term, seeded from the
-members ``(mu.1, nu.1)``, since a complete family holds its member of letter
-1.  ``calculus.d1`` folds the canonical map of each derivation into its
-accumulator.  Every product of two elements is one ``_make``, whatever their
-sizes.
+collapse: a canonical summand added to 0 is its own canonical form.  A
+summand of one term collapses only when both its words end in one letter,
+since only then is it a family member.  Everything else is a stream of
+(key, coefficient) pairs that need not be canonical: products, derivations
+and outside terms (``from_terms``).  ``_canonical`` merges them in one pass
+into a dict: it adds the coefficients of a repeated key, deletes it the
+moment its sum is 0 and never stores a fresh 0, then collapses from every
+term, seeded from the members ``(mu.1, nu.1)``, since a complete family
+holds its member of letter 1.  ``calculus.d1`` folds the canonical map of
+each derivation into its accumulator.  Every product of two elements is one
+``_make``, whatever their sizes.
 
 Display order, (|nu|, nu, |mu|, mu), is a matter of presentation.  An
 element holds the canonical map that ``_canonical`` or ``_Sum`` built, in
 the order its keys were inserted, and every operation, ``==`` and the hash
-work from that map, whose order they do not see.  Only the ``terms`` reader
-sorts (``_ordered``), each time it is read, so a product, derivation, sum or
-adjoint that nothing prints is never sorted.
+work from that map, whose order they do not see.  Only the readers of the
+sorted terms, ``terms`` and the printer, sort (``_ordered``), each time they
+read, so a product, derivation, sum or adjoint that nothing prints is never
+sorted.
 
 The word-length cap is checked where a product forms a word, in
 ``_mul_monomials``, and where outside words come in, in ``from_terms``.
 Sums, adjoints and derivations form no product word and do not check it.
 
-Terms live in dicts keyed by :class:`Monomial`, a ``NamedTuple`` of the two
-words, so keys hash and compare in C.  Products, derivations and a merge's
-parent build their keys with ``tuple.__new__`` (``_new``), which skips the
-NamedTuple's Python-level ``__new__``, and ``_collapse`` finds family
-members by plain tuples, which equal the monomials.  ``_canonical``,
-``_Sum`` and a merge's parent term store the coefficient of a key they do
-not hold yet as it comes, or its negation, and add only onto a key they
-hold.
+Inside an element a word is its base-4 code (``_code``): the letters are the
+digits, the first letter the most significant, and the empty word is 0.  A
+term's key is the pair ``(code of mu, code of nu)``, two ints, which hash
+and compare in C (a pair, not one int, as ``set_caps`` bounds no length).
+No digit is 0, so a word of n letters has 2n - 1 or 2n bits, and every word
+operation is integer arithmetic: the length is ``(bit_length + 1) >> 1``, the
+last letter ``code & 3``, dropping it ``code >> 2`` and appending j
+``code << 2 | j``; u is a prefix of w iff ``w >> 2(|w| - |u|) == u``, and
+replacing the digit l at bit t by k adds ``(k - l) << t``.  Codes of more
+letters are larger, so numeric order is shortlex order and the display order
+is that of ``(nu code, mu code)``.  The map between words and codes keeps
+letters, lengths, prefixes and families, so every canonical form is the one
+the words give.  Codes become words again, and keys :class:`Monomial`
+values, only where they leave an element (``terms``, ``term_map``, ``repr``
+and the images of ``tree_action``); ``from_terms`` turns outside words into
+codes.  ``_canonical``, ``_Sum`` and a merge's parent term store the
+coefficient of a key they do not hold yet as it comes, or its negation, and
+add only onto a key they hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -124,6 +137,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .scalars import GScalar, ONE, ZERO
 
 Word = tuple[int, ...]
+Key = tuple[int, int]  # (code of mu, code of nu): see the module docstring
 
 
 class CapacityError(Exception):
@@ -151,9 +165,11 @@ def get_caps() -> tuple[int, int]:
     return _MAX_WORD_LEN, _MAX_TERMS
 
 
-def _check_word_lengths(monos: Iterable[Monomial]) -> None:
-    for m in monos:
-        if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
+def _check_word_lengths(codes: Iterable[int]) -> None:
+    """CapacityError for a word code of more than the cap's letters, that
+    is of more than twice its bits."""
+    for code in codes:
+        if code.bit_length() > 2 * _MAX_WORD_LEN:
             raise CapacityError(
                 f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
 
@@ -198,8 +214,9 @@ def _as_word(w: Sequence[int] | str) -> Word:
 class Monomial(NamedTuple):
     """The monomial ``S_mu S_nu^*``; ``mu == nu == ()`` is the unit.
 
-    A tuple ``(mu, nu)``, so dict keys hash and compare in C; it equals the
-    plain tuple of its two words.
+    The public word type: a tuple ``(mu, nu)`` of two words, equal to the
+    plain tuple of its words.  Elements key their terms by word codes, and
+    build monomials only for their readers.
     """
 
     mu: Word
@@ -219,49 +236,69 @@ class Monomial(NamedTuple):
         return f"Monomial({self.mu}, {self.nu})"
 
 
-_UNIT = Monomial((), ())
-
-# ``_new(Monomial, (mu, nu))`` builds a monomial with no Python frame (the
-# NamedTuple ``__new__`` is a Python function); the words are not checked.
-_new = tuple.__new__
+_UNIT: Key = (0, 0)
 
 
 def monomial(mu: Sequence[int] | str, nu: Sequence[int] | str = ()) -> Monomial:
     return Monomial(_as_word(mu), _as_word(nu))
 
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two monomials, or None when the prefixes clash (product 0).
+def _code(word: Iterable[int]) -> int:
+    """The base-4 code of a word of letters 1..3 (module docstring)."""
+    code = 0
+    for letter in word:
+        code = code << 2 | letter
+    return code
+
+
+def _len(code: int) -> int:
+    """The length of the word of a code."""
+    return (code.bit_length() + 1) >> 1
+
+
+def _word(code: int) -> Word:
+    """The word of a code: its digits, first to last (the first at bit
+    ``(bit_length - 1) & -2``)."""
+    return tuple(code >> t & 3 for t in range(code.bit_length() - 1 & -2, -1, -2))
+
+
+def _monomial(key: Key) -> Monomial:
+    return Monomial(_word(key[0]), _word(key[1]))
+
+
+def _mul_monomials(a: Key, b: Key) -> Key | None:
+    """Product of two keys, or None when the prefixes clash (product 0).
 
     Every product word of the package is formed here, so this is where the
     word cap is checked: on both words of the product, whichever of them
     grew, since a factor may come from a larger cap."""
-    nu, mu2 = a.nu, b.mu
-    if len(nu) <= len(mu2):
-        if mu2[: len(nu)] != nu:
+    (mu, nu), (mu2, nu2) = a, b
+    s = (mu2.bit_length() + 1 & -2) - (nu.bit_length() + 1 & -2)  # 2 (|mu2| - |nu|)
+    if s >= 0:
+        if mu2 >> s != nu:
             return None
-        m = _new(Monomial, (a.mu + mu2[len(nu):], b.nu))
-    elif nu[: len(mu2)] == mu2:
-        m = _new(Monomial, (a.mu, b.nu + nu[len(mu2):]))
+        m = (mu2 + (mu - nu << s), nu2)  # mu, then mu2 after its prefix nu
+    elif nu >> -s == mu2:
+        m = (mu, nu + (nu2 - mu2 << -s))  # nu2, then nu after its prefix mu2
     else:
         return None
-    if len(m.mu) > _MAX_WORD_LEN or len(m.nu) > _MAX_WORD_LEN:
-        _check_word_lengths((m,))  # raises CapacityError
+    if (m[0] | m[1]).bit_length() > 2 * _MAX_WORD_LEN:
+        _check_word_lengths(m)  # raises CapacityError
     return m
 
 
-def _family_coefficient(terms: dict[Monomial, GScalar], mu: Word, nu: Word):
+def _family_coefficient(terms: dict[Key, GScalar], mu: int, nu: int):
     """The coefficient shared by all three children ``(mu.j, nu.j)``, or
     None when the family is not complete."""
-    first = terms.get((mu + (1,), nu + (1,)))
-    if (first is None or terms.get((mu + (2,), nu + (2,))) != first
-            or terms.get((mu + (3,), nu + (3,))) != first):
+    mu, nu = mu << 2, nu << 2
+    first = terms.get((mu | 1, nu | 1))
+    if (first is None or terms.get((mu | 2, nu | 2)) != first
+            or terms.get((mu | 3, nu | 3)) != first):
         return None
     return first
 
 
-def _collapse(terms: dict[Monomial, GScalar],
-              seeds: Iterable[Monomial] | None = None) -> None:
+def _collapse(terms: dict[Key, GScalar], seeds: Iterable[Key] | None = None) -> None:
     """Apply the full-family collapse rewrite in place, to a fixed point.
 
     Whenever all three children ``(mu.j, nu.j)`` are present with one shared
@@ -275,42 +312,40 @@ def _collapse(terms: dict[Monomial, GScalar],
     if len(terms) < 3:  # a family has three members
         return
     if seeds is None:
-        pending = [(m.mu[:-1], m.nu[:-1]) for m in terms
-                   if m.mu and m.nu and m.mu[-1] == 1 == m.nu[-1]]
+        pending = [(mu >> 2, nu >> 2) for mu, nu in terms if mu & 3 == 1 == nu & 3]
     else:
-        pending = {(m.mu[:-1], m.nu[:-1]) for m in seeds
-                   if m.mu and m.nu and m.mu[-1] == m.nu[-1]}
-    # only complete families and the families a merge changes need a visit
-    levels: dict[int, list[tuple[Word, Word]]] = {}
+        pending = {(mu >> 2, nu >> 2) for mu, nu in seeds if mu & 3 == nu & 3 != 0}
+    # only complete families and the families a merge changes need a visit,
+    # by the level |mu| + |nu| of their parent
+    levels: dict[int, list[Key]] = {}
     for mu, nu in pending:
         if _family_coefficient(terms, mu, nu) is not None:
-            levels.setdefault(len(mu) + len(nu), []).append((mu, nu))
+            levels.setdefault(_len(mu) + _len(nu), []).append((mu, nu))
     while levels:
         level = max(levels)
-        for mu, nu in levels.pop(level):
+        for key in levels.pop(level):
+            mu, nu = key
             first = _family_coefficient(terms, mu, nu)
             if first is None:
                 continue
             for j in _INDICES:
-                del terms[mu + (j,), nu + (j,)]
-            old = terms.get((mu, nu))
+                del terms[mu << 2 | j, nu << 2 | j]
+            old = terms.get(key)
             total = first if old is None else old + first
             if total:
-                terms[_new(Monomial, (mu, nu))] = total
-                if mu and nu and mu[-1] == nu[-1]:
-                    levels.setdefault(level - 2, []).append((mu[:-1], nu[:-1]))
+                terms[key] = total
+                if mu & 3 == nu & 3 != 0:
+                    levels.setdefault(level - 2, []).append((mu >> 2, nu >> 2))
             else:
-                terms.pop((mu, nu), None)
+                terms.pop(key, None)
 
 
-def _ordered(items: Iterable[tuple[Monomial, GScalar]]) -> tuple:
-    """The terms as a tuple in the display order (|nu|, nu, |mu|, mu) of
-    ``Monomial.sort_key``; only the ``AlgElem.terms`` reader calls it.  The
-    key is that tuple with both words spread out, one call per term: after
-    equal lengths the letters line up, so the order is the same, and a flat
-    tuple of ints compares faster than one holding tuples."""
-    return tuple(sorted(items, key=lambda kv: (len(nu := kv[0].nu), *nu,
-                                               len(mu := kv[0].mu), *mu)))
+def _ordered(items: Iterable[tuple[Key, GScalar]]) -> list[tuple[Key, GScalar]]:
+    """The (key, coefficient) pairs in the display order (|nu|, nu, |mu|, mu)
+    of ``Monomial.sort_key``, which is the numeric order of (nu code, mu
+    code); only the readers of a sorted element (``terms``, the printer)
+    call it."""
+    return sorted(items, key=lambda kv: (kv[0][1], kv[0][0]))
 
 
 class _Sum:
@@ -329,26 +364,28 @@ class _Sum:
     __slots__ = ("terms",)
 
     def __init__(self, start: "AlgElem | None" = None) -> None:
-        self.terms: dict[Monomial, GScalar] = {} if start is None else dict(start._map)
+        self.terms: dict[Key, GScalar] = {} if start is None else dict(start._map)
 
-    def add(self, x: "AlgElem | dict[Monomial, GScalar]", sign: int = 1) -> None:
+    def add(self, x: "AlgElem | dict[Key, GScalar]", sign: int = 1) -> None:
         summand = x if isinstance(x, dict) else x._map
         terms = self.terms
         if not terms:
             self.terms = {m: -c for m, c in summand.items()} if sign < 0 else dict(summand)
             _check_term_count(len(self.terms))
             return
-        for m, c in summand.items():
-            old = terms.get(m)
+        for key, c in summand.items():
+            old = terms.get(key)
             if old is None:
-                terms[m] = -c if sign < 0 else c
+                terms[key] = -c if sign < 0 else c
                 continue
             total = old - c if sign < 0 else old + c
             if total:
-                terms[m] = total
+                terms[key] = total
             else:
-                del terms[m]
-        _collapse(terms, summand)
+                del terms[key]
+        # one key completes a family only when its words end in one letter
+        if len(summand) > 1 or summand and key[0] & 3 == key[1] & 3 != 0:
+            _collapse(terms, summand)
         _check_term_count(len(terms))
 
     def value(self) -> "AlgElem":
@@ -357,23 +394,23 @@ class _Sum:
         return AlgElem(self.terms)
 
 
-def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GScalar]:
-    """The canonical term map of the sum of (monomial, coefficient) pairs
+def _canonical(pairs: Iterable[tuple[Key, GScalar]]) -> dict[Key, GScalar]:
+    """The canonical term map of the sum of (key, coefficient) pairs
     over the alphabet (operations keep them on it), in one pass: a repeated
-    monomial adds its coefficients, a key whose sum is 0 is deleted at once
+    key adds its coefficients, a key whose sum is 0 is deleted at once
     and a fresh 0 is never stored, then complete families collapse.  Only
     the term cap is checked: the word cap is checked where words are
     formed (``_mul_monomials``) or come in (``from_terms``)."""
-    terms: dict[Monomial, GScalar] = {}
-    for m, c in pairs:
-        old = terms.get(m)
+    terms: dict[Key, GScalar] = {}
+    for key, c in pairs:
+        old = terms.get(key)
         if old is None:
             if c != ZERO:  # 0 is the one reduced triple; tuples compare in C
-                terms[m] = c
+                terms[key] = c
         elif (total := old + c) != ZERO:
-            terms[m] = total
+            terms[key] = total
         else:
-            del terms[m]
+            del terms[key]
     _collapse(terms)
     _check_term_count(len(terms))
     return terms
@@ -382,10 +419,11 @@ def _canonical(pairs: Iterable[tuple[Monomial, GScalar]]) -> dict[Monomial, GSca
 class AlgElem:
     """An algebra element in canonical form.
 
-    It holds its canonical term map (monomial -> nonzero coefficient) as
-    ``_canonical`` or ``_Sum`` built it, and never changes it.  ``terms`` is
-    the public view: the map as a tuple of (monomial, coefficient) pairs in
-    the display order (|nu|, nu, |mu|, mu), sorted each time it is read.
+    It holds its canonical term map (pair of word codes -> nonzero
+    coefficient) as ``_canonical`` or ``_Sum`` built it, and never changes
+    it.  ``terms`` is the public view: the map as a tuple of (monomial,
+    coefficient) pairs in the display order (|nu|, nu, |mu|, mu), sorted
+    each time it is read.
     Every operation works from the map, so only what is read is sorted.
     Structural equality (``==``) means identical canonical form, whatever
     order the map was built in, and so does the hash; use :meth:`equals`
@@ -394,7 +432,7 @@ class AlgElem:
 
     __slots__ = ("_map",)
 
-    def __init__(self, terms: dict[Monomial, GScalar]) -> None:
+    def __init__(self, terms: dict[Key, GScalar]) -> None:
         """The element of a canonical term map, taken as it is: no copy, so
         the caller must not change the map afterwards."""
         _set_map(self, terms)
@@ -419,12 +457,12 @@ class AlgElem:
     @property
     def terms(self) -> tuple[tuple[Monomial, GScalar], ...]:
         """The (monomial, nonzero coefficient) pairs in display order."""
-        return _ordered(self._map.items())
+        return tuple((_monomial(key), c) for key, c in _ordered(self._map.items()))
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(pairs: Iterable[tuple[Monomial, GScalar]]) -> "AlgElem":
+    def _make(pairs: Iterable[tuple[Key, GScalar]]) -> "AlgElem":
         """The element of ``_canonical(pairs)``; no word length is checked
         here (see ``_canonical``)."""
         return AlgElem(_canonical(pairs))
@@ -436,8 +474,8 @@ class AlgElem:
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
                 _index(letter, _NOT_A_LETTER)
-        pairs = [(m, GScalar.of(c)) for m, c in mapping.items()]
-        _check_word_lengths(mapping)
+        pairs = [((_code(m.mu), _code(m.nu)), GScalar.of(c)) for m, c in mapping.items()]
+        _check_word_lengths(code for key, _ in pairs for code in key)
         return AlgElem._make(pairs)
 
     @staticmethod
@@ -456,13 +494,13 @@ class AlgElem:
     @staticmethod
     def generator(i: int) -> "AlgElem":
         i = _index(i, "generator index {!r} outside 1..3")
-        return AlgElem({Monomial((i,), ()): ONE})
+        return AlgElem({(i, 0): ONE})
 
     # -- views --------------------------------------------------------------
 
     def term_map(self) -> dict[Monomial, GScalar]:
-        """A copy of the canonical term map, in no particular order."""
-        return dict(self._map)
+        """The canonical term map by monomial, in no particular order."""
+        return {_monomial(key): c for key, c in self._map.items()}
 
     def is_zero(self) -> bool:
         """True iff the element is 0: a canonical form is empty exactly
@@ -531,8 +569,7 @@ class AlgElem:
         # The adjoint maps complete families to complete families and
         # distinct monomials to distinct ones, so the adjoint of a canonical
         # map is canonical as it stands.
-        return AlgElem({_new(Monomial, (nu, mu)): c.conjugate()
-                        for (mu, nu), c in self._map.items()})
+        return AlgElem({(nu, mu): c.conjugate() for (mu, nu), c in self._map.items()})
 
     # -- equality decision ---------------------------------------------------
 
@@ -566,17 +603,17 @@ class AlgElem:
         word = _as_word(w)
         for letter in word:
             _index(letter, _NOT_A_LETTER)
-        out: dict[Word, GScalar] = {}
-        for m, c in self._map.items():
-            k = len(m.nu)
-            if word[:k] == m.nu:
-                img = m.mu + word[k:]
+        code, out = _code(word), {}
+        for (mu, nu), c in self._map.items():
+            s = 2 * (len(word) - _len(nu))
+            if s >= 0 and code >> s == nu:
+                img = mu << s | code & ((1 << s) - 1)
                 total = out.get(img, ZERO) + c
                 if total:
                     out[img] = total
                 else:
                     out.pop(img, None)
-        return out
+        return {_word(img): c for img, c in out.items()}
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{m!r}: {c!r}" for m, c in self.terms)

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Monomial, _canonical, _index, _new, _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _canonical, _index, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -85,17 +85,19 @@ GENERATOR_MATRICES: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-def _image(row: tuple[int, int, int]) -> tuple[int, bool] | None:
-    """(image letter, entry is +1) of the one nonzero entry of a row of a
-    generator matrix, or None for a zero row."""
+def _step(letter: int, row: tuple[int, int, int]) -> tuple[int, bool] | None:
+    """(image letter - letter, entry is +1) for the one nonzero entry of a
+    letter's row of a generator matrix, or None for a zero row.  Replacing
+    the digit of the letter at bit t by its image adds the difference,
+    shifted by t, to a word's code."""
     for k, f in zip(_INDICES, row):
         if f:
-            return k, f > 0
+            return k - letter, f > 0
     return None
 
 
-# _IMAGES[i][letter] is the image of a letter under X_i: None for letter i
-_IMAGES = {i: (None, *map(_image, rows)) for i, rows in GENERATOR_MATRICES.items()}
+# _STEPS[i][letter] is the step of a letter under X_i: None for letter i
+_STEPS = {i: (None, *map(_step, _INDICES, rows)) for i, rows in GENERATOR_MATRICES.items()}
 
 
 def derive(i: int, a: AlgElem) -> AlgElem:
@@ -113,24 +115,24 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     return AlgElem(_derive_terms(i, a))
 
 
-def _derive_terms(i: int, a: AlgElem) -> dict[Monomial, GScalar]:
+def _derive_terms(i: int, a: AlgElem) -> dict[Key, GScalar]:
     """The canonical term map of ``derive(i, a)``; ``i`` is not
     checked (``derive`` checks it, and ``d1`` makes its own).  An image
     keeps the lengths of its term's words, so no word length is checked:
-    like a sum or an adjoint, a derivation makes no longer word."""
-    images_of = _IMAGES[i]
+    like a sum or an adjoint, a derivation makes no longer word.  The
+    letters of a word are visited first to last: the first letter of a
+    code of b bits is at bit ``(b - 1) & -2``."""
+    steps = _STEPS[i]
 
     def images():
         for (mu, nu), c in a._map.items():
             neg = -c
-            for p, letter in enumerate(mu):
-                if (image := images_of[letter]) is not None:
-                    k, pos = image
-                    yield _new(Monomial, (mu[:p] + (k,) + mu[p + 1:], nu)), c if pos else neg
-            for p, letter in enumerate(nu):
-                if (image := images_of[letter]) is not None:
-                    k, pos = image
-                    yield _new(Monomial, (mu, nu[:p] + (k,) + nu[p + 1:])), c if pos else neg
+            for t in range(mu.bit_length() - 1 & -2, -1, -2):
+                if (step := steps[mu >> t & 3]) is not None:
+                    yield (mu + (step[0] << t), nu), c if step[1] else neg
+            for t in range(nu.bit_length() - 1 & -2, -1, -2):
+                if (step := steps[nu >> t & 3]) is not None:
+                    yield (mu, nu + (step[0] << t)), c if step[1] else neg
 
     return _canonical(images())
 

@@ -14,16 +14,16 @@ explicit product):
 ``*`` is only the postfix adjoint; division exists only inside scalar
 literals.  One regular expression scans the whole text into tokens.  A run
 of generator letters (adjacent, or separated by whitespace or one ``.``) is
-one token that carries the monomial of each letter; a letter takes a
+one token that carries the term key of each letter; a letter takes a
 following ``*`` (whitespace may come between) as its adjoint.  There are six
-letter monomials, built once in a table (``_LETTERS``) that every run shares,
-so a letter costs a lookup and no new object, and a parse keeps no
-per-letter objects alive.  The tokens
-are then parsed and evaluated in one recursive-descent pass that folds sums
-and multiplies products left to right.  A sum folds into one mutable
-accumulator (one per component for forms) that touches only each summand's
-terms and ends in the left fold's result exactly, so parsing takes time
-linear in the number of summands.  A run multiplies in letter by letter as
+letter keys, the word-code pairs ``(j, 0)`` and ``(0, j)`` of ``S_j`` and
+``S_j^*``, built once in a table (``_LETTERS``) that every run shares, so a
+letter costs a lookup and no new object, and a parse keeps no per-letter
+objects alive.  The tokens are then parsed and evaluated in one
+recursive-descent pass that folds sums and multiplies products left to
+right.  A sum folds into one mutable accumulator (one per component for
+forms) that touches only each summand's terms and ends in the left fold's
+result exactly, so parsing takes time linear in the number of summands.  A run multiplies in letter by letter as
 one word (``_times_run``), so a written word costs no element product, and
 a run after a scalar starts from its first letter.
 Problems raise :class:`ParseError` carrying the character offset — they
@@ -40,11 +40,13 @@ Canonical printing orders monomials by (|nu|, nu, |mu|, mu), puts scalar
 coefficients on the left of basis symbols and algebra coefficients on the
 right (parenthesized when they have several terms), and always emits text
 that parses back to the same canonical form.  One loop writes each term
-with its sign in front (`` + `` or `` - ``), from tables of the letter
-texts, and one join drops or shortens the first sign.  It reads each
-coefficient's triple (a, b, d); a real or an imaginary scalar is in lowest
-terms already, since gcd(a, b, d) = 1, so only a scalar with two nonzero
-parts takes a gcd for each part.
+with its sign in front (`` + `` or `` - ``), and one join drops or shortens
+the first sign.  It sorts an element's keys with ``algebra._ordered`` and
+reads each word from its code: a print call builds the text of a word code
+once, from tables of the letter texts, the first time a term holds it
+(``_WordTexts``).  It reads each coefficient's triple (a, b, d); a real or
+an imaginary scalar is in lowest terms already, since gcd(a, b, d) = 1, so
+only a scalar with two nonzero parts takes a gcd for each part.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ __all__ = [
 import re
 from math import gcd
 
-from .algebra import _UNIT, AlgElem, Monomial, _Sum, _mul_monomials
+from . import algebra
+from .algebra import _UNIT, AlgElem, Key, _Sum, _mul_monomials
 from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE, _norm
 
@@ -103,9 +106,9 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 # one letter of a generator run: its digit and its adjoint star, if any
 _LETTER = re.compile(r"S([123])\s*(\*?)")
-# the monomial of each letter, keyed as ``_LETTER`` finds it; every run
+# the term key of each letter, keyed as ``_LETTER`` finds it; every run
 # shares these six, so a letter costs a lookup and no object
-_LETTERS = {(d, star): Monomial((), (int(d),)) if star else Monomial((int(d),), ())
+_LETTERS = {(d, star): (0, int(d)) if star else (int(d), 0)
             for d in "123" for star in ("", "*")}
 
 
@@ -169,7 +172,7 @@ def _components(v) -> tuple[AlgElem, ...]:
     return (v,) if isinstance(v, AlgElem) else v.c
 
 
-def _times_run(x, letters: tuple[Monomial, ...]):
+def _times_run(x, letters: tuple[Key, ...]):
     """``x`` times the letters of a generator run, left to right, as one
     product per letter gives it.  An element of one term stays one word, so
     the word folds with ``_mul_monomials``, which checks the word cap after
@@ -364,9 +367,23 @@ _MU_TEXT = (None, "S1", "S2", "S3")
 _NU_TEXT = (None, "S1*", "S2*", "S3*")
 
 
-def _mono_text(m: Monomial) -> str:
-    return " ".join([_MU_TEXT[letter] for letter in m.mu]
-                    + [_NU_TEXT[letter] for letter in reversed(m.nu)])
+class _WordTexts(dict):
+    """The text of each word code met in one print call, built when first
+    met: a mu word under its code, letters first to last, and a nu word
+    under the code's complement ``~code``, adjoints last to first."""
+
+    def __missing__(self, key: int) -> str:
+        if key >= 0:
+            texts = [_MU_TEXT[key >> t & 3] for t in range(key.bit_length() - 1 & -2, -1, -2)]
+        else:
+            texts = [_NU_TEXT[~key >> t & 3] for t in range(0, (~key).bit_length(), 2)]
+        text = self[key] = " ".join(texts)
+        return text
+
+
+def _mono_text(key: Key, words: _WordTexts) -> str:
+    mu, nu = key
+    return f"{words[mu]} {words[~nu]}" if mu and nu else words[mu] if mu else words[~nu]
 
 
 def _term(c: GScalar, symbol: str, decimal: bool) -> str:
@@ -398,23 +415,26 @@ def _join_terms(terms: list[str]) -> str:
     return text[3:] if text[1] == "+" else "- " + text[3:]
 
 
-def _alg_text(x: AlgElem, decimal: bool) -> str:
-    """The text of an element; its ``terms`` are read, and sorted, once."""
+def _alg_text(x: AlgElem, decimal: bool, words: _WordTexts) -> str:
+    """The text of an element; its terms are sorted once."""
     if x.is_zero():
         return "0"
-    return _join_terms([_term(c, _mono_text(m), decimal) for m, c in x.terms])
+    return _join_terms([_term(c, _mono_text(key, words), decimal)
+                        for key, c in algebra._ordered(x._map.items())])
 
 
-def _form_term(label: str, a: AlgElem, decimal: bool) -> str:
+def _form_term(label: str, a: AlgElem, decimal: bool, words: _WordTexts) -> str:
     if len(a._map) == 1:  # one term needs no sort
-        (m, c), = a._map.items()
-        return _term(c, label if m.is_unit else f"{label} {_mono_text(m)}", decimal)
-    return f" + {label} ({_alg_text(a, decimal)})"
+        (key, c), = a._map.items()
+        return _term(c, label if key == _UNIT else f"{label} {_mono_text(key, words)}",
+                     decimal)
+    return f" + {label} ({_alg_text(a, decimal, words)})"
 
 
 def _form_text(labels: tuple[str, ...], coeffs, decimal: bool) -> str:
+    words = _WordTexts()
     parts = [
-        _form_term(label, a, decimal)
+        _form_term(label, a, decimal, words)
         for label, a in zip(labels, coeffs)
         if not a.is_zero()
     ]
@@ -426,9 +446,9 @@ def _form_text(labels: tuple[str, ...], coeffs, decimal: bool) -> str:
 def print_canonical(x, decimal: bool = False) -> str:
     """Deterministic text for scalars, algebra elements and forms."""
     if isinstance(x, GScalar):
-        return _alg_text(AlgElem.scalar(x), decimal)
+        x = AlgElem.scalar(x)
     if isinstance(x, AlgElem):
-        return _alg_text(x, decimal)
+        return _alg_text(x, decimal, _WordTexts())
     if isinstance(x, (OneForm, TwoForm)):
         return _form_text(x.LABELS, x.c, decimal)
     raise TypeError(f"cannot print {type(x).__name__}")

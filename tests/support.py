@@ -14,6 +14,7 @@ from hypothesis import Phase, assume
 from cuntzgeo import (
     BASIS_DIFFERENTIALS,
     AlgElem,
+    CapacityError,
     Connection,
     GScalar,
     Metric,
@@ -24,11 +25,13 @@ from cuntzgeo import (
     TwoForm,
     antisym_lift,
     d0,
+    get_caps,
     tensor_product,
     wedge,
 )
-from cuntzgeo.calculus import GENERATOR_MATRICES, sym_project_legs
-from cuntzgeo.scalars import ZERO
+from cuntzgeo import algebra
+from cuntzgeo.calculus import GENERATOR_MATRICES, WEDGE_PAIRS, sym_project_legs
+from cuntzgeo.scalars import ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # seeded random builders (used where exact repetition counts matter)
@@ -133,12 +136,17 @@ def merge_pairs(pairs) -> dict:
 def reference_sum(a: AlgElem, b: AlgElem, sign: int = 1) -> AlgElem:
     """a + b (a - b for a negative sign) without the accumulator that + and
     - use: merge the terms of a and of ±b, then canonicalize the lot with
-    ``AlgElem._make``, whose collapse starts from every term."""
+    ``AlgElem.from_terms``, whose collapse starts from every term."""
     acc = a.term_map()
     for m, c in (b if sign > 0 else -b).terms:
         old = acc.get(m)
         acc[m] = c if old is None else old + c
-    return AlgElem._make(acc.items())
+    return AlgElem.from_terms(acc)
+
+
+def code_key(m: Monomial) -> tuple[int, int]:
+    """The term-map key of a monomial: the base-4 codes of its two words."""
+    return algebra._code(m.mu), algebra._code(m.nu)
 
 
 def reference_derive(i: int, x: AlgElem) -> AlgElem:
@@ -359,6 +367,163 @@ def reference_print(x, decimal: bool = False) -> str:
         elif not a.is_zero():
             parts.append((1, f"{label} ({_ref_alg_text(a, decimal)})"))
     return _ref_join_terms(parts) if parts else "0"
+
+
+# ---------------------------------------------------------------------------
+# the tuple-word oracle: the term-map kernels on words as tuples of letters,
+# in maps keyed by Monomial, as they were before words became codes
+# ---------------------------------------------------------------------------
+
+def tuple_mul_monomials(a: Monomial, b: Monomial) -> Monomial | None:
+    """The product of two monomials by prefix matching, or None; the word cap
+    is checked on both words of the product, with the package's text."""
+    nu, mu2 = a.nu, b.mu
+    if len(nu) <= len(mu2):
+        if mu2[: len(nu)] != nu:
+            return None
+        m = Monomial(a.mu + mu2[len(nu):], b.nu)
+    elif nu[: len(mu2)] == mu2:
+        m = Monomial(a.mu, b.nu + nu[len(mu2):])
+    else:
+        return None
+    cap = get_caps()[0]
+    if len(m.mu) > cap or len(m.nu) > cap:
+        raise CapacityError(f"word length exceeds cap {cap} (raise it via set_caps)")
+    return m
+
+
+def _tuple_family_coefficient(terms: dict, mu: tuple, nu: tuple):
+    first = terms.get((mu + (1,), nu + (1,)))
+    if (first is None or terms.get((mu + (2,), nu + (2,))) != first
+            or terms.get((mu + (3,), nu + (3,))) != first):
+        return None
+    return first
+
+
+def tuple_collapse(terms: dict, seeds=None) -> None:
+    """Complete equal-coefficient families merge into their parent, deepest
+    level |mu| + |nu| first, from the families of ``seeds`` or of every
+    member of letter 1."""
+    if len(terms) < 3:
+        return
+    if seeds is None:
+        pending = [(m.mu[:-1], m.nu[:-1]) for m in terms
+                   if m.mu and m.nu and m.mu[-1] == 1 == m.nu[-1]]
+    else:
+        pending = {(m.mu[:-1], m.nu[:-1]) for m in seeds
+                   if m.mu and m.nu and m.mu[-1] == m.nu[-1]}
+    levels: dict[int, list] = {}
+    for mu, nu in pending:
+        if _tuple_family_coefficient(terms, mu, nu) is not None:
+            levels.setdefault(len(mu) + len(nu), []).append((mu, nu))
+    while levels:
+        level = max(levels)
+        for mu, nu in levels.pop(level):
+            first = _tuple_family_coefficient(terms, mu, nu)
+            if first is None:
+                continue
+            for j in (1, 2, 3):
+                del terms[mu + (j,), nu + (j,)]
+            old = terms.get((mu, nu))
+            total = first if old is None else old + first
+            if total:
+                terms[Monomial(mu, nu)] = total
+                if mu and nu and mu[-1] == nu[-1]:
+                    levels.setdefault(level - 2, []).append((mu[:-1], nu[:-1]))
+            else:
+                terms.pop((mu, nu), None)
+
+
+def tuple_canonical(pairs) -> dict:
+    """The canonical map of (monomial, coefficient) pairs: repeated monomials
+    add, zeros go, then the collapse from every term."""
+    terms: dict = {}
+    for m, c in pairs:
+        old = terms.get(m)
+        if old is None:
+            if c != ZERO:
+                terms[m] = c
+        elif (total := old + c) != ZERO:
+            terms[m] = total
+        else:
+            del terms[m]
+    tuple_collapse(terms)
+    return terms
+
+
+def tuple_sum(acc: dict, summand: dict, sign: int = 1) -> dict:
+    """The canonical map of acc + summand (acc - summand for a negative
+    sign), both canonical: the touched keys are updated in acc, which is
+    returned, and the collapse starts from the summand's families."""
+    if not acc:
+        return {m: -c for m, c in summand.items()} if sign < 0 else dict(summand)
+    for m, c in summand.items():
+        old = acc.get(m)
+        if old is None:
+            acc[m] = -c if sign < 0 else c
+            continue
+        total = old - c if sign < 0 else old + c
+        if total:
+            acc[m] = total
+        else:
+            del acc[m]
+    tuple_collapse(acc, summand)
+    return acc
+
+
+def _tuple_image(row):
+    for k, f in zip((1, 2, 3), row):
+        if f:
+            return k, f > 0
+    return None
+
+
+def tuple_derive(i: int, terms: dict) -> dict:
+    """The canonical map of the i-th derivation: each letter with an image
+    is replaced by it, one letter at a time, first to last."""
+    images_of = (None, *map(_tuple_image, GENERATOR_MATRICES[i]))
+
+    def images():
+        for (mu, nu), c in terms.items():
+            neg = -c
+            for p, letter in enumerate(mu):
+                if (image := images_of[letter]) is not None:
+                    k, pos = image
+                    yield Monomial(mu[:p] + (k,) + mu[p + 1:], nu), c if pos else neg
+            for p, letter in enumerate(nu):
+                if (image := images_of[letter]) is not None:
+                    k, pos = image
+                    yield Monomial(mu, nu[:p] + (k,) + nu[p + 1:]), c if pos else neg
+
+    return tuple_canonical(images())
+
+
+def tuple_product(x: dict, y: dict) -> dict:
+    return tuple_canonical((p, ca * cb) for ma, ca in x.items() for mb, cb in y.items()
+                           if (p := tuple_mul_monomials(ma, mb)) is not None)
+
+
+def tuple_d1(omega) -> list[dict]:
+    """The three component maps of d1 of a one-form given by three maps: one
+    fold per component, d(e_i) a_i first, then the derivation of a_i
+    (negated when p = i)."""
+    sums: list[dict] = [{}, {}, {}]
+    for i, a in zip((1, 2, 3), omega):
+        if not a:
+            continue
+        neg = {m: -c for m, c in a.items()}
+        for k, (e, (p, q)) in enumerate(zip(BASIS_DIFFERENTIALS[i - 1].c, WEDGE_PAIRS)):
+            if not e.is_zero():
+                sums[k] = tuple_sum(sums[k], a, 1 if e.as_scalar() == ONE else -1)
+            if p == i:
+                sums[k] = tuple_sum(sums[k], tuple_derive(q, neg))
+            elif q == i:
+                sums[k] = tuple_sum(sums[k], tuple_derive(p, a))
+    return sums
+
+
+def tuple_equals(x: dict, y: dict) -> bool:
+    return x == y or not tuple_sum(dict(x), y, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from cuntzgeo.scalars import GScalar, ONE, rational
 
 from support import (
     alg_elems,
+    code_key,
     merge_pairs,
     random_elem,
     random_gscalar,
@@ -302,7 +303,8 @@ def test_make_adds_repeated_monomials():
     pairs = [(monomial("1", "2"), ONE), (monomial("11", "1"), half),
              (monomial("12", "2"), ONE), (monomial("1", "2"), -ONE),
              (monomial("13", "3"), ONE), (monomial("11", "1"), half)]
-    assert AlgElem._make(pairs) == AlgElem.from_terms(merge_pairs(pairs)) == S1
+    keyed = [(code_key(m), c) for m, c in pairs]
+    assert AlgElem._make(keyed) == AlgElem.from_terms(merge_pairs(pairs)) == S1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,7 +327,7 @@ def test_make_equals_from_terms_of_the_merged_pairs(seed):
                 other = Monomial(random_word(rng), random_word(rng))
                 pairs += [(other, d), (other, -d)]
         rng.shuffle(pairs)
-        made = AlgElem._make(pairs)
+        made = AlgElem._make([(code_key(m), c) for m, c in pairs])
         assert made == AlgElem.from_terms(merge_pairs(pairs))
         assert made.equals(x)
 
@@ -440,10 +442,12 @@ _words = st.lists(st.integers(1, 3), max_size=6).map(tuple)
 @given(st.lists(st.builds(Monomial, _words, _words), unique=True, max_size=40))
 @settings(max_examples=200)
 def test_display_order_is_the_sort_key_order(monos):
-    """``terms`` sorts by its own one-call key; the order is that of
-    ``Monomial.sort_key``, for words of every length."""
-    pairs = [(m, ONE) for m in monos]
-    assert _ordered(pairs) == tuple(sorted(pairs, key=lambda kv: kv[0].sort_key()))
+    """``_ordered`` sorts the term-map keys, pairs of word codes, by (nu code,
+    mu code); the order is that of ``Monomial.sort_key``, for words of every
+    length."""
+    pairs = [(code_key(m), ONE) for m in monos]
+    of_key = {code_key(m): m for m in monos}
+    assert [of_key[key] for key, _ in _ordered(pairs)] == sorted(monos, key=Monomial.sort_key)
 
 
 @pytest.fixture
@@ -527,7 +531,7 @@ def test_an_empty_accumulator_adopts_the_summand(sign):
     acc.add(x, sign)
     assert acc.value() == (-x if sign < 0 else x)
     acc = _Sum()
-    acc.add(x.term_map(), sign)
+    acc.add({code_key(m): c for m, c in x.term_map().items()}, sign)
     assert acc.value() == (-x if sign < 0 else x)
 
 

@@ -250,12 +250,13 @@ def test_a_generator_run_makes_no_element_product(monkeypatch, sep, star):
 @pytest.mark.parametrize("sep", ["", " ", ".", " . ", "\t", " .\n"])
 @pytest.mark.parametrize("star", ["*", " *", "\n*"])
 def test_a_run_carries_the_shared_letter_monomials(sep, star):
-    """Each letter of a run token is one of the six table monomials itself,
-    not a copy, whatever separates the letters and their stars."""
+    """Each letter of a run token is one of the six table keys itself, not a
+    copy, whatever separates the letters and their stars: the word-code pair
+    (j, 0) of S_j or (0, j) of S_j*."""
     text = sep.join(["S1", f"S2{star}", "S3", f"S1{star}"])
     (kind, pos, letters), eof = exprs._tokenize(text)
     assert (kind, pos, eof) == ("gen", 0, ("eof", len(text), None))
-    assert letters == (monomial((1,)), monomial((), (2,)), monomial((3,)), monomial((), (1,)))
+    assert letters == ((1, 0), (0, 2), (3, 0), (0, 1))
     table = exprs._LETTERS.values()
     assert all(any(letter is entry for entry in table) for letter in letters)
 
