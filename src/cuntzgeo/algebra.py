@@ -100,16 +100,19 @@ No digit is 0, so a word of n letters has 2n - 1 or 2n bits, and every word
 operation is integer arithmetic: the length is ``(bit_length + 1) >> 1``, the
 last letter ``code & 3``, dropping it ``code >> 2`` and appending j
 ``code << 2 | j``; u is a prefix of w iff ``w >> 2(|w| - |u|) == u``, and
-replacing the digit l at bit t by k adds ``(k - l) << t``.  Codes of more
-letters are larger, so numeric order is shortlex order and the display order
-is that of ``(nu code, mu code)``.  The map between words and codes keeps
-letters, lengths, prefixes and families, so every canonical form is the one
-the words give.  Codes become words again, and keys :class:`Monomial`
-values, only where they leave an element (``terms``, ``term_map``, ``repr``
-and the images of ``tree_action``); ``from_terms`` turns outside words into
-codes.  ``_canonical``, ``_Sum`` and a merge's parent term store the
-coefficient of a key they do not hold yet as it comes, or its negation, and
-add only onto a key they hold.
+replacing the digit l at bit t by k adds ``(k - l) << t``.  Other modules
+build and walk codes only through ``_code``, ``_word`` and ``_shifts`` (the
+bit t of each letter, first to last; the letter is ``code >> t & 3``).
+Codes of more letters are larger, so numeric order is shortlex order and
+the display order is that of ``(nu code, mu code)``.  The map between words
+and codes keeps letters, lengths, prefixes and families, so every canonical
+form is the one the words give.  Codes become words again, and keys
+:class:`Monomial` values, only where they leave an element (``terms``,
+``term_map``, ``repr`` and the images of ``tree_action``); ``from_terms``
+turns outside words into codes once their lengths pass the cap.
+``_canonical``, ``_Sum`` and a merge's parent term store the coefficient of
+a key they do not hold yet as it comes, or its negation, and add only onto
+a key they hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -165,11 +168,10 @@ def get_caps() -> tuple[int, int]:
     return _MAX_WORD_LEN, _MAX_TERMS
 
 
-def _check_word_lengths(codes: Iterable[int]) -> None:
-    """CapacityError for a word code of more than the cap's letters, that
-    is of more than twice its bits."""
-    for code in codes:
-        if code.bit_length() > 2 * _MAX_WORD_LEN:
+def _check_word_lengths(lengths: Iterable[int]) -> None:
+    """CapacityError for a word length of more letters than the cap."""
+    for n in lengths:
+        if n > _MAX_WORD_LEN:
             raise CapacityError(
                 f"word length exceeds cap {_MAX_WORD_LEN} (raise it via set_caps)")
 
@@ -256,10 +258,15 @@ def _len(code: int) -> int:
     return (code.bit_length() + 1) >> 1
 
 
+def _shifts(code: int) -> range:
+    """The bit of each letter of a code, first letter to last: the first is
+    at bit ``(bit_length - 1) & -2``."""
+    return range(code.bit_length() - 1 & -2, -1, -2)
+
+
 def _word(code: int) -> Word:
-    """The word of a code: its digits, first to last (the first at bit
-    ``(bit_length - 1) & -2``)."""
-    return tuple(code >> t & 3 for t in range(code.bit_length() - 1 & -2, -1, -2))
+    """The word of a code: its digits, first to last."""
+    return tuple(code >> t & 3 for t in _shifts(code))
 
 
 def _monomial(key: Key) -> Monomial:
@@ -283,7 +290,7 @@ def _mul_monomials(a: Key, b: Key) -> Key | None:
     else:
         return None
     if (m[0] | m[1]).bit_length() > 2 * _MAX_WORD_LEN:
-        _check_word_lengths(m)  # raises CapacityError
+        _check_word_lengths(map(_len, m))  # raises CapacityError
     return m
 
 
@@ -383,8 +390,9 @@ class _Sum:
                 terms[key] = total
             else:
                 del terms[key]
-        # one key completes a family only when its words end in one letter
-        if len(summand) > 1 or summand and key[0] & 3 == key[1] & 3 != 0:
+        # a lone key completes a family only when its words end in one letter
+        if len(summand) > 1 or (
+                summand and (only := next(iter(summand)))[0] & 3 == only[1] & 3 != 0):
             _collapse(terms, summand)
         _check_term_count(len(terms))
 
@@ -474,9 +482,10 @@ class AlgElem:
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
                 _index(letter, _NOT_A_LETTER)
-        pairs = [((_code(m.mu), _code(m.nu)), GScalar.of(c)) for m, c in mapping.items()]
-        _check_word_lengths(code for key, _ in pairs for code in key)
-        return AlgElem._make(pairs)
+        pairs = [(m, GScalar.of(c)) for m, c in mapping.items()]
+        # lengths before codes: coding a word takes time quadratic in its length
+        _check_word_lengths(len(w) for m, _ in pairs for w in m)
+        return AlgElem._make(((_code(m.mu), _code(m.nu)), c) for m, c in pairs)
 
     @staticmethod
     def zero() -> "AlgElem":

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _canonical, _index, _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _canonical, _index, _shifts, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -120,17 +120,16 @@ def _derive_terms(i: int, a: AlgElem) -> dict[Key, GScalar]:
     checked (``derive`` checks it, and ``d1`` makes its own).  An image
     keeps the lengths of its term's words, so no word length is checked:
     like a sum or an adjoint, a derivation makes no longer word.  The
-    letters of a word are visited first to last: the first letter of a
-    code of b bits is at bit ``(b - 1) & -2``."""
+    letters of a word are visited first to last (``algebra._shifts``)."""
     steps = _STEPS[i]
 
     def images():
         for (mu, nu), c in a._map.items():
             neg = -c
-            for t in range(mu.bit_length() - 1 & -2, -1, -2):
+            for t in _shifts(mu):
                 if (step := steps[mu >> t & 3]) is not None:
                     yield (mu + (step[0] << t), nu), c if step[1] else neg
-            for t in range(nu.bit_length() - 1 & -2, -1, -2):
+            for t in _shifts(nu):
                 if (step := steps[nu >> t & 3]) is not None:
                     yield (mu, nu + (step[0] << t)), c if step[1] else neg
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzgeo import AlgElem, CapacityError, Monomial, OneForm, get_caps, set_caps
+from cuntzgeo import AlgElem, CapacityError, Monomial, OneForm, algebra, get_caps, set_caps
 from cuntzgeo.algebra import _code, _word
 from cuntzgeo.calculus import d0, d1, derive
 from cuntzgeo.scalars import ONE
@@ -90,6 +90,20 @@ def test_the_word_cap_boundary(cap):
                     over()
     finally:
         set_caps(*saved)
+
+
+def test_an_over_long_outside_word_is_refused_before_it_is_coded(monkeypatch):
+    """Coding a word takes time quadratic in its length, so ``from_terms``
+    tests the letter counts first: a word of 10^5 letters is the cap's
+    CapacityError, in mu and in nu, and no word of the mapping is coded."""
+    def no_code(word):
+        raise AssertionError("a word was coded before the length check")
+
+    monkeypatch.setattr(algebra, "_code", no_code)
+    long = (2,) * 10**5
+    for m in (Monomial(long, ()), Monomial((1,), long)):
+        with pytest.raises(CapacityError, match="word length exceeds cap 16 "):
+            AlgElem.from_terms({Monomial((3,), (1,)): 1, m: 1})
 
 
 # -- the term-map kernels against the tuple-word oracle ------------------------
