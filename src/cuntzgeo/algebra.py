@@ -63,34 +63,41 @@ and collapses from them alone (``_Sum``) stays canonical: each step gives
 the canonical form of the merged terms, as a collapse from every term would.
 
 ``_Sum`` is the one code that adds canonical summands: elements, or the
-canonical term maps that ``_canonical`` returns.  ``+`` and ``-`` are a
-one-summand fold from ``self``; parsed sums and ``calculus.d1`` fold all
-their summands into one accumulator, so their work is linear in the
-summands' terms and the merges they cause.  An empty accumulator adopts its
-first summand's terms, negated for a negative sign, with no merge and no
-collapse: a canonical summand added to 0 is its own canonical form.  A
-summand of one term collapses only when both its words end in one letter,
-since only then is it a family member.  Everything else is a stream of
-(key, coefficient) pairs that need not be canonical: products, derivations
-and outside terms (``from_terms``).  ``_canonical`` merges them in one pass
-into a dict: it adds the coefficients of a repeated key, deletes it the
-moment its sum is 0 and never stores a fresh 0, then collapses from every
+canonical term maps of derivations.  ``+`` and ``-`` are a one-summand fold
+from ``self``; parsed sums and ``calculus.d1`` fold all their summands into
+one accumulator, so their work is linear in the summands' terms and the
+merges they cause.  An empty accumulator adopts its first summand's terms,
+negated for a negative sign, with no merge and no collapse: a canonical
+summand added to 0 is its own canonical form.  A summand of one term
+collapses only when both its words end in one letter, since only then is
+it a family member.
+
+Everything else forms terms that need not be canonical: products
+(``AlgElem.__mul__``), derivations (``calculus._derive_terms``) and outside
+terms (``from_terms``, through ``_canonical``).  Each merges a term into
+its dict in the loop that forms it, by three rules: it adds the coefficient
+of a key it holds, deletes a key the moment its sum is 0, and never stores
+a fresh 0 (a product or a derivation image of nonzero coefficients is never
+0; ``_canonical`` tests outside ones).  Each then collapses from every
 term, seeded from the members ``(mu.1, nu.1)``, since a complete family
-holds its member of letter 1.  ``calculus.d1`` folds the canonical map of
-each derivation into its accumulator.  Every product of two elements is one
-``_make``, whatever their sizes.
+holds its member of letter 1, and checks the term cap.  ``calculus.d1``
+folds the canonical map of each derivation into its accumulator.  Every
+product of two elements is one loop over the pairs of terms, whatever their
+sizes.
 
 Display order, (|nu|, nu, |mu|, mu), is a matter of presentation.  An
-element holds the canonical map that ``_canonical`` or ``_Sum`` built, in
-the order its keys were inserted, and every operation, ``==`` and the hash
-work from that map, whose order they do not see.  Only the readers of the
-sorted terms, ``terms`` and the printer, sort (``_ordered``), each time they
-read, so a product, derivation, sum or adjoint that nothing prints is never
-sorted.
+element holds the canonical map that its producer built (a product, a
+derivation, ``_canonical`` or ``_Sum``), in the order its keys were
+inserted, and every operation, ``==`` and the hash work from that map,
+whose order they do not see.  Only the readers of the sorted terms,
+``terms`` and the printer, sort (``_ordered``), each time they read, so a
+product, derivation, sum or adjoint that nothing prints is never sorted.
 
-The word-length cap is checked where a product forms a word, in
-``_mul_monomials``, and where outside words come in, in ``from_terms``.
-Sums, adjoints and derivations form no product word and do not check it.
+The word-length cap is checked where a product forms a word: in the pair
+loop of ``AlgElem.__mul__``, on both words of each key it forms, and in
+``_times_letters``, on the word a letter of a generator run grew.  It is
+also checked where outside words come in, in ``from_terms``.  Sums,
+adjoints and derivations form no product word and do not check it.
 
 Inside an element a word is its base-4 code (``_code``): the letters are the
 digits, the first letter the most significant, and the empty word is 0.  A
@@ -110,9 +117,9 @@ form is the one the words give.  Codes become words again, and keys
 :class:`Monomial` values, only where they leave an element (``terms``,
 ``term_map``, ``repr`` and the images of ``tree_action``); ``from_terms``
 turns outside words into codes once their lengths pass the cap.
-``_canonical``, ``_Sum`` and a merge's parent term store the coefficient of
-a key they do not hold yet as it comes, or its negation, and add only onto
-a key they hold.
+Products, derivations, ``_canonical``, ``_Sum`` and a merge's parent term
+store the coefficient of a key they do not hold yet as it comes, or its
+negation, and add only onto a key they hold.
 
 ``tree_action`` evaluates the standard representation on basis vectors
 indexed by words: ``S_mu S_nu^*`` sends ``nu + w'`` to ``mu + w'`` and kills
@@ -273,25 +280,31 @@ def _monomial(key: Key) -> Monomial:
     return Monomial(_word(key[0]), _word(key[1]))
 
 
-def _mul_monomials(a: Key, b: Key) -> Key | None:
-    """Product of two keys, or None when the prefixes clash (product 0).
-
-    Every product word of the package is formed here, so this is where the
-    word cap is checked: on both words of the product, whichever of them
-    grew, since a factor may come from a larger cap."""
-    (mu, nu), (mu2, nu2) = a, b
-    s = (mu2.bit_length() + 1 & -2) - (nu.bit_length() + 1 & -2)  # 2 (|mu2| - |nu|)
-    if s >= 0:
-        if mu2 >> s != nu:
-            return None
-        m = (mu2 + (mu - nu << s), nu2)  # mu, then mu2 after its prefix nu
-    elif nu >> -s == mu2:
-        m = (mu, nu + (nu2 - mu2 << -s))  # nu2, then nu after its prefix mu2
-    else:
-        return None
-    if (m[0] | m[1]).bit_length() > 2 * _MAX_WORD_LEN:
-        _check_word_lengths(map(_len, m))  # raises CapacityError
-    return m
+def _times_letters(key: Key, letters: Iterable[Key]) -> Key | None:
+    """The key of ``S_mu S_nu^*`` times the letters of a generator run, left
+    to right, or None once the product is 0.  A letter is the key ``(j, 0)``
+    of S_j or ``(0, k)`` of S_k*.  S_j appends j to mu when nu is empty, and
+    otherwise drops nu's first letter when it is j (the product is 0 when it
+    is not); S_k* puts k in front of nu.  The word cap is checked after each
+    letter on the code that grew: the parser forms the run's first word
+    under the same cap, and a word that does not grow stays within it."""
+    mu, nu = key
+    bits = 2 * _MAX_WORD_LEN
+    for j, k in letters:  # S_j is (j, 0) and S_k* is (0, k)
+        if k:
+            nu |= k << (nu.bit_length() + 1 & -2)  # 2 |nu|
+            if nu.bit_length() > bits:
+                _check_word_lengths((_len(nu),))  # raises CapacityError
+        elif not nu:
+            mu = mu << 2 | j
+            if mu.bit_length() > bits:
+                _check_word_lengths((_len(mu),))
+        else:
+            t = nu.bit_length() - 1 & -2  # the bit of nu's first letter
+            if nu >> t != j:
+                return None
+            nu -= j << t
+    return mu, nu
 
 
 def _family_coefficient(terms: dict[Key, GScalar], mu: int, nu: int):
@@ -363,7 +376,7 @@ class _Sum:
     negative sign), term cap included, but touches only the keys of ``x``
     and the families they complete.  The lemma in the module docstring says
     why the result is the canonical form exactly.  A summand is an AlgElem
-    or a canonical term map (as ``_canonical`` returns it); an empty
+    or a canonical term map (as a derivation returns it); an empty
     accumulator adopts its terms, negated for a negative sign, with no merge
     and no collapse.
     """
@@ -403,12 +416,13 @@ class _Sum:
 
 
 def _canonical(pairs: Iterable[tuple[Key, GScalar]]) -> dict[Key, GScalar]:
-    """The canonical term map of the sum of (key, coefficient) pairs
-    over the alphabet (operations keep them on it), in one pass: a repeated
-    key adds its coefficients, a key whose sum is 0 is deleted at once
-    and a fresh 0 is never stored, then complete families collapse.  Only
-    the term cap is checked: the word cap is checked where words are
-    formed (``_mul_monomials``) or come in (``from_terms``)."""
+    """The canonical term map of the sum of outside (key, coefficient)
+    pairs over the alphabet (``from_terms`` checks the letters), in one
+    pass: a repeated key adds its coefficients, a key whose sum is 0 is
+    deleted at once and a fresh 0 is never stored, then complete families
+    collapse.  Only the term cap is checked: ``from_terms`` checks the word
+    cap.  Products and derivations merge their terms by the same rules in
+    the loops that form them."""
     terms: dict[Key, GScalar] = {}
     for key, c in pairs:
         old = terms.get(key)
@@ -428,10 +442,10 @@ class AlgElem:
     """An algebra element in canonical form.
 
     It holds its canonical term map (pair of word codes -> nonzero
-    coefficient) as ``_canonical`` or ``_Sum`` built it, and never changes
-    it.  ``terms`` is the public view: the map as a tuple of (monomial,
-    coefficient) pairs in the display order (|nu|, nu, |mu|, mu), sorted
-    each time it is read.
+    coefficient) as its producer built it (a product, a derivation,
+    ``_canonical`` or ``_Sum``), and never changes it.  ``terms`` is the
+    public view: the map as a tuple of (monomial, coefficient) pairs in the
+    display order (|nu|, nu, |mu|, mu), sorted each time it is read.
     Every operation works from the map, so only what is read is sorted.
     Structural equality (``==``) means identical canonical form, whatever
     order the map was built in, and so does the hash; use :meth:`equals`
@@ -551,16 +565,44 @@ class AlgElem:
         return AlgElem({m: -c for m, c in self._map.items()})
 
     def __mul__(self, other: object) -> "AlgElem":
-        """The product, one ``_make`` over the pairs of terms.  Each word
-        formed, also one whose coefficients cancel, passes the word cap in
-        ``_mul_monomials``, so an over-long word raises ``CapacityError``
-        as soon as it is formed."""
+        """The product, in one loop over the pairs of terms.  A pair whose
+        prefixes match forms its key (module docstring) and merges into the
+        product's map at once, as ``_canonical`` merges: it adds onto a key
+        held and deletes a key whose sum is 0 (a product of two nonzero
+        coefficients is never a fresh 0).  Complete families then collapse.
+        Each word formed, also one whose coefficients cancel, passes the
+        word cap, on both words of the key, since a factor may come from a
+        larger cap; so an over-long word raises ``CapacityError`` as soon
+        as it is formed."""
         if not isinstance(other, AlgElem):
             return self.__rmul__(other)  # a scalar is central
-        right = other._map.items()
-        return AlgElem._make(
-            (prod, ca * cb) for ma, ca in self._map.items() for mb, cb in right
-            if (prod := _mul_monomials(ma, mb)) is not None)
+        right = [(mu2.bit_length() + 1 & -2, mu2, nu2, cb)  # 2 |mu2| first
+                 for (mu2, nu2), cb in other._map.items()]
+        bits = 2 * _MAX_WORD_LEN
+        terms: dict[Key, GScalar] = {}
+        for (mu, nu), ca in self._map.items():
+            n = nu.bit_length() + 1 & -2  # 2 |nu|
+            for m, mu2, nu2, cb in right:
+                if m >= n:
+                    if mu2 >> m - n != nu:
+                        continue
+                    key = (mu2 + (mu - nu << m - n), nu2)  # mu, then mu2 after nu
+                elif nu >> n - m == mu2:
+                    key = (mu, nu + (nu2 - mu2 << n - m))  # nu2, then nu after mu2
+                else:
+                    continue
+                if (key[0] | key[1]).bit_length() > bits:
+                    _check_word_lengths(map(_len, key))  # raises CapacityError
+                c = ca * cb
+                if (old := terms.get(key)) is None:
+                    terms[key] = c
+                elif (c := old + c) != ZERO:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        _collapse(terms)
+        _check_term_count(len(terms))
+        return AlgElem(terms)
 
     def __rmul__(self, other: object) -> "AlgElem":
         c = GScalar._coerce(other)

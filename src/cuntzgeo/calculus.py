@@ -71,7 +71,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _canonical, _index, _shifts, _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _check_term_count, _collapse, _index, _shifts,
+    _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -106,34 +107,53 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     Replacing one letter at a time implements the Leibniz rule on the word
     ``S_mu S_nu^*``; the matrices are real, so the ``nu`` (adjoint) letters
     transform by the same rows.  Each row has at most one nonzero entry,
-    ±1, so a letter has at most one image, applied as a sign, and
-    ``algebra._canonical`` adds the images that land on one monomial.  The
-    terms are walked in the order of the element's map, and the result is
-    not sorted: its ``terms`` reader sorts it when read.
+    ±1, so a letter has at most one image, applied as a sign.  Each image
+    merges into the result's map in the letter loop that forms it, by the
+    rules of ``algebra._canonical``: it adds onto an image of the same
+    monomial, and a sum of 0 is deleted.  The terms are walked in the order
+    of the element's map, and the result is not sorted: its ``terms``
+    reader sorts it when read.
     """
     i = _index(i, "derivation index {!r} outside 1..3")
     return AlgElem(_derive_terms(i, a))
 
 
-def _derive_terms(i: int, a: AlgElem) -> dict[Key, GScalar]:
-    """The canonical term map of ``derive(i, a)``; ``i`` is not
-    checked (``derive`` checks it, and ``d1`` makes its own).  An image
-    keeps the lengths of its term's words, so no word length is checked:
-    like a sum or an adjoint, a derivation makes no longer word.  The
-    letters of a word are visited first to last (``algebra._shifts``)."""
+def _derive_terms(i: int, a: AlgElem, sign: int = 1) -> dict[Key, GScalar]:
+    """The canonical term map of ``derive(i, a)``, or of ``-derive(i, a)``
+    for a negative sign; ``i`` is not checked (``derive`` checks it, and
+    ``d1`` makes its own).  Whatever the sign, each term's coefficient is
+    negated once, and its images take it or its negation.  An image keeps
+    the lengths of its term's words, so no word length is checked: like a
+    sum or an adjoint, a derivation makes no longer word.  The letters of a
+    word are visited first to last (``algebra._shifts``); the map ends with
+    the collapse and the term cap, as ``algebra._canonical`` ends."""
     steps = _STEPS[i]
-
-    def images():
-        for (mu, nu), c in a._map.items():
-            neg = -c
-            for t in _shifts(mu):
-                if (step := steps[mu >> t & 3]) is not None:
-                    yield (mu + (step[0] << t), nu), c if step[1] else neg
-            for t in _shifts(nu):
-                if (step := steps[nu >> t & 3]) is not None:
-                    yield (mu, nu + (step[0] << t)), c if step[1] else neg
-
-    return _canonical(images())
+    terms: dict[Key, GScalar] = {}
+    for (mu, nu), c in a._map.items():
+        neg = -c
+        if sign < 0:
+            c, neg = neg, c
+        for t in _shifts(mu):
+            if (step := steps[mu >> t & 3]) is not None:
+                key, img = (mu + (step[0] << t), nu), c if step[1] else neg
+                if (old := terms.get(key)) is None:
+                    terms[key] = img
+                elif (img := old + img) != ZERO:
+                    terms[key] = img
+                else:
+                    del terms[key]
+        for t in _shifts(nu):
+            if (step := steps[nu >> t & 3]) is not None:
+                key, img = (mu, nu + (step[0] << t)), c if step[1] else neg
+                if (old := terms.get(key)) is None:
+                    terms[key] = img
+                elif (img := old + img) != ZERO:
+                    terms[key] = img
+                else:
+                    del terms[key]
+    _collapse(terms)
+    _check_term_count(len(terms))
+    return terms
 
 
 def _is_3x3(rows: object) -> bool:
@@ -582,10 +602,11 @@ def d1(omega: OneForm) -> TwoForm:
     Each component is one left fold (``_Sum``) of the summands in the
     module docstring, taken in the order of i and, for one i, the d(e_i)
     term first: the ±1 entry of ``BASIS_DIFFERENTIALS[i - 1]`` adds or
-    subtracts a_i, and e_pq adds ``derive(q, -a_i)`` when p = i and
-    ``derive(p, a_i)`` when q = i.  ``derive`` is linear, so negating a_i
-    gives the same canonical form as subtracting ``derive(q, a_i)``, and each
-    term's coefficient is negated once.  Each derivation is folded as its
+    subtracts a_i, and e_pq adds ``-derive(q, a_i)`` when p = i and
+    ``derive(p, a_i)`` when q = i.  The derivation takes the sign itself
+    (``_derive_terms(q, a_i, -1)``), so each term of a_i is negated once
+    rather than once for ``-a_i`` and again for its images; negation keeps
+    a map canonical, so the sum is the same.  Each derivation is folded as its
     canonical term map: canonical forms are not unique (``1 + S1S1*`` and
     ``2 S1S1* + S2S2* + S3S3*`` are both canonical), so raw images would
     change the result.  So the result is the same canonical form as the
@@ -600,7 +621,7 @@ def d1(omega: OneForm) -> TwoForm:
             if not e.is_zero():
                 acc.add(a, 1 if e.as_scalar() == ONE else -1)
             if p == i:
-                acc.add(_derive_terms(q, -a))
+                acc.add(_derive_terms(q, a, -1))
             elif q == i:
                 acc.add(_derive_terms(p, a))
     return TwoForm(tuple(acc.value() for acc in sums))

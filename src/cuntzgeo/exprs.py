@@ -23,9 +23,10 @@ objects alive.  The tokens are then parsed and evaluated in one
 recursive-descent pass that folds sums and multiplies products left to
 right.  A sum folds into one mutable accumulator (one per component for
 forms) that touches only each summand's terms and ends in the left fold's
-result exactly, so parsing takes time linear in the number of summands.  A run multiplies in letter by letter as
-one word (``_times_run``), so a written word costs no element product, and
-a run after a scalar starts from its first letter.
+result exactly, so parsing takes time linear in the number of summands.  A
+run multiplies into a term of one word letter by letter (``_times_run``):
+``algebra._times_letters`` steps the word's codes, so a written word costs
+no element product and this module does no bit arithmetic.
 Problems raise :class:`ParseError` carrying the character offset — they
 never abort the process.  That includes input beyond the parser's bounds:
 groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and integer
@@ -67,7 +68,7 @@ import re
 from math import gcd
 
 from . import algebra
-from .algebra import _UNIT, AlgElem, Key, _code, _Sum, _mul_monomials, _word
+from .algebra import _UNIT, AlgElem, Key, _code, _Sum, _times_letters, _word
 from .calculus import OneForm, TwoForm, d0, d1
 from .scalars import GScalar, I, ONE, _norm
 
@@ -177,19 +178,15 @@ def _components(v) -> tuple[AlgElem, ...]:
 
 def _times_run(x, letters: tuple[Key, ...]):
     """``x`` times the letters of a generator run, left to right, as one
-    product per letter gives it.  An element of one term stays one word, so
-    the word folds with ``_mul_monomials``, which checks the word cap after
-    every letter; the fold stops at the first zero, as those products
-    would.  Any other element or form takes the products."""
+    product per letter gives it.  An element of one term stays one term:
+    ``algebra._times_letters`` steps its word letter by letter and checks
+    the word cap on each word that grows, and the product is 0 at the first
+    letter that clashes, as those products would be.  Any other element or
+    form takes the products."""
     if isinstance(x, AlgElem) and len(x._map) == 1:
         (word, c), = x._map.items()
-        if word == _UNIT:  # the unit times the first letter is that letter
-            word, letters = letters[0], letters[1:]
-        for letter in letters:
-            word = _mul_monomials(word, letter)
-            if word is None:
-                return AlgElem.zero()
-        return AlgElem({word: c})
+        word = _times_letters(word, letters)
+        return AlgElem.zero() if word is None else AlgElem({word: c})
     for letter in letters:
         x = x * AlgElem({letter: ONE})
     return x

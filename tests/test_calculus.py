@@ -499,9 +499,9 @@ def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
     calls = []
     derive_once = calculus._derive_terms
 
-    def counted(i, a):
+    def counted(i, a, sign=1):
         calls.append(i)
-        return derive_once(i, a)
+        return derive_once(i, a, sign)
 
     monkeypatch.setattr(calculus, "_derive_terms", counted)
     d1(OneForm.of(S1 + S2.adjoint(), S3 * S1.adjoint(), S2 - S1))
@@ -509,6 +509,40 @@ def test_d1_calls_derive_twice_per_nonzero_component(monkeypatch):
     calls.clear()
     d1(OneForm.of(0, S1, 0))
     assert sorted(calls) == [1, 3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_derivation_negates_each_term_at_most_once(monkeypatch, seed):
+    """``d1`` passes the sign of ``-D_q(a_p)`` into the derivation rather
+    than negating ``a_p`` first, so a derivation of either sign takes at
+    most one ``GScalar`` negation per term of its argument.  The form has
+    only a1 and a3, whose d(e_i) terms are added (``d(e1) = e23`` and
+    ``d(e3) = e12``), so every negation of ``d1`` is a derivation's."""
+    rng = random.Random(seed)
+    a, b = (random_elem(rng, max_terms=8, max_len=4) for _ in range(2))
+    count = 0
+    neg = GScalar.__neg__
+
+    def counting_neg(c):
+        nonlocal count
+        count += 1
+        return neg(c)
+
+    monkeypatch.setattr(GScalar, "__neg__", counting_neg)
+    for i in (1, 2, 3):
+        for sign in (1, -1):
+            count = 0
+            terms = calculus._derive_terms(i, a, sign)
+            assert count <= len(a.term_map())
+            monkeypatch.setattr(GScalar, "__neg__", neg)
+            assert AlgElem(terms) == (derive(i, a) if sign > 0 else -derive(i, a))
+            monkeypatch.setattr(GScalar, "__neg__", counting_neg)
+    count = 0
+    two = d1(OneForm.of(a, 0, b))
+    # a1 and a3 each take two derivations: D2, D3 of a1 and D1, D2 of a3
+    assert count <= 2 * (len(a.term_map()) + len(b.term_map()))
+    monkeypatch.setattr(GScalar, "__neg__", neg)
+    assert two == reference_d1(OneForm.of(a, 0, b))
 
 
 def test_d1_and_equals_sort_only_what_they_return(monkeypatch):

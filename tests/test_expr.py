@@ -280,6 +280,63 @@ def test_a_run_is_the_product_of_its_letters(spelled):
     assert parse_expr(text) == product
 
 
+@st.composite
+def _word_and_run(draw, cap):
+    """A one-term word W with nonempty mu and nu of at most ``cap`` letters
+    each, and a run of letters: first k plain letters that cancel nu's first
+    k letters, then letters of any kind (growing, cancelling or clashing);
+    or, after the cancelled letters, a growth of mu (all of nu cancelled)
+    or of nu to exactly the cap or one letter past it."""
+    word = st.lists(st.integers(1, 3), min_size=1, max_size=cap).map(tuple)
+    letters = st.integers(1, 3)
+    mu, nu = draw(word), draw(word)
+    grow = draw(st.sampled_from(("any", "mu", "nu")))
+    k = len(nu) if grow == "mu" else draw(st.integers(0, len(nu)))
+    run = [(letter, False) for letter in nu[:k]]
+    if grow == "any":
+        run += draw(st.lists(st.tuples(letters, st.booleans()), max_size=20))
+    else:
+        n = cap + draw(st.integers(0, 1)) - (len(mu) if grow == "mu" else len(nu) - k)
+        run += [(draw(letters), grow == "nu") for _ in range(n)]
+    return monomial(mu, nu), draw(st.sampled_from((1, -2, rational(3, 4)))), run
+
+
+def _value_or_cap_error(build):
+    try:
+        return build()
+    except CapacityError as exc:
+        return f"CapacityError: {exc}"
+
+
+@pytest.mark.parametrize("cap", [16, 40])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_run_from_a_word_is_the_product_of_its_letters(cap, data):
+    """``(W) run`` equals W times the element of each letter, or both raise
+    the same CapacityError, for a word W whose mu and nu are both nonempty:
+    the run steps W's word, cancelling, clashing and growing on both sides."""
+    old = get_caps()
+    try:
+        set_caps(max_word_len=cap)
+        m, c, run = data.draw(_word_and_run(cap))
+        w = AlgElem.from_terms({m: c})
+        text = f"({print_canonical(w)}) " + " ".join(
+            f"S{letter}{'*' if starred else ''}" for letter, starred in run)
+
+        def product():
+            x = w
+            for letter, starred in run:
+                gen = AlgElem.generator(letter)
+                x = x * (gen.adjoint() if starred else gen)
+            return x
+
+        expected = _value_or_cap_error(product)
+        assert _value_or_cap_error(lambda: parse_alg(text)) == expected
+        assert _value_or_cap_error(lambda: parse_expr(text)) == expected
+    finally:
+        set_caps(*old)
+
+
 def test_runs_keep_the_cap_and_zero_rules_of_letter_products(capsys):
     # a 17-letter word is over the cap (16), in a run as through the CLI
     with pytest.raises(CapacityError):
