@@ -74,20 +74,21 @@ it a family member.
 
 Everything else forms terms that need not be canonical: products
 (``AlgElem.__mul__``), derivations (``calculus._derive_terms``) and outside
-terms (``from_terms``, through ``_canonical``).  Each merges a term into
-its dict in the loop that forms it, by three rules: it adds the coefficient
-of a key it holds, deletes a key the moment its sum is 0, and never stores
-a fresh 0 (a product or a derivation image of nonzero coefficients is never
-0; ``_canonical`` tests outside ones).  Each then collapses from every
-term, seeded from the members ``(mu.1, nu.1)``, since a complete family
-holds its member of letter 1, and checks the term cap.  ``calculus.d1``
-folds the canonical map of each derivation into its accumulator.  Every
-product of two elements is one loop over the pairs of terms, whatever their
-sizes.
+terms (``from_terms``).  A product or a derivation merges a term into its
+dict in the loop that forms it, by three rules: it adds the coefficient of
+a key it holds, deletes a key the moment its sum is 0, and never stores a
+fresh 0 (a product or a derivation image of nonzero coefficients is never
+0).  Outside terms need no merge: they come as a mapping, whose keys are
+distinct monomials and so have distinct codes, and ``from_terms`` stores
+the nonzero ones as they come.  Each then collapses from every term,
+seeded from the members ``(mu.1, nu.1)``, since a complete family holds
+its member of letter 1, and checks the term cap.  ``calculus.d1`` folds
+the canonical map of each derivation into its accumulator.  Every product
+of two elements is one loop over the pairs of terms, whatever their sizes.
 
 Display order, (|nu|, nu, |mu|, mu), is a matter of presentation.  An
 element holds the canonical map that its producer built (a product, a
-derivation, ``_canonical`` or ``_Sum``), in the order its keys were
+derivation, ``from_terms`` or ``_Sum``), in the order its keys were
 inserted, and every operation, ``==`` and the hash work from that map,
 whose order they do not see.  Only the readers of the sorted terms,
 ``terms`` and the printer, sort (``_ordered``), each time they read, so a
@@ -117,7 +118,7 @@ form is the one the words give.  Codes become words again, and keys
 :class:`Monomial` values, only where they leave an element (``terms``,
 ``term_map``, ``repr`` and the images of ``tree_action``); ``from_terms``
 turns outside words into codes once their lengths pass the cap.
-Products, derivations, ``_canonical``, ``_Sum`` and a merge's parent term
+Products, derivations, ``from_terms``, ``_Sum`` and a merge's parent term
 store the coefficient of a key they do not hold yet as it comes, or its
 negation, and add only onto a key they hold.
 
@@ -415,35 +416,12 @@ class _Sum:
         return AlgElem(self.terms)
 
 
-def _canonical(pairs: Iterable[tuple[Key, GScalar]]) -> dict[Key, GScalar]:
-    """The canonical term map of the sum of outside (key, coefficient)
-    pairs over the alphabet (``from_terms`` checks the letters), in one
-    pass: a repeated key adds its coefficients, a key whose sum is 0 is
-    deleted at once and a fresh 0 is never stored, then complete families
-    collapse.  Only the term cap is checked: ``from_terms`` checks the word
-    cap.  Products and derivations merge their terms by the same rules in
-    the loops that form them."""
-    terms: dict[Key, GScalar] = {}
-    for key, c in pairs:
-        old = terms.get(key)
-        if old is None:
-            if c != ZERO:  # 0 is the one reduced triple; tuples compare in C
-                terms[key] = c
-        elif (total := old + c) != ZERO:
-            terms[key] = total
-        else:
-            del terms[key]
-    _collapse(terms)
-    _check_term_count(len(terms))
-    return terms
-
-
 class AlgElem:
     """An algebra element in canonical form.
 
     It holds its canonical term map (pair of word codes -> nonzero
     coefficient) as its producer built it (a product, a derivation,
-    ``_canonical`` or ``_Sum``), and never changes it.  ``terms`` is the
+    ``from_terms`` or ``_Sum``), and never changes it.  ``terms`` is the
     public view: the map as a tuple of (monomial, coefficient) pairs in the
     display order (|nu|, nu, |mu|, mu), sorted each time it is read.
     Every operation works from the map, so only what is read is sorted.
@@ -484,22 +462,29 @@ class AlgElem:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(pairs: Iterable[tuple[Key, GScalar]]) -> "AlgElem":
-        """The element of ``_canonical(pairs)``; no word length is checked
-        here (see ``_canonical``)."""
-        return AlgElem(_canonical(pairs))
-
-    @staticmethod
     def from_terms(mapping: Mapping[Monomial, GScalar | int]) -> "AlgElem":
         """The canonical element of outside terms; every letter and every
-        word length is checked, a term with coefficient 0 included."""
+        word length is checked, a term with coefficient 0 included.
+
+        The keys of a mapping are distinct, and distinct checked words have
+        distinct codes, so no key repeats and nothing is merged: the map
+        holds the nonzero terms in the mapping's order, then complete
+        families collapse and the term cap is checked.  Keys that are
+        distinct objects with equal words, such as two word types, are a
+        ValueError."""
         for m in mapping:
             for letter in itertools.chain(m.mu, m.nu):
                 _index(letter, _NOT_A_LETTER)
         pairs = [(m, GScalar.of(c)) for m, c in mapping.items()]
         # lengths before codes: coding a word takes time quadratic in its length
         _check_word_lengths(len(w) for m, _ in pairs for w in m)
-        return AlgElem._make(((_code(m.mu), _code(m.nu)), c) for m, c in pairs)
+        # 0 is the one reduced triple; tuples compare in C
+        terms = {(_code(m.mu), _code(m.nu)): c for m, c in pairs if c != ZERO}
+        if len(terms) != sum(c != ZERO for _, c in pairs):
+            raise ValueError("two keys of the mapping name one monomial")
+        _collapse(terms)
+        _check_term_count(len(terms))
+        return AlgElem(terms)
 
     @staticmethod
     def zero() -> "AlgElem":
@@ -567,9 +552,9 @@ class AlgElem:
     def __mul__(self, other: object) -> "AlgElem":
         """The product, in one loop over the pairs of terms.  A pair whose
         prefixes match forms its key (module docstring) and merges into the
-        product's map at once, as ``_canonical`` merges: it adds onto a key
-        held and deletes a key whose sum is 0 (a product of two nonzero
-        coefficients is never a fresh 0).  Complete families then collapse.
+        product's map at once: it adds onto a key held and deletes a key
+        whose sum is 0 (a product of two nonzero coefficients is never a
+        fresh 0).  Complete families then collapse.
         Each word formed, also one whose coefficients cancel, passes the
         word cap, on both words of the key, since a factor may come from a
         larger cap; so an over-long word raises ``CapacityError`` as soon

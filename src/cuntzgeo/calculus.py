@@ -109,10 +109,10 @@ def derive(i: int, a: AlgElem) -> AlgElem:
     transform by the same rows.  Each row has at most one nonzero entry,
     ±1, so a letter has at most one image, applied as a sign.  Each image
     merges into the result's map in the letter loop that forms it, by the
-    rules of ``algebra._canonical``: it adds onto an image of the same
-    monomial, and a sum of 0 is deleted.  The terms are walked in the order
-    of the element's map, and the result is not sorted: its ``terms``
-    reader sorts it when read.
+    merge rules of the ``algebra`` module docstring: it adds onto an image
+    of the same monomial, and a sum of 0 is deleted.  The terms are walked
+    in the order of the element's map, and the result is not sorted: its
+    ``terms`` reader sorts it when read.
     """
     i = _index(i, "derivation index {!r} outside 1..3")
     return AlgElem(_derive_terms(i, a))
@@ -126,7 +126,7 @@ def _derive_terms(i: int, a: AlgElem, sign: int = 1) -> dict[Key, GScalar]:
     the lengths of its term's words, so no word length is checked: like a
     sum or an adjoint, a derivation makes no longer word.  The letters of a
     word are visited first to last (``algebra._shifts``); the map ends with
-    the collapse and the term cap, as ``algebra._canonical`` ends."""
+    the collapse and the term cap, as a product's map ends."""
     steps = _STEPS[i]
     terms: dict[Key, GScalar] = {}
     for (mu, nu), c in a._map.items():
@@ -386,20 +386,34 @@ class TensorElem:
     Stored as (index tuple -> right coefficient); the basis symbols are
     central, so a single right coefficient per index is fully general.
 
-    The constructor is the one place that checks indices: the rank must be
-    an int of at least 1, and every index a tuple of ``rank`` ints in 1..3
-    (``_check_indices``), else ValueError.  So no reader of ``entries``
-    meets an index that would land on another entry or be dropped.  Three
-    builders skip the check through ``_unchecked``: ``_make``, which checks
-    its merged indices itself, ``_of_scalars``, by its precondition, and
-    ``__neg__``, whose indices are those of a built tensor.
+    The constructor is the one door: it takes any iterable of (index,
+    coefficient) pairs.  The rank must be an int of at least 1, every index
+    a tuple of ``rank`` ints in 1..3 (``_check_indices``), every coefficient
+    an ``AlgElem``, and no index may repeat, else ValueError naming the
+    index.  It drops zero entries and stores the rest as a tuple sorted by
+    index.  So no reader of ``entries`` meets an index that would land on
+    another entry or be dropped, and one tensor has one stored form.  Two of
+    the package's own builders skip the checks through ``_unchecked``:
+    ``_of_scalars``, by its precondition, and ``__neg__``, whose entries are
+    those of a built tensor.
     """
 
     rank: int
     entries: tuple[tuple[Index, AlgElem], ...]
 
     def __post_init__(self) -> None:
-        _check_indices(self.rank, (idx for idx, _ in self.entries))
+        entries, seen = tuple(self.entries), set()
+        _check_indices(self.rank, (idx for idx, _ in entries))
+        for idx, c in entries:
+            if idx in seen:
+                raise ValueError(f"index {idx!r} is repeated")
+            if not isinstance(c, AlgElem):
+                raise ValueError(f"coefficient at index {idx!r} is not an AlgElem: {c!r}")
+            seen.add(idx)
+        # the indices are distinct, so sorting the pairs never compares two
+        # coefficients
+        object.__setattr__(self, "entries", tuple(sorted(
+            (idx, c) for idx, c in entries if not c.is_zero())))
 
     @staticmethod
     def _unchecked(rank: int, entries: tuple[tuple[Index, AlgElem], ...]) -> "TensorElem":
@@ -410,29 +424,10 @@ class TensorElem:
         return t
 
     @staticmethod
-    def _make(rank: int, pairs: Iterable[tuple[Index, AlgElem]]) -> "TensorElem":
-        """The tensor summing (index, coefficient) pairs: a repeated index
-        adds its coefficients, and zero entries are dropped.
-
-        Every merged index is checked before the sort, so an index outside
-        1..3 is rejected even when its coefficients sum to zero, and keys
-        that would not sort are a ValueError, not a TypeError.  The checked
-        result is built with ``_unchecked``."""
-        merged: dict[Index, AlgElem] = {}
-        for idx, c in pairs:
-            old = merged.get(idx)
-            merged[idx] = c if old is None else old + c
-        _check_indices(rank, merged)
-        # the indices are distinct, so sorting the pairs never compares two
-        # coefficients
-        return TensorElem._unchecked(rank, tuple(sorted(
-            (idx, c) for idx, c in merged.items() if not c.is_zero())))
-
-    @staticmethod
     def _of_scalars(rank: int, scalars: Mapping[Index, GScalar]) -> "TensorElem":
-        """The tensor with ``AlgElem.scalar(c)`` at each index: the canonical
-        form that ``_make`` gives, built with no merge and, through
-        ``_unchecked``, no index check.
+        """The tensor with ``AlgElem.scalar(c)`` at each index: the stored
+        form that the constructor gives, built through ``_unchecked`` with
+        no check.
 
         Precondition: every index is a tuple of ``rank`` ints in 1..3 (the
         package's own loops over the index range make them) and every
@@ -446,7 +441,7 @@ class TensorElem:
     @staticmethod
     def from_entries(rank: int,
                      mapping: Mapping[Index, AlgElem | GScalar | int]) -> "TensorElem":
-        return TensorElem._make(rank, ((k, _coeff(v)) for k, v in mapping.items()))
+        return TensorElem(rank, ((k, _coeff(v)) for k, v in mapping.items()))
 
     @staticmethod
     def zero(rank: int) -> "TensorElem":
@@ -477,7 +472,7 @@ class TensorElem:
         for idx, c in other.entries:
             old = acc.get(idx, zero)
             acc[idx] = old - c if sign < 0 else old + c
-        return TensorElem._make(self.rank, acc.items())
+        return TensorElem(self.rank, acc.items())
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         return self._fold(other, 1)
@@ -491,7 +486,7 @@ class TensorElem:
     def __mul__(self, other: object) -> "TensorElem":
         """Right multiplication on the coefficient."""
         f = _factor(other)
-        return NotImplemented if f is None else TensorElem._make(
+        return NotImplemented if f is None else TensorElem(
             self.rank, ((idx, c * f) for idx, c in self.entries))
 
     def scale(self, s: "AlgElem | GScalar | int") -> "TensorElem":
@@ -508,7 +503,7 @@ class TensorElem:
             lst = list(idx)
             lst[a], lst[b] = lst[b], lst[a]
             pairs.append((tuple(lst), c))
-        return TensorElem._make(self.rank, pairs)
+        return TensorElem(self.rank, pairs)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -527,9 +522,9 @@ def one_form_tensor(omega: OneForm) -> TensorElem:
 def tensor_product(t: TensorElem, u: "TensorElem | OneForm") -> TensorElem:
     if isinstance(u, OneForm):
         u = one_form_tensor(u)
-    return TensorElem._make(t.rank + u.rank, ((idx_a + idx_b, ca * cb)
-                                              for idx_a, ca in t.entries
-                                              for idx_b, cb in u.entries))
+    return TensorElem(t.rank + u.rank, ((idx_a + idx_b, ca * cb)
+                                        for idx_a, ca in t.entries
+                                        for idx_b, cb in u.entries))
 
 
 def sym_project_legs(t: TensorElem, a: int, b: int) -> TensorElem:
@@ -561,7 +556,7 @@ def antisym_lift(w: TwoForm) -> TensorElem:
     for (i, j), c in zip(WEDGE_PAIRS, w.c):
         h = c.scale(half)
         pairs += [((i, j), h), ((j, i), -h)]
-    return TensorElem._make(2, pairs)
+    return TensorElem(2, pairs)
 
 
 def wedge(t: TensorElem) -> TwoForm:

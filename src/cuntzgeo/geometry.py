@@ -26,28 +26,30 @@ metric, which is zero for constant entries, so ``unitarity_residual`` is
 ``levi_civita(g)`` adds to the canonical torsion-free connection the unique
 symmetric correction L that makes it unitary.  ``koszul_correction`` gives L
 in closed form for every invertible symmetric metric: Koszul's formula, with
-g⁻¹ from the adjugate.  No linear system is solved.  The index arithmetic
-is integer arithmetic: a metric or Christoffel table, real or complex,
-enters once as Gaussian integers, (re, im) int pairs equal to D times the
-table for D the lcm of its scalars' denominators d (a scalar is the reduced
-triple (a, b, d), see ``cuntzgeo.scalars``).  One reader, ``_table``, turns
-the c*1 entries of rank-2 tensors (a connection, the curvature's eps
-symbol, a Ricci tensor) into such a table and raises ValueError on any
-other coefficient; ``_gaussian`` reads a list of scalars, such as the
-metric's entries.  Each output entry is a Gaussian integer over a positive
-int, reduced once by ``scalars._norm`` and wrapped once by ``AlgElem.scalar``
-(through ``TensorElem._of_scalars`` for a tensor).
+g⁻¹ as the adjugate over the determinant.  No linear system is solved.
+The index arithmetic is integer arithmetic: a metric or Christoffel table,
+real or complex, enters once as Gaussian integers, (re, im) int pairs equal
+to D times the table for D the lcm of its scalars' denominators d (a scalar
+is the reduced triple (a, b, d), see ``cuntzgeo.scalars``).  One reader,
+``_table``, turns the c*1 entries of rank-2 tensors (a connection, the
+curvature's eps symbol, a Ricci tensor) into such a table and raises
+ValueError on any other coefficient; ``_gaussian`` reads a list of scalars,
+such as the metric's entries.  Each output entry is a Gaussian integer over
+a positive int, reduced once by ``scalars._norm`` and wrapped once by
+``AlgElem.scalar`` (through ``TensorElem._of_scalars`` for a tensor).
 
 Koszul's correction is linear in g⁻¹: every term of Koszul's formula for
 the base connection holds a row of g, which cancels one of the two
-inverses, so each entry of L is a 4-term sum of products h(·,·) g(·,j)
-plus the base table.  ``_koszul`` divides by 2 D E, for E the lcm of the
-denominators of h = g⁻¹ reduced entry by entry, and ``levi_civita`` adds
-the base table to each reduced entry of L, which keeps it reduced, so it
-builds the connection with no tensor sum and no second gcd.  Each
-independent entry is one Gaussian dot product, and its mirror image shares
-the result: the compatibility pairing is symmetric in (i, j), and so is
-L^j, so each is computed for i <= j only.
+inverses, so each entry of L is a 4-term sum of products g⁻¹(·,·) g(·,j)
+plus the base table.  For G = D g, g⁻¹ = D adj(G) / det(G), so each such
+product is adj(G)(·,·) G(·,j) / det(G) and D cancels: ``_koszul`` puts
+every entry of L over 2 |det(G)|², with no inverse formed or reduced, and
+reduces it once.  ``levi_civita`` adds the base table to each reduced
+entry of L, which keeps it reduced, so it builds the connection with no
+tensor sum and no second gcd.  Each independent entry is one Gaussian dot
+product, and its mirror image shares the result: the compatibility
+pairing is symmetric in (i, j), and so is L^j, so each is computed for
+i <= j only.
 """
 
 from __future__ import annotations
@@ -281,8 +283,8 @@ def _table(tensors: Sequence[TensorElem], what: str) -> tuple[list, int]:
     Raises ValueError, naming the entry as (t + 1, a + 1, b + 1) or, for one
     tensor, (a + 1, b + 1), when a coefficient is not a scalar multiple of
     1: the index formulas hold for scalar entries only.  Every index is a
-    pair in 1..3, which the ``TensorElem`` constructor checks, so each
-    entry has its own place in the flat table.
+    pair in 1..3 and no index repeats, which the ``TensorElem`` constructor
+    checks, so each entry has its own place in the flat table.
     """
     flat = [ZERO] * (9 * len(tensors))
     for t, tensor in enumerate(tensors):
@@ -390,35 +392,25 @@ def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorE
                      + h(i,p+1) g(p+2,j) + h(p,i+1) g(i+2,j)
                      - h(i,p+2) g(p+1,j) - h(p,i+2) g(i+1,j),
 
-    symmetric in (i, p).  With the Gaussian integers G = D g,
-    g⁻¹ = D adj(G) conj(det(G)) / |det(G)|²; each of its six entries with
-    i <= k is reduced by one gcd.  For E the lcm of their denominators,
-    H = E g⁻¹ is a symmetric Gaussian-integer array, and 2 D E L^j(i,p) is
-    -D E (B_j(i,p) + B_j(p,i)) plus one 4-term dot product of entries of H
-    and G, over the positive int 2 D E.  Each entry with i <= p is reduced
-    once to (u, v, w); the Christoffel entry is then (u + w bx, v + w by, w)
-    for the table entry (bx, by), and its mirror the same with the mirror's
-    table entry.  Both are reduced already, since
-    gcd(u + w bx, v + w by, w) = gcd(u, v, w) = 1.
+    symmetric in (i, p).  With the Gaussian integers G = D g, adj(g) =
+    adj(G) / D² and det(g) = det(G) / D³, so h = D adj(G) / det(G), and
+    every product h(·,·) g(·,j) = adj(G)(·,·) G(·,j) / det(G): D cancels.
+    So 2 det(G) L^j(i,p) is one 4-term dot product of entries of adj(G)
+    and G, minus det(G) (B_j(i,p) + B_j(p,i)), and multiplying by
+    conj(det(G)) puts L^j(i,p) over the positive int 2 |det(G)|².  Each
+    entry with i <= p is reduced once to (u, v, w); the Christoffel entry is
+    then (u + w bx, v + w by, w) for the table entry (bx, by), and its
+    mirror the same with the mirror's table entry.  Both are reduced
+    already, since gcd(u + w bx, v + w by, w) = gcd(u, v, w) = 1.
     """
-    r, d = _gaussian([x for row in g.rows for x in row])
+    r, _ = _gaussian([x for row in g.rows for x in row])
     neg = [[(-x, -y) for x, y in row] for row in r]
     # adj(G)[i][k] = G(i+1, k+1) G(i+2, k+2) - G(i+1, k+2) G(i+2, k+1);
-    # G, adj(G) and H are symmetric, so a row is also a column
+    # G and adj(G) are symmetric, so a row is also a column
     adj = [[_dot((r[i1][k1], r[i1][k2]), (r[i2][k2], neg[i2][k1]))
             for k1, k2 in _CYCLE] for i1, i2 in _CYCLE]
     x, y = _dot(r[0], adj[0])  # det(G)
-    cx, cy, n = d * x, -d * y, x * x + y * y  # D conj(det(G)) over |det(G)|²
-
-    def inverse(i: int, k: int) -> tuple[int, int, int]:
-        """g⁻¹(i, k) as a reduced triple."""
-        a, b = adj[i][k]
-        a, b = a * cx - b * cy, a * cy + b * cx
-        h = math.gcd(a, b, n)
-        return a // h, b // h, n // h
-
-    h, e = _gaussian([s for row in _symmetric(inverse) for s in row])
-    de, q = d * e, 2 * d * e
+    q = 2 * (x * x + y * y)
     values = []
     for j, b in enumerate(table):
         base, gj, nj = _BASE_TABLE[j], r[j], neg[j]  # G(m, j) = r[j][m]
@@ -426,10 +418,12 @@ def _koszul(g: Metric, table: Sequence) -> tuple[TensorElem, TensorElem, TensorE
         for i, (i1, i2) in enumerate(_CYCLE):
             for p in range(i, 3):
                 p1, p2 = _CYCLE[p]
-                re, im = _dot((h[i][p1], h[p][i1], h[i][p2], h[p][i2]),
+                re, im = _dot((adj[i][p1], adj[p][i1], adj[i][p2], adj[p][i2]),
                               (gj[p2], gj[i2], nj[p1], nj[i1]))
-                re -= de * (base[i][p][0] + base[p][i][0])
-                u, v, w = _norm(re, im, q)  # L^j(i, p) = L^j(p, i)
+                k = base[i][p][0] + base[p][i][0]  # B_j(i, p) + B_j(p, i)
+                re, im = re - k * x, im - k * y
+                # L^j(i, p) = L^j(p, i), times conj(det(G)) over 2 |det(G)|²
+                u, v, w = _norm(re * x + im * y, im * x - re * y, q)
                 for s, t in ((i, p), (p, i)):
                     bx, by = b[s][t]
                     entries[s + 1, t + 1] = _new(GScalar, (u + w * bx, v + w * by, w))

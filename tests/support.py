@@ -126,7 +126,10 @@ def random_metric(rng: random.Random) -> Metric:
 
 def merge_pairs(pairs) -> dict:
     """(key, value) pairs merged by hand into a dict: a repeated key adds
-    its values.  The oracle for the merge in the ``_make`` constructors."""
+    its values, and a sum of 0 stays.  The library's builders take distinct
+    keys (``AlgElem.from_terms`` a mapping, the ``TensorElem`` constructor
+    rejects a repeated index), so references that sum repeated keys merge
+    them here, with no library code."""
     out = {}
     for key, value in pairs:
         out[key] = out[key] + value if key in out else value
@@ -220,9 +223,9 @@ def reference_curvature(conn: Connection) -> tuple[TensorElem, TensorElem, Tenso
 
 def reference_ricci(theta: dict) -> TensorElem:
     """The Ricci contraction as a tensor sum: every entry theta(a, b, k, k)
-    as an (a, b) pair, repeated indices added by ``TensorElem._make``."""
-    return TensorElem._make(
-        2, (((a, b), coeff) for (a, b, c, k), coeff in theta.items() if c == k))
+    as an (a, b) pair, repeated indices added by ``merge_pairs``."""
+    return TensorElem(2, merge_pairs(
+        ((a, b), coeff) for (a, b, c, k), coeff in theta.items() if c == k).items())
 
 
 def reference_scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:

@@ -23,7 +23,7 @@ from cuntzgeo import (
 import cuntzgeo
 from cuntzgeo.algebra import _Sum, _ordered
 from cuntzgeo.calculus import d0, d1, derive
-from cuntzgeo.scalars import GScalar, ONE, rational
+from cuntzgeo.scalars import GScalar, ONE, ZERO, rational
 
 from support import (
     alg_elems,
@@ -35,6 +35,7 @@ from support import (
     reference_sum,
     small_alg_elems,
     split_terms,
+    tuple_canonical,
     words_of_length,
 )
 
@@ -295,23 +296,62 @@ def test_normalize_idempotent(x):
     assert AlgElem.from_terms(dict(x.terms)) == x
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_from_terms_keeps_the_mapping_order(seed):
+    """``from_terms`` merges nothing, because no key can repeat: a mapping's
+    keys are distinct, and a Monomial equals and hashes as the tuple of its
+    words, so a mapping holds one key per word pair.  When no family
+    completes, the element's map is the mapping's nonzero terms in the
+    mapping's order."""
+    one = {monomial((1,), ()): 1, ((1,), ()): 2}
+    assert list(one.items()) == [(monomial((1,), ()), 2)]
+    rng = random.Random(seed)
+    kept = 0
+    for _ in range(200):
+        mapping = {}
+        for _ in range(rng.randint(0, 8)):
+            m = Monomial(random_word(rng), random_word(rng))
+            mapping[m] = random_gscalar(rng) if rng.random() < 0.8 else ZERO
+        nonzero = [(m, c) for m, c in mapping.items() if c != ZERO]
+        if tuple_canonical(nonzero).keys() != dict(nonzero).keys():
+            continue  # a family completed
+        kept += 1
+        assert list(AlgElem.from_terms(mapping).term_map().items()) == nonzero
+    assert kept >= 150
+
+
+def test_from_terms_rejects_two_keys_of_one_monomial():
+    """Keys that are distinct objects with the same words, such as a word
+    given as bytes beside the same word as a tuple, would share a term: a
+    ValueError, not a silent choice of one coefficient."""
+    for other in (Monomial(b"\x01", ()), Monomial(range(1, 2), ())):
+        with pytest.raises(ValueError, match="^two keys of the mapping name one monomial$"):
+            AlgElem.from_terms({other: 1, monomial((1,), ()): 1})
+    # a zero coefficient on one of them leaves one term
+    assert AlgElem.from_terms({Monomial(b"\x01", ()): 0, monomial((1,), ()): 1}) == S1
+
+
 def test_make_adds_repeated_monomials():
-    """A repeated monomial adds its coefficients before the collapse: a
-    cancelling pair vanishes, and the family of S1 completes only once the
-    two halves of S1 S1 S1* are merged."""
+    """Making an element of repeated monomials: ``merge_pairs`` adds their
+    coefficients before ``from_terms`` collapses.  A cancelling pair merges
+    to a 0 coefficient, which ``from_terms`` drops, and the family of S1
+    completes only once the two halves of S1 S1 S1* are merged."""
     half = rational(1, 2)
     pairs = [(monomial("1", "2"), ONE), (monomial("11", "1"), half),
              (monomial("12", "2"), ONE), (monomial("1", "2"), -ONE),
              (monomial("13", "3"), ONE), (monomial("11", "1"), half)]
-    keyed = [(code_key(m), c) for m, c in pairs]
-    assert AlgElem._make(keyed) == AlgElem.from_terms(merge_pairs(pairs)) == S1
+    merged = merge_pairs(pairs)
+    assert merged[monomial("1", "2")] == ZERO
+    made = AlgElem.from_terms(merged)
+    assert made == S1 and made.term_map() == tuple_canonical(pairs)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_make_equals_from_terms_of_the_merged_pairs(seed):
     """Pieces of x split through sum_j S_j S_j^* = 1, some of them cut in
-    two halves, in shuffled order beside pairs that cancel: ``_make`` gives
-    the canonical form of the hand-merged terms, and that is x."""
+    two halves, in shuffled order beside pairs that cancel: ``from_terms``
+    of the hand-merged terms gives the tuple-word oracle's canonical form of
+    the pairs, and that is x."""
     rng = random.Random(seed)
     for _ in range(100):
         x = random_elem(rng)
@@ -327,8 +367,8 @@ def test_make_equals_from_terms_of_the_merged_pairs(seed):
                 other = Monomial(random_word(rng), random_word(rng))
                 pairs += [(other, d), (other, -d)]
         rng.shuffle(pairs)
-        made = AlgElem._make([(code_key(m), c) for m, c in pairs])
-        assert made == AlgElem.from_terms(merge_pairs(pairs))
+        made = AlgElem.from_terms(merge_pairs(pairs))
+        assert made.term_map() == tuple_canonical(pairs)
         assert made.equals(x)
 
 
@@ -412,7 +452,7 @@ def test_nested_families_merge_deepest_first():
     for summand in (other, before, step):
         acc.add(summand)
     assert acc.value().term_map() == with_other
-    # the same terms in one mapping: _make's collapse from every term
+    # the same terms in one mapping: from_terms's collapse from every term
     terms = {**before.term_map(), **step.term_map()}
     assert AlgElem.from_terms(terms).term_map() == merged
     assert AlgElem.from_terms({**terms, **other.term_map()}).term_map() == with_other

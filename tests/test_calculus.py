@@ -326,13 +326,16 @@ def test_wedge_after_antisym_lift(t):
     assert wedge(antisym_lift(w)).equals(w)
 
 
-def test_tensor_make_adds_repeated_indices():
-    """A repeated index adds its coefficients: x and -x cancel to no entry,
-    and S_j S_j^* on one index add up to 1."""
+def test_tensor_constructor_rejects_a_repeated_index():
+    """A repeated index is a ValueError that names it, even where its
+    coefficients would cancel (x and -x) or add up to 1 (S_j S_j^*); the
+    same pairs merged by hand build the tensor that their sum is."""
     x = S1 * S2.adjoint() + 3
     pairs = [((1, 2), x), ((2, 1), S1 * S1.adjoint()), ((1, 2), -x),
              ((2, 1), S2 * S2.adjoint()), ((2, 1), S3 * S3.adjoint())]
-    assert TensorElem._make(2, pairs) == TensorElem.basis(2, 1)
+    with pytest.raises(ValueError, match=r"^index \(1, 2\) is repeated$"):
+        TensorElem(2, pairs)
+    assert TensorElem(2, merge_pairs(pairs).items()) == TensorElem.basis(2, 1)
     rng = random.Random(5)
     for _ in range(100):
         pairs = []
@@ -340,11 +343,39 @@ def test_tensor_make_adds_repeated_indices():
             idx, y = (rng.randint(1, 3), rng.randint(1, 3)), random_elem(rng)
             pairs += [(idx, y), (idx, -y)] if rng.random() < 0.3 else [(idx, y)]
         rng.shuffle(pairs)
-        assert TensorElem._make(2, pairs) == TensorElem.from_entries(2, merge_pairs(pairs))
+        indices = [idx for idx, _ in pairs]
+        repeated = next((idx for k, idx in enumerate(indices) if idx in indices[:k]), None)
+        if repeated is None:
+            assert TensorElem(2, pairs) == TensorElem.from_entries(2, merge_pairs(pairs))
+        else:
+            shown = rf"\({repeated[0]}, {repeated[1]}\)"
+            with pytest.raises(ValueError, match=rf"^index {shown} is repeated$"):
+                TensorElem(2, pairs)
+
+
+def test_the_tensor_constructor_is_the_one_stored_form():
+    """The constructor's promise: no reader of ``entries`` meets an index
+    that would land on another entry, and one tensor has one stored form.
+    A repeated index would read as either coefficient or their sum, a
+    coefficient that is not an element would fail only in a later reader,
+    a zero entry would make a tensor that is not ``is_zero`` but ``equals``
+    zero, and a list of entries an unhashable tensor unequal to its tuple
+    form."""
+    with pytest.raises(ValueError, match=r"^index \(1, 2\) is repeated$"):
+        TensorElem(2, (((1, 2), S1), ((1, 2), S2)))
+    with pytest.raises(ValueError, match=r"^coefficient at index \(1, 2\) is not an AlgElem: 5$"):
+        TensorElem(2, (((1, 2), 5),))
+    zero = TensorElem(2, (((1, 2), AlgElem.zero()),))
+    assert zero.is_zero() and zero.entries == () and zero == TensorElem.zero(2)
+    assert TensorElem(2, (((1, 2), AlgElem.zero()), ((2, 1), S1))).entries == (((2, 1), S1),)
+    listed = TensorElem(2, [((2, 1), S1), ((1, 2), S2)])
+    stored = (((1, 2), S2), ((2, 1), S1))
+    assert listed.entries == stored and type(listed.entries) is tuple
+    assert listed == TensorElem(2, stored) and hash(listed) == hash(TensorElem(2, stored))
 
 
 def test_tensor_make_checks_the_rank_and_sorts_the_indices():
-    # _make sorts the merged (index, coefficient) pairs with plain sorted:
+    # the constructor sorts the (index, coefficient) pairs with plain sorted:
     # the indices are distinct and checked first, so no coefficient is compared
     for key in ((1,), 5, "12"):
         with pytest.raises(ValueError, match="does not have rank 2"):

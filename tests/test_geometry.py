@@ -356,7 +356,8 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
 def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
     # the geometry chain, Ricci and Scal run on Gaussian integers and
     # divide once per output entry: no GScalar or Fraction operator is called,
-    # and each output is wrapped once, not merged and sorted by TensorElem._make
+    # and each output is wrapped once, not checked, merged and sorted by the
+    # TensorElem constructor
     g = load_metric(rows)
     conn = levi_civita(g)
     calls, makes = [], []
@@ -371,7 +372,7 @@ def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
         for name in _ARITHMETIC:
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, counted(getattr(cls, name), calls))
-    monkeypatch.setattr(TensorElem, "_make", staticmethod(counted(TensorElem._make, makes)))
+    monkeypatch.setattr(TensorElem, "__post_init__", counted(TensorElem.__post_init__, makes))
     theta = curvature_operator(curvature(conn))
     ric = ricci(theta)
     made, wrapped = {}, {}
@@ -451,16 +452,18 @@ def test_each_output_entry_is_reduced_once(monkeypatch):
     COMPLEX_DENSE, ROADMAP_DENSE, [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
     [["1/2", "1/3", "1/5"], ["1/3", "-2/7", "1/11"], ["1/5", "1/11", "3"]],
     [["6", "4/3i", "0"], ["4/3i", "10/9", "2"], ["0", "2", "-5/4 + i"]]])
-def test_koszul_divides_by_2_d_e(monkeypatch, rows):
-    # every entry of L is reduced from a numerator over 2 D E, where D is
-    # the lcm of the metric's denominators and E that of g⁻¹'s entries
+def test_koszul_divides_by_2_abs_det_g_squared(monkeypatch, rows):
+    # every entry of L is reduced from a numerator over 2 |det(G)|², for the
+    # Gaussian-integer metric G = D g and D the lcm of the metric's
+    # denominators: D cancels, and no entry of g⁻¹ is reduced on its own
     g = load_metric(rows)
     d = math.lcm(*(x[2] for row in g.rows for x in row))
-    e = math.lcm(*(x[2] for row in adjugate_inverse(g) for x in row))
+    x, y, one = g.scale(d).det()  # det(G), a Gaussian integer
+    assert one == 1
     divisors = []
     _counted_norm(monkeypatch, divisors)
     koszul_correction(g)
-    assert divisors == [2 * d * e] * 18
+    assert divisors == [2 * (x * x + y * y)] * 18
 
 
 @given(metrics())
@@ -515,7 +518,7 @@ def test_non_scalar_christoffel_symbols_are_rejected():
 def test_tensor_indices_outside_1_to_3_are_rejected():
     """The constructor checks every index: an entry (1, 5) would land on
     Gamma_1(2, 2) in a flat table and (True, 2) would read as (1, 2).
-    ``_make`` checks an index even when its coefficients sum to zero."""
+    It checks an index even when its coefficient is zero."""
     for index, shown in (((1, 5), r"\(1, 5\)"), ((True, 2), r"\(True, 2\)")):
         with pytest.raises(ValueError, match=rf"^index {shown} outside 1\.\.3$"):
             TensorElem(2, ((index, AlgElem.scalar(1)),))
@@ -653,11 +656,11 @@ def test_perturbed_connection_breaks_unitarity():
 def test_levi_civita_is_base_plus_koszul_in_canonical_form(g):
     # levi_civita builds base + L as one integer table and every output is
     # wrapped straight from its reduced scalars: the result is the shifted
-    # base connection, structurally, and each tensor is the canonical form
-    # that TensorElem._make gives (index-sorted, no zero entry)
+    # base connection, structurally, and each tensor is the stored form
+    # that the TensorElem constructor gives (index-sorted, no zero entry)
     conn = levi_civita(g)
     kz = koszul_correction(g)
     assert conn == base_connection().shifted(kz)
     curv = curvature(conn)
     for t in (*conn.vals, *kz.vals, *curv, ricci(curvature_operator(curv))):
-        assert t == TensorElem._make(t.rank, t.entries)
+        assert t == TensorElem(t.rank, t.entries)
