@@ -142,7 +142,6 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import FrozenInstanceError
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import GScalar, ONE, ZERO
@@ -416,7 +415,59 @@ class _Sum:
         return AlgElem(self.terms)
 
 
-class AlgElem:
+class _Record:
+    """An immutable record, the base of the package's value classes: what a
+    frozen dataclass gives, without importing ``dataclasses``.
+
+    A subclass names its fields in ``__slots__`` (a subclass that adds none
+    sets ``__slots__ = ()``), and its ``__init__``, whose parameters are
+    named after the fields, checks them and sets each once: through
+    ``_Record.__init__``, which takes the values in field order, or, on a
+    hot path, through ``object.__setattr__``.  Assigning or deleting an
+    attribute afterwards raises AttributeError.  ``==`` holds between records of one class with
+    equal field tuples and the hash is that of the field tuple; the repr is
+    ``Name(field=value, ...)``.  ``__reduce__`` calls the class on the field
+    tuple, so ``copy``, ``deepcopy`` and ``pickle`` rebuild a record through
+    its own checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AlgElem(_Record):
     """An algebra element in canonical form.
 
     It holds its canonical term map (pair of word codes -> nonzero
@@ -427,7 +478,9 @@ class AlgElem:
     Every operation works from the map, so only what is read is sorted.
     Structural equality (``==``) means identical canonical form, whatever
     order the map was built in, and so does the hash; use :meth:`equals`
-    for mathematical equality.  Attributes cannot be set or deleted.
+    for mathematical equality.  It is a ``_Record`` of the one field
+    ``_map`` with its own ``==``, hash and repr: attributes cannot be set or
+    deleted, and it copies and pickles as its map.
     """
 
     __slots__ = ("_map",)
@@ -436,15 +489,6 @@ class AlgElem:
         """The element of a canonical term map, taken as it is: no copy, so
         the caller must not change the map afterwards."""
         _set_map(self, terms)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return AlgElem, (self._map,)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -656,5 +700,5 @@ class AlgElem:
         return f"AlgElem({{{inner}}})"
 
 
-# the slot's own setter: ``AlgElem.__setattr__`` refuses every assignment
+# the slot's own setter: ``_Record.__setattr__`` refuses every assignment
 _set_map = AlgElem._map.__set__

@@ -67,12 +67,11 @@ __all__ = [
     "wedge",
 ]
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _check_term_count, _collapse, _index, _shifts,
-    _Sum)
+    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _check_term_count, _collapse, _index, _Record,
+    _shifts, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -226,8 +225,7 @@ def _factor(x: object) -> "AlgElem | GScalar | None":
     return x if isinstance(x, AlgElem) else GScalar._coerce(x)
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(_Record):
     """A dense element of a rank-3 free module with a central basis: one
     right coefficient per basis symbol, in the subclass's basis order,
     stored as a tuple of exactly three ``AlgElem`` values (ValueError
@@ -237,12 +235,13 @@ class _Form:
     returns NotImplemented, and ``==`` and ``equals`` compare the types too.
     """
 
-    c: tuple[AlgElem, AlgElem, AlgElem]
+    __slots__ = ("c",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", tuple(self.c))
-        if len(self.c) != 3 or not all(isinstance(a, AlgElem) for a in self.c):
+    def __init__(self, c: Iterable[AlgElem]) -> None:
+        c = tuple(c)
+        if len(c) != 3 or not all(isinstance(a, AlgElem) for a in c):
             raise ValueError(f"{type(self).__name__} takes three AlgElem coefficients")
+        object.__setattr__(self, "c", c)  # every form is built here: no zip loop
 
     @classmethod
     def zero(cls):
@@ -286,6 +285,7 @@ class _Form:
 class OneForm(_Form):
     """Element of the rank-3 free module: ``e1*c[0] + e2*c[1] + e3*c[2]``."""
 
+    __slots__ = ()
     LABELS = ("e1", "e2", "e3")  # the basis symbols, in the order of c
 
     @staticmethod
@@ -311,6 +311,7 @@ class TwoForm(_Form):
     """``e12*c[0] + e13*c[1] + e23*c[2]`` with the basis order of WEDGE_PAIRS:
     for i < j, e_ij is ``c[i + j - 3]``."""
 
+    __slots__ = ()
     LABELS = tuple(f"e{i}{j}" for i, j in WEDGE_PAIRS)
 
     @staticmethod
@@ -329,13 +330,14 @@ class TwoForm(_Form):
         return c if i < j else -c
 
 
-@dataclass(frozen=True)
-class RepTwoForm:
+class RepTwoForm(_Record):
     """A product of one-forms before quotienting: junk (identity component)
     plus the antisymmetric part in the e_ij basis."""
 
-    junk: AlgElem
-    c: tuple[AlgElem, AlgElem, AlgElem]
+    __slots__ = ("junk", "c")
+
+    def __init__(self, junk: AlgElem, c: tuple[AlgElem, AlgElem, AlgElem]) -> None:
+        super().__init__(junk, c)
 
 
 def represented_product(omega: OneForm, eta: OneForm) -> RepTwoForm:
@@ -379,8 +381,7 @@ def _check_indices(rank: int, indices: Iterable[Index]) -> None:
             _index(i, _NOT_AN_INDEX, idx)
 
 
-@dataclass(frozen=True)
-class TensorElem:
+class TensorElem(_Record):
     """Element of the k-fold tensor power of the one-form module.
 
     Stored as (index tuple -> right coefficient); the basis symbols are
@@ -398,12 +399,11 @@ class TensorElem:
     those of a built tensor.
     """
 
-    rank: int
-    entries: tuple[tuple[Index, AlgElem], ...]
+    __slots__ = ("rank", "entries")
 
-    def __post_init__(self) -> None:
-        entries, seen = tuple(self.entries), set()
-        _check_indices(self.rank, (idx for idx, _ in entries))
+    def __init__(self, rank: int, entries: Iterable[tuple[Index, AlgElem]]) -> None:
+        entries, seen = tuple(entries), set()
+        _check_indices(rank, (idx for idx, _ in entries))
         for idx, c in entries:
             if idx in seen:
                 raise ValueError(f"index {idx!r} is repeated")
@@ -412,12 +412,11 @@ class TensorElem:
             seen.add(idx)
         # the indices are distinct, so sorting the pairs never compares two
         # coefficients
-        object.__setattr__(self, "entries", tuple(sorted(
-            (idx, c) for idx, c in entries if not c.is_zero())))
+        super().__init__(rank, tuple(sorted((idx, c) for idx, c in entries if not c.is_zero())))
 
     @staticmethod
     def _unchecked(rank: int, entries: tuple[tuple[Index, AlgElem], ...]) -> "TensorElem":
-        """The tensor of ``entries``, built without ``__post_init__``."""
+        """The tensor of ``entries``, built without the constructor's checks."""
         t = object.__new__(TensorElem)
         object.__setattr__(t, "rank", rank)
         object.__setattr__(t, "entries", entries)

@@ -9,9 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import _INDICES, AlgElem
+from .algebra import _INDICES, AlgElem, _Record
 from .calculus import (
     BASIS_DIFFERENTIALS,
     OneForm,
@@ -40,13 +38,14 @@ from .geometry import (
 from .scalars import GScalar
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ident: str
-    anchor: str
-    expected: str
-    computed: str
-    status: str  # "pass" | "fail" | "info"
+class CheckResult(_Record):
+    """One row of the identity table; ``status`` is "pass", "fail" or "info"."""
+
+    __slots__ = ("ident", "anchor", "expected", "computed", "status")
+
+    def __init__(self, ident: str, anchor: str, expected: str, computed: str,
+                 status: str) -> None:
+        super().__init__(ident, anchor, expected, computed, status)
 
 
 def _check(ident: str, anchor: str, expected: str, computed) -> CheckResult:

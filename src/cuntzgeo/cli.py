@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections import Counter
@@ -60,6 +59,8 @@ def _part_text(n: int, d: int) -> str:
 
 
 def _print_json(doc: dict) -> None:
+    import json  # on first use: a text command never loads it
+
     print(json.dumps(doc, indent=2))
 
 

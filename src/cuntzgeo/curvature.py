@@ -40,9 +40,7 @@ __all__ = [
     "scalar_curvature",
 ]
 
-from dataclasses import dataclass
-
-from .algebra import _INDICES, AlgElem
+from .algebra import _INDICES, AlgElem, _Record
 from .calculus import BASIS_DIFFERENTIALS, TensorElem, _check_indices, antisym_lift
 from .geometry import Connection, Metric, _dot, _gaussian, _table, levi_civita
 from .scalars import GScalar, _new, _norm
@@ -140,16 +138,15 @@ def scalar_curvature(g: Metric, ric: TensorElem) -> AlgElem:
                                 d_g * d_r))
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(_Record):
     """Everything the curvature pipeline produces for one metric."""
 
-    metric: Metric
-    connection: Connection
-    curv: tuple[TensorElem, TensorElem, TensorElem]
-    theta: ThetaMap
-    ric: TensorElem
-    scalar: AlgElem
+    __slots__ = ("metric", "connection", "curv", "theta", "ric", "scalar")
+
+    def __init__(self, metric: Metric, connection: Connection,
+                 curv: tuple[TensorElem, TensorElem, TensorElem], theta: ThetaMap,
+                 ric: TensorElem, scalar: AlgElem) -> None:
+        super().__init__(metric, connection, curv, theta, ric, scalar)
 
 
 def curvature_report(g: Metric) -> CurvatureReport:

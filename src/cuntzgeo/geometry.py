@@ -69,13 +69,11 @@ __all__ = [
     "unitarity_residual",
 ]
 
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import _INDICES, AlgElem, _index
+from .algebra import _INDICES, AlgElem, _index, _Record
 from .calculus import (
     BASIS_DIFFERENTIALS,
     OneForm,
@@ -114,8 +112,7 @@ def _entry(cell: object) -> GScalar:
     raise MetricError(f"metric entry is not a scalar: {cell!r}")
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Record):
     """Symmetric invertible bilinear pairing on the one-form module.
 
     ``Metric(rows)`` is the one door for a metric: rows must be three lists
@@ -125,13 +122,12 @@ class Metric:
     symmetric and invertible.  Every check raises MetricError.
     """
 
-    rows: tuple[tuple[GScalar, GScalar, GScalar], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if not _is_3x3(self.rows):
+    def __init__(self, rows: Sequence[Sequence[object]]) -> None:
+        if not _is_3x3(rows):
             raise MetricError("metric must be a 3x3 array")
-        object.__setattr__(self, "rows", tuple(
-            tuple(map(_entry, row)) for row in self.rows))
+        super().__init__(tuple(tuple(map(_entry, row)) for row in rows))
         for i in range(3):
             for j in range(i + 1, 3):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -168,6 +164,8 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
     is exact).
     """
     if isinstance(source, (str, Path)):
+        import json  # on first use: only a metric file needs it
+
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
@@ -191,18 +189,17 @@ def load_metric(source: "str | Path | Sequence[Sequence[object]]") -> Metric:
 # connections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Values:
+class _Values(_Record):
     """A rank-2 tensor value on each basis one-form e1, e2, e3: the shape of
     a connection and of the Koszul correction L alike."""
 
-    vals: tuple[TensorElem, TensorElem, TensorElem]
+    __slots__ = ("vals",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vals", tuple(self.vals))
-        if len(self.vals) != 3 or any(
-                not isinstance(v, TensorElem) or v.rank != 2 for v in self.vals):
+    def __init__(self, vals: Sequence[TensorElem]) -> None:
+        vals = tuple(vals)
+        if len(vals) != 3 or any(not isinstance(v, TensorElem) or v.rank != 2 for v in vals):
             raise ValueError("values must be three rank-2 tensors")
+        super().__init__(vals)
 
     def value(self, i: int) -> TensorElem:
         return self.vals[_index(i) - 1]
@@ -214,6 +211,8 @@ class Connection(_Values):
     ``shifted`` adds a correction term by term with tensor sums: the
     reference formula that ``levi_civita``'s integer table is tested
     against."""
+
+    __slots__ = ()
 
     def shifted(self, correction: "SymTensorMap") -> "Connection":
         return Connection(tuple(v + c for v, c in zip(self.vals, correction.vals)))
@@ -241,8 +240,10 @@ class SymTensorMap(_Values):
     (v + flip v)/2 - v = (flip v - v)/2.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, vals: Sequence[TensorElem]) -> None:
+        super().__init__(vals)
         zero = AlgElem.zero()
         for v in self.vals:
             mirror = v.entry_map()

@@ -372,7 +372,7 @@ def test_the_index_arithmetic_is_integer_arithmetic(monkeypatch, rows):
         for name in _ARITHMETIC:
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, counted(getattr(cls, name), calls))
-    monkeypatch.setattr(TensorElem, "__post_init__", counted(TensorElem.__post_init__, makes))
+    monkeypatch.setattr(TensorElem, "__init__", counted(TensorElem.__init__, makes))
     theta = curvature_operator(curvature(conn))
     ric = ricci(theta)
     made, wrapped = {}, {}

@@ -3,7 +3,9 @@ scans for unused imports and unused module-level definitions."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -58,6 +60,21 @@ def test_readme_library_example_prints_its_comment(capsys):
     assert block.rstrip().endswith("# - 7/8")
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "- 7/8\n"
+
+
+def test_a_cold_import_loads_no_unused_stdlib_module():
+    """``import cuntzgeo, cuntzgeo.cli`` in a fresh interpreter loads none of
+    ``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``dis``),
+    ``inspect`` or ``json``: the records are plain ``__slots__`` classes, and
+    ``json`` is imported where a metric file is read or a JSON document
+    printed.  A module that the interpreter had loaded before the import
+    does not count."""
+    code = ("import sys; before = set(sys.modules); import cuntzgeo, cuntzgeo.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "[]\n"
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):
