@@ -70,8 +70,8 @@ __all__ = [
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    _INDICES, _NOT_AN_INDEX, AlgElem, Key, _check_term_count, _collapse, _index, _Record,
-    _shifts, _Sum)
+    _INDICES, _NOT_AN_INDEX, _UNIT, AlgElem, Key, _check_term_count, _collapse, _index,
+    _Record, _shifts, _Sum)
 from .scalars import GScalar, ONE, ZERO, rational
 
 # ---------------------------------------------------------------------------
@@ -430,11 +430,12 @@ class TensorElem(_Record):
 
         Precondition: every index is a tuple of ``rank`` ints in 1..3 (the
         package's own loops over the index range make them) and every
-        scalar a reduced ``GScalar`` (as ``scalars._norm`` returns it),
-        which ``AlgElem.scalar`` wraps as it is.  Zero scalars are dropped,
-        and the indices, which are distinct, are sorted once.
+        scalar a reduced ``GScalar`` (as ``scalars._norm`` returns it).
+        Zero scalars are dropped, so each kept one is wrapped as the term
+        map ``{_UNIT: c}`` with none of ``AlgElem.scalar``'s coercion or
+        zero test, and the indices, which are distinct, are sorted once.
         """
-        return TensorElem._unchecked(rank, tuple((idx, AlgElem.scalar(c))
+        return TensorElem._unchecked(rank, tuple((idx, AlgElem({_UNIT: c}))
                                                  for idx, c in sorted(scalars.items()) if c))
 
     @staticmethod

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands (declared in the table ``_COMMANDS``):
 
 * ``eval EXPR``        evaluate an expression, print its canonical form
 * ``derive I EXPR``    apply the i-th basis derivation to an algebra element
@@ -14,11 +14,13 @@ exactly, falling back to fractions).  ``--json`` switches to a single JSON
 document on stdout.  Output is deterministic: identical inputs give
 byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 resource
-cap exceeded, 4 invalid metric, 5 internal error (any other exception,
-reported as one ``internal error: <type>: <message>`` line on stderr), 141
-stdout closed by its reader before all output was written (no message; a
-shell reports 141 for a process ended by SIGPIPE).
+Exit codes: 0 success, 1 verification failure; 2 parse error, 3 resource
+cap exceeded and 4 invalid metric, each reported as one line on stderr
+under the prefix that the rejection table ``_REJECTIONS`` gives it; 5
+internal error (any other exception, reported as one ``internal error:
+<type>: <message>`` line on stderr), 141 stdout closed by its reader
+before all output was written (no message; a shell reports 141 for a
+process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ def _part_text(n: int, d: int) -> str:
     return _frac_text(n // g, d // g, False)
 
 
+# the "kind" of a JSON document, by the type of the value it shows
+_KINDS = {AlgElem: "algebra", OneForm: "one-form", TwoForm: "two-form"}
+
+
 def _print_json(doc: dict) -> None:
     import json  # on first use: a text command never loads it
 
@@ -73,29 +79,16 @@ def cmd_eval(args) -> int:
     text = print_canonical(value, args.decimal)
     if not args.json:
         print(text)
-    elif isinstance(value, AlgElem):
-        _print_json({
-            "kind": "algebra",
-            "canonical": text,
-            "terms": [
-                {
-                    "mu": list(m.mu),
-                    "nu": list(m.nu),
-                    "re": _part_text(x, d),
-                    "im": _part_text(y, d),
-                }
-                for m, (x, y, d) in value.terms
-            ],
-        })
+        return 0
+    doc = {"kind": _KINDS[type(value)], "canonical": text}
+    if isinstance(value, AlgElem):
+        doc["terms"] = [{"mu": list(m.mu), "nu": list(m.nu),
+                         "re": _part_text(x, d), "im": _part_text(y, d)}
+                        for m, (x, y, d) in value.terms]
     else:
-        _print_json({
-            "kind": "one-form" if isinstance(value, OneForm) else "two-form",
-            "canonical": text,
-            "components": {
-                label: print_canonical(a, args.decimal)
-                for label, a in zip(value.LABELS, value.c)
-            },
-        })
+        doc["components"] = {label: print_canonical(a, args.decimal)
+                             for label, a in zip(value.LABELS, value.c)}
+    _print_json(doc)
     return 0
 
 
@@ -103,7 +96,7 @@ def cmd_derive(args) -> int:
     value = parse_alg(args.expr)
     text = print_canonical(derive(args.index, value), args.decimal)
     if args.json:
-        _print_json({"kind": "algebra", "derivation": args.index, "canonical": text})
+        _print_json({"kind": _KINDS[AlgElem], "derivation": args.index, "canonical": text})
     else:
         print(text)
     return 0
@@ -116,8 +109,7 @@ def cmd_d(args) -> int:
     result = differential(value)
     text = print_canonical(result, args.decimal)
     if args.json:
-        kind = "one-form" if isinstance(result, OneForm) else "two-form"
-        _print_json({"kind": kind, "canonical": text})
+        _print_json({"kind": _KINDS[type(result)], "canonical": text})
     else:
         print(text)
     return 0
@@ -128,7 +120,7 @@ def _metric_doc(g, dec: bool) -> list[list[str]]:
 
 
 def cmd_levi_civita(args) -> int:
-    g = load_metric(args.metric)
+    g = load_metric(args.metric_json)
     conn = levi_civita(g)
     gamma = christoffel(conn)
     tors = torsion(conn)
@@ -165,7 +157,7 @@ def cmd_levi_civita(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    g = load_metric(args.metric)
+    g = load_metric(args.metric_json)
     report = curvature_report(g)
     dec = args.decimal
 
@@ -226,10 +218,32 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# name, handler (looked up in this module when the command runs), help, and
+# the operands in order; an operand's attribute is its name in lower case
+_COMMANDS = (
+    ("eval", "cmd_eval", "evaluate an expression and print its canonical form", ("EXPR",)),
+    ("derive", "cmd_derive", "apply a basis derivation to an algebra element",
+     ("INDEX", "EXPR")),
+    ("d", "cmd_d", "apply the exterior differential to an expression", ("EXPR",)),
+    ("levi-civita", "cmd_levi_civita", "solve for the Levi-Civita connection of a metric",
+     ("METRIC_JSON",)),
+    ("curvature", "cmd_curvature", "curvature tensor, Ricci and scalar for a metric",
+     ("METRIC_JSON",)),
+    ("verify-paper", "cmd_verify", "recompute the canonical identity table and report", ()),
+)
+# the operands that are not plain text
+_OPERAND_TYPES = {"INDEX": {"type": int, "choices": _INDICES}}
+# README § Exit codes: each rejection's exit code and stderr prefix
+_REJECTIONS = {
+    ParseError: (2, "parse error"),
+    CapacityError: (3, "resource cap exceeded"),
+    MetricError: (4, "invalid metric"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand names
-    its handler, which ``main`` looks up in this module when it runs."""
+    """The argument parser, built once per process from ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="cuntzgeo",
         description="Exact differential geometry on the Cuntz algebra O_3.",
@@ -242,36 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--decimal", action="store_true",
                         help="render terminating rationals as exact decimals")
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate an expression and print its canonical form")
-    p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func="cmd_eval")
-
-    p = sub.add_parser("derive", parents=[common],
-                       help="apply a basis derivation to an algebra element")
-    p.add_argument("index", metavar="INDEX", type=int, choices=_INDICES)
-    p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func="cmd_derive")
-
-    p = sub.add_parser("d", parents=[common],
-                       help="apply the exterior differential to an expression")
-    p.add_argument("expr", metavar="EXPR")
-    p.set_defaults(func="cmd_d")
-
-    p = sub.add_parser("levi-civita", parents=[common],
-                       help="solve for the Levi-Civita connection of a metric")
-    p.add_argument("metric", metavar="METRIC_JSON")
-    p.set_defaults(func="cmd_levi_civita")
-
-    p = sub.add_parser("curvature", parents=[common],
-                       help="curvature tensor, Ricci and scalar for a metric")
-    p.add_argument("metric", metavar="METRIC_JSON")
-    p.set_defaults(func="cmd_curvature")
-
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="recompute the canonical identity table and report")
-    p.set_defaults(func="cmd_verify")
-
+    for name, handler, summary, operands in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for operand in operands:
+            p.add_argument(operand.lower(), metavar=operand,
+                           **_OPERAND_TYPES.get(operand, {}))
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -289,15 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 141
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except MetricError as exc:
-        print(f"invalid metric: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_REJECTIONS) as exc:
+        code, prefix = next(v for cls, v in _REJECTIONS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -12,14 +12,18 @@ explicit product):
     scalar  := INT ('/' INT)? 'i'?  |  'i'
 
 ``*`` is only the postfix adjoint; division exists only inside scalar
-literals.  One regular expression scans the whole text into tokens.  A run
+literals.  A ``.`` right after a number's digits and before a digit is a
+decimal point, which is rejected (write ``3/2``, not ``1.5``); anywhere
+else it is the product, so ``S1.5`` is ``5 S1``.  One regular expression
+scans the whole text into tokens, and each token carries its value.  A run
 of generator letters (adjacent, or separated by whitespace or one ``.``) is
 one token that carries the term key of each letter; a letter takes a
 following ``*`` (whitespace may come between) as its adjoint.  There are six
 letter keys, the word-code pairs ``(j, 0)`` and ``(0, j)`` of ``S_j`` and
 ``S_j^*``, built once in a table (``_LETTERS``) that every run shares, so a
 letter costs a lookup and no new object, and a parse keeps no per-letter
-objects alive.  The tokens are then parsed and evaluated in one
+objects alive.  A form symbol likewise carries its basis form from one
+shared table (``_FORMS``).  The tokens are then parsed and evaluated in one
 recursive-descent pass that folds sums and multiplies products left to
 right.  A sum folds into one mutable accumulator (one per component for
 forms) that touches only each summand's terms and ends in the left fold's
@@ -69,8 +73,8 @@ from math import gcd
 
 from . import algebra
 from .algebra import _UNIT, AlgElem, Key, _code, _Sum, _times_letters, _word
-from .calculus import OneForm, TwoForm, d0, d1
-from .scalars import GScalar, I, ONE, _norm
+from .calculus import WEDGE_PAIRS, OneForm, TwoForm, d0, d1
+from .scalars import GScalar, ONE, _norm
 
 
 # Each level of nesting costs the recursive-descent parser four stack
@@ -93,18 +97,19 @@ class ParseError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-# The name of the alternative that matched is the token kind.  Digits are
-# ASCII 0-9 (``\d`` would match any Unicode decimal digit, such as '٣'); a
-# ``.`` between two of them is a decimal literal; any other character is
-# unexpected.
+# The name of the alternative that matched is the token kind, and each kind
+# but punctuation carries its value.  Digits are ASCII 0-9 (``\d`` would
+# match any Unicode decimal digit, such as '٣').  A number is digits with an
+# optional denominator and ``i``, or the lone ``i``; a ``.`` right after its
+# digits and before a digit is a decimal point (``point``), rejected at the
+# dot after the literal's own faults.  Anywhere else ``.`` is the product,
+# so ``S1.5`` is ``5 S1``.  Any other character is unexpected.
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<gen>S[123](?:\s*\*)?(?:\s*(?:\.\s*)?S[123](?:\s*\*)?)*)
-  | (?P<form2>e(?:1[23]|23))
-  | (?P<form1>e[123])
-  | (?P<num>(?P<numer>[0-9]+)(?:/(?P<den>[0-9]+))?(?P<imag>i?))
-  | (?P<decimal>(?<=[0-9])\.(?=[0-9]))
-  | (?P<imag_unit>i)
+  | (?P<form>e(?:1[23]|23|[123]))
+  | (?P<num>(?=[0-9i])(?P<numer>[0-9]*)(?:/(?P<den>[0-9]+))?
+            (?P<point>\.(?=[0-9]))?(?P<imag>i?))
   | (?P<op>[()+\-*.d])
   | (?P<bad>.)
 """, re.VERBOSE)
@@ -114,6 +119,10 @@ _LETTER = re.compile(r"S([123])\s*(\*?)")
 # shares these six, so a letter costs a lookup and no object
 _LETTERS = {(d, star): (0, _code(map(int, d))) if star else (_code(map(int, d)), 0)
             for d in "123" for star in ("", "*")}
+# the basis form of each form symbol, shared by every parse as the letter
+# keys are
+_FORMS = {**{f"e{i}": OneForm.basis(i) for i in (1, 2, 3)},
+          **{f"e{i}{j}": TwoForm.basis(i, j) for i, j in WEDGE_PAIRS}}
 
 
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
@@ -134,22 +143,18 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
             if len(num) > MAX_LITERAL_DIGITS or den and len(den) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
-            n, q = int(num), int(den or 1)
+            n, q = int(num or 1), int(den or 1)
             if q == 0:
                 raise ParseError("zero denominator in scalar", pos)
+            if m["point"]:
+                raise ParseError(
+                    "decimal literals are not supported; use an exact fraction "
+                    "like 3/2", m.start("point"))
             value = _norm(0, n, q) if imag else _norm(n, 0, q)
         elif kind == "gen":
             value = tuple(map(_LETTERS.__getitem__, _LETTER.findall(m[0])))
-        elif kind == "form1":
-            value = int(text[pos + 1])
-        elif kind == "form2":
-            value = (int(text[pos + 1]), int(text[pos + 2]))
-        elif kind == "imag_unit":
-            kind, value = "num", I
-        elif kind == "decimal":
-            raise ParseError(
-                "decimal literals are not supported; use an exact fraction "
-                "like 3/2", pos)
+        elif kind == "form":
+            value = _FORMS[m[0]]
         else:
             raise ParseError(f"unexpected character {m[0]!r}", pos)
         tokens.append((kind, pos, value))
@@ -161,7 +166,7 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
 # parsing and evaluation
 # ---------------------------------------------------------------------------
 
-_FACTOR_START = {"num", "gen", "form1", "form2", "d", "("}
+_FACTOR_START = {"num", "gen", "form", "d", "("}
 
 
 def _degree(v) -> int:
@@ -269,14 +274,11 @@ class _Parser:
             return AlgElem.scalar(value), pos
         if kind == "gen":
             return _times_run(AlgElem.unit(), value), pos
-        if kind == "form1":
+        if kind == "form":
             if self.alg:
-                raise ParseError("one-form symbol in algebra context", pos)
-            return OneForm.basis(value), pos
-        if kind == "form2":
-            if self.alg:
-                raise ParseError("two-form symbol in algebra context", pos)
-            return TwoForm.basis(*value), pos
+                degree = "one" if isinstance(value, OneForm) else "two"
+                raise ParseError(f"{degree}-form symbol in algebra context", pos)
+            return value, pos
         if kind == "d":
             if self.alg:
                 raise ParseError("differential in algebra context", pos)

@@ -383,6 +383,23 @@ def test_a_wrong_derivation_fails_the_bracket_rows(monkeypatch, capsys):
     assert capsys.readouterr().err == "verification failed\n"
 
 
+@pytest.mark.parametrize("command,operands", [
+    ("eval", " EXPR"),
+    ("derive", " INDEX EXPR"),
+    ("d", " EXPR"),
+    ("levi-civita", " METRIC_JSON"),
+    ("curvature", " METRIC_JSON"),
+    ("verify-paper", ""),
+])
+def test_each_command_takes_its_operands(monkeypatch, capsys, command, operands):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == f"usage: cuntzgeo {command} [-h] [--json] [--decimal]{operands}"
+
+
 def test_help_lists_subcommands():
     r = run("--help")
     for name in ("eval", "derive", "d", "levi-civita", "curvature", "verify-paper"):

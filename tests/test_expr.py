@@ -133,6 +133,10 @@ def test_decimal_mode():
     ("S1* *", "adjoint '*'", 4),
     ("1/0", "zero denominator", 0),
     ("1.5", "decimal literals", 1),
+    # a decimal point is reported at the dot, after the literal's own faults
+    ("1/2.5", "decimal literals", 3),
+    ("1.5i", "decimal literals", 1),
+    ("1/0.5", "zero denominator", 0),
     ("S1 ^ S2", "unexpected character", 3),
     ("S1 . *", "expected a scalar", 5),
     ("e1 *", "adjoint '*'", 3),
@@ -162,6 +166,41 @@ def test_parse_errors_carry_offsets(text, fragment, offset):
         parse_expr(text)
     assert fragment in str(err.value)
     assert err.value.position == offset
+
+
+# -- the decimal point ---------------------------------------------------------
+
+@pytest.mark.parametrize("text,canonical", [
+    # a "." after a generator or form symbol's digit is the product
+    ("S1.5", "5 S1"),
+    ("e1.2", "2 e1"),
+    ("e12.3", "3 e12"),
+    ("S1.S2.3", "3 S1 S2"),
+    # as it is after any other symbol
+    ("S3*.5", "5 S3*"),
+    ("(1).5", "5"),
+    ("2i.5", "10i"),
+])
+def test_a_dot_after_a_symbol_multiplies(text, canonical):
+    assert print_canonical(parse_expr(text)) == canonical
+
+
+_FACTOR_TEXTS = ("S1", "S2*", "e1", "e13", "3", "1/2", "i", "(S1 + 2)", "d(S2)")
+
+
+def _outcome(text):
+    """The value of the text, or the message and offset of its fault."""
+    try:
+        return parse_expr(text)
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+@given(st.sampled_from(_FACTOR_TEXTS), st.sampled_from(_FACTOR_TEXTS))
+def test_a_dot_between_factors_is_juxtaposition(a, b):
+    # except between a number's digits and a digit, where it is a decimal point
+    assume(not (a in ("3", "1/2") and b[0].isdigit()))
+    assert _outcome(f"{a}.{b}") == _outcome(f"{a} {b}")
 
 
 def test_context_errors():
@@ -213,6 +252,10 @@ def test_literal_length_is_bounded():
     for text in (digits + "7", f"3/{digits}7 S1", f"S1 + {digits}7i"):
         with pytest.raises(ParseError, match="literal longer"):
             parse_expr(text)
+    # before a decimal point's fault
+    with pytest.raises(ParseError, match="literal longer") as err:
+        parse_expr(digits + "7.5")
+    assert err.value.position == 0
 
 
 def test_error_never_exits(capsys):
