@@ -357,7 +357,7 @@ def _collapse(terms: dict[Key, GScalar], seeds: Iterable[Key] | None = None) -> 
                 if mu & 3 == nu & 3 != 0:
                     levels.setdefault(level - 2, []).append((mu >> 2, nu >> 2))
             else:
-                terms.pop(key, None)
+                del terms[key]
 
 
 def _ordered(items: Iterable[tuple[Key, GScalar]]) -> list[tuple[Key, GScalar]]:
@@ -692,7 +692,7 @@ class AlgElem(_Record):
                 if total:
                     out[img] = total
                 else:
-                    out.pop(img, None)
+                    del out[img]
         return {_word(img): c for img, c in out.items()}
 
     def __repr__(self) -> str:

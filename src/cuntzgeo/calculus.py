@@ -197,7 +197,7 @@ def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
             AlgElem.zero())
         for i in range(3)
     ]
-    out = AlgElem.zero()
+    out = _Sum()
     for m, c in a.terms:
         factor = AlgElem.unit()
         for letter in m.mu:
@@ -205,8 +205,8 @@ def rotate(matrix: Sequence[Sequence[GScalar | int]], a: AlgElem) -> AlgElem:
         tail = AlgElem.unit()
         for letter in m.nu:
             tail = tail * images[letter - 1]
-        out = out + (factor * tail.adjoint()).scale(c)
-    return out
+        out.add((factor * tail.adjoint()).scale(c))
+    return out.value()
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +393,10 @@ class TensorElem(_Record):
     an ``AlgElem``, and no index may repeat, else ValueError naming the
     index.  It drops zero entries and stores the rest as a tuple sorted by
     index.  So no reader of ``entries`` meets an index that would land on
-    another entry or be dropped, and one tensor has one stored form.  Two of
-    the package's own builders skip the checks through ``_unchecked``:
-    ``_of_scalars``, by its precondition, and ``__neg__``, whose entries are
-    those of a built tensor.
+    another entry or be dropped, and one tensor has one stored form.  Every
+    operation builds its result here; only ``_of_scalars``, which wraps the
+    geometry's and the curvature's exact tables, skips the checks by its
+    precondition.
     """
 
     __slots__ = ("rank", "entries")
@@ -415,18 +415,9 @@ class TensorElem(_Record):
         super().__init__(rank, tuple(sorted((idx, c) for idx, c in entries if not c.is_zero())))
 
     @staticmethod
-    def _unchecked(rank: int, entries: tuple[tuple[Index, AlgElem], ...]) -> "TensorElem":
-        """The tensor of ``entries``, built without the constructor's checks."""
-        t = object.__new__(TensorElem)
-        object.__setattr__(t, "rank", rank)
-        object.__setattr__(t, "entries", entries)
-        return t
-
-    @staticmethod
     def _of_scalars(rank: int, scalars: Mapping[Index, GScalar]) -> "TensorElem":
         """The tensor with ``AlgElem.scalar(c)`` at each index: the stored
-        form that the constructor gives, built through ``_unchecked`` with
-        no check.
+        form that the constructor gives, set on a new record with no check.
 
         Precondition: every index is a tuple of ``rank`` ints in 1..3 (the
         package's own loops over the index range make them) and every
@@ -435,8 +426,10 @@ class TensorElem(_Record):
         map ``{_UNIT: c}`` with none of ``AlgElem.scalar``'s coercion or
         zero test, and the indices, which are distinct, are sorted once.
         """
-        return TensorElem._unchecked(rank, tuple((idx, AlgElem({_UNIT: c}))
-                                                 for idx, c in sorted(scalars.items()) if c))
+        t = object.__new__(TensorElem)
+        _Record.__init__(t, rank, tuple((idx, AlgElem({_UNIT: c}))
+                                        for idx, c in sorted(scalars.items()) if c))
+        return t
 
     @staticmethod
     def from_entries(rank: int,
@@ -481,7 +474,7 @@ class TensorElem(_Record):
         return self._fold(other, -1)
 
     def __neg__(self) -> "TensorElem":
-        return TensorElem._unchecked(self.rank, tuple((idx, -c) for idx, c in self.entries))
+        return self * -1
 
     def __mul__(self, other: object) -> "TensorElem":
         """Right multiplication on the coefficient."""

@@ -92,27 +92,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    value = parse_alg(args.expr)
-    text = print_canonical(derive(args.index, value), args.decimal)
+def _print_value(args, value, **fields) -> int:
+    """Print a result's canonical text, or with ``--json`` the document of
+    its kind, then ``fields``, then ``canonical``."""
+    text = print_canonical(value, args.decimal)
     if args.json:
-        _print_json({"kind": _KINDS[AlgElem], "derivation": args.index, "canonical": text})
+        _print_json({"kind": _KINDS[type(value)], **fields, "canonical": text})
     else:
         print(text)
     return 0
+
+
+def cmd_derive(args) -> int:
+    index = int(args.index)
+    return _print_value(args, derive(index, parse_alg(args.expr)), derivation=index)
 
 
 def cmd_d(args) -> int:
     value = parse_expr(args.expr)
     if isinstance(value, TwoForm):
         raise ParseError("d of a two-form is outside this calculus", 0)
-    result = differential(value)
-    text = print_canonical(result, args.decimal)
-    if args.json:
-        _print_json({"kind": _KINDS[type(result)], "canonical": text})
-    else:
-        print(text)
-    return 0
+    return _print_value(args, differential(value))
 
 
 def _metric_doc(g, dec: bool) -> list[list[str]]:
@@ -231,8 +231,9 @@ _COMMANDS = (
      ("METRIC_JSON",)),
     ("verify-paper", "cmd_verify", "recompute the canonical identity table and report", ()),
 )
-# the operands that are not plain text
-_OPERAND_TYPES = {"INDEX": {"type": int, "choices": _INDICES}}
+# the operands that take only some texts: INDEX is the ASCII digit 1, 2 or 3
+# (``int`` would also read "+2", "0_2" or "٢"), which cmd_derive converts
+_OPERAND_TYPES = {"INDEX": {"choices": ("1", "2", "3")}}
 # README § Exit codes: each rejection's exit code and stderr prefix
 _REJECTIONS = {
     ParseError: (2, "parse error"),

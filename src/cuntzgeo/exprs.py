@@ -15,22 +15,24 @@ explicit product):
 literals.  A ``.`` right after a number's digits and before a digit is a
 decimal point, which is rejected (write ``3/2``, not ``1.5``); anywhere
 else it is the product, so ``S1.5`` is ``5 S1``.  One regular expression
-scans the whole text into tokens, and each token carries its value.  A run
-of generator letters (adjacent, or separated by whitespace or one ``.``) is
-one token that carries the term key of each letter; a letter takes a
-following ``*`` (whitespace may come between) as its adjoint.  There are six
-letter keys, the word-code pairs ``(j, 0)`` and ``(0, j)`` of ``S_j`` and
-``S_j^*``, built once in a table (``_LETTERS``) that every run shares, so a
-letter costs a lookup and no new object, and a parse keeps no per-letter
-objects alive.  A form symbol likewise carries its basis form from one
-shared table (``_FORMS``).  The tokens are then parsed and evaluated in one
-recursive-descent pass that folds sums and multiplies products left to
-right.  A sum folds into one mutable accumulator (one per component for
-forms) that touches only each summand's terms and ends in the left fold's
-result exactly, so parsing takes time linear in the number of summands.  A
-run multiplies into a term of one word letter by letter (``_times_run``):
-``algebra._times_letters`` steps the word's codes, so a written word costs
-no element product and this module does no bit arithmetic.
+scans the whole text into tokens; each match is a token together with the
+whitespace before it, so whitespace is never a token, and each token carries
+its value.  A run of generator letters (adjacent, or separated by whitespace
+or one ``.``) is one token that carries the term key of each letter; a
+letter takes a following ``*`` (whitespace may come between) as its
+adjoint.  There are six letter keys, the word-code pairs ``(j, 0)`` and
+``(0, j)`` of ``S_j`` and ``S_j^*``, built once in a table (``_LETTERS``)
+that every run shares, so a letter costs a lookup and no new object, and a
+parse keeps no per-letter objects alive.  A form symbol likewise carries its
+basis form from one shared table (``_FORMS``).  The tokens are then parsed
+and evaluated in one recursive-descent pass that folds sums and multiplies
+products left to right.  A sum folds into one mutable accumulator (one per
+component for forms) that touches only each summand's terms and ends in the
+left fold's result exactly, so parsing takes time linear in the number of
+summands.  A run multiplies into a term of one word letter by letter
+(``_times_run``): ``algebra._times_letters`` steps the word's codes, so a
+written word costs no element product and this module does no bit
+arithmetic.
 Problems raise :class:`ParseError` carrying the character offset — they
 never abort the process.  That includes input beyond the parser's bounds:
 groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and integer
@@ -80,7 +82,9 @@ from .scalars import GScalar, ONE, _norm
 # Each level of nesting costs the recursive-descent parser four stack
 # frames; 100 levels stay well inside Python's default recursion limit.
 MAX_NESTING = 100
-# CPython's default cap on int-from-string conversion; Python 3.10 has none.
+# CPython's default cap on int-from-string conversion
+# (``sys.get_int_max_str_digits()``, in 3.11 and from 3.10.7); a longer
+# literal is a ParseError here, whatever the interpreter's setting.
 MAX_LITERAL_DIGITS = 4300
 
 
@@ -97,22 +101,25 @@ class ParseError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-# The name of the alternative that matched is the token kind, and each kind
-# but punctuation carries its value.  Digits are ASCII 0-9 (``\d`` would
-# match any Unicode decimal digit, such as '٣').  A number is digits with an
-# optional denominator and ``i``, or the lone ``i``; a ``.`` right after its
-# digits and before a digit is a decimal point (``point``), rejected at the
-# dot after the literal's own faults.  Anywhere else ``.`` is the product,
-# so ``S1.5`` is ``5 S1``.  Any other character is unexpected.
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<gen>S[123](?:\s*\*)?(?:\s*(?:\.\s*)?S[123](?:\s*\*)?)*)
+# Each match is one token with the whitespace before it; the name of the
+# alternative that matched is the token kind, and the token's position and
+# text are those of that group.  Each kind but punctuation carries its value.
+# Digits are ASCII 0-9 (``\d`` would match any Unicode decimal digit, such as
+# '٣').  A number is digits with an optional denominator and ``i``, or the
+# lone ``i``; a ``.`` right after its digits and before a digit is a decimal
+# point (``point``), rejected at the dot after the literal's own faults.
+# Anywhere else ``.`` is the product, so ``S1.5`` is ``5 S1``.  Any other
+# character is unexpected.  The scan stops at the last character that is not
+# whitespace, so trailing whitespace is never rescanned from each of its
+# positions.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<gen>S[123](?:\s*\*)?(?:\s*(?:\.\s*)?S[123](?:\s*\*)?)*)
   | (?P<form>e(?:1[23]|23|[123]))
   | (?P<num>(?=[0-9i])(?P<numer>[0-9]*)(?:/(?P<den>[0-9]+))?
             (?P<point>\.(?=[0-9]))?(?P<imag>i?))
   | (?P<op>[()+\-*.d])
-  | (?P<bad>.)
-""", re.VERBOSE)
+  | (?P<bad>\S)
+)""", re.VERBOSE)
 # one letter of a generator run: its digit and its adjoint star, if any
 _LETTER = re.compile(r"S([123])\s*(\*?)")
 # the term key of each letter, keyed as ``_LETTER`` finds it; every run
@@ -127,17 +134,15 @@ _FORMS = {**{f"e{i}": OneForm.basis(i) for i in (1, 2, 3)},
 
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
     """``(kind, pos, value)`` tokens, ending in ``("eof", len(text), None)``;
-    punctuation and ``d`` are their own kind.  The kinds are tested in the
-    order they are most frequent in long sums: whitespace, punctuation,
-    numbers, runs."""
+    the kinds are ``gen``, ``form``, ``num`` and each punctuation character
+    and ``d``.  The kinds are tested in the order they are most frequent in
+    long sums: punctuation, numbers, runs."""
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        pos = m.start()
+        pos = m.start(kind)
         if kind == "op":
-            kind, value = m[0], None
+            kind, value = m[kind], None
         elif kind == "num":
             num, den, imag = m.group("numer", "den", "imag")
             if len(num) > MAX_LITERAL_DIGITS or den and len(den) > MAX_LITERAL_DIGITS:
@@ -152,11 +157,11 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
                     "like 3/2", m.start("point"))
             value = _norm(0, n, q) if imag else _norm(n, 0, q)
         elif kind == "gen":
-            value = tuple(map(_LETTERS.__getitem__, _LETTER.findall(m[0])))
+            value = tuple(map(_LETTERS.__getitem__, _LETTER.findall(m[kind])))
         elif kind == "form":
-            value = _FORMS[m[0]]
+            value = _FORMS[m[kind]]
         else:
-            raise ParseError(f"unexpected character {m[0]!r}", pos)
+            raise ParseError(f"unexpected character {m[kind]!r}", pos)
         tokens.append((kind, pos, value))
     tokens.append(("eof", len(text), None))
     return tokens

@@ -36,7 +36,9 @@ curvature's eps symbol, a Ricci tensor) into such a table and raises
 ValueError on any other coefficient; ``_gaussian`` reads a list of scalars,
 such as the metric's entries.  Each output entry is a Gaussian integer over
 a positive int, reduced once by ``scalars._norm`` and wrapped once, by
-``AlgElem.scalar`` or, in a tensor, by ``TensorElem._of_scalars``.
+``AlgElem.scalar`` or, in a tensor, by ``TensorElem._of_scalars``, which
+sets the tensor's record with none of the constructor's checks: this
+module's loops make each index, and each scalar is reduced.
 
 Koszul's correction is linear in g⁻¹: every term of Koszul's formula for
 the base connection holds a row of g, which cancels one of the two

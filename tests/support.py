@@ -3,6 +3,7 @@ hypothesis strategies sized to keep exact arithmetic fast."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -26,12 +27,32 @@ from cuntzgeo import (
     antisym_lift,
     d0,
     get_caps,
+    set_caps,
     tensor_product,
     wedge,
 )
 from cuntzgeo import algebra
 from cuntzgeo.calculus import GENERATOR_MATRICES, WEDGE_PAIRS, sym_project_legs
 from cuntzgeo.scalars import ONE, ZERO
+
+
+# ---------------------------------------------------------------------------
+# scoped resource caps
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def caps(**changes):
+    """Set the resource caps named in ``changes`` (``set_caps`` keywords) for
+    the block, and restore every cap when it ends, on an exception too.  A
+    context manager, not a fixture, so a ``@given`` test can scope a change
+    to one example."""
+    old = get_caps()
+    try:
+        set_caps(**changes)
+        yield
+    finally:
+        set_caps(*old)
+
 
 # ---------------------------------------------------------------------------
 # seeded random builders (used where exact repetition counts matter)

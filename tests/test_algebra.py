@@ -27,6 +27,7 @@ from cuntzgeo.scalars import GScalar, ONE, ZERO, rational
 
 from support import (
     alg_elems,
+    caps,
     code_key,
     merge_pairs,
     random_elem,
@@ -204,24 +205,18 @@ def test_generator_index_is_an_int(i):
 @pytest.mark.parametrize("value", [True, 1.5, 16.0, "16"])
 def test_caps_are_ints(value):
     old = get_caps()
-    try:
+    with caps():
         for name in ("max_word_len", "max_terms"):
             with pytest.raises(ValueError, match="positive int"):
                 set_caps(**{name: value})
         assert get_caps() == old
-    finally:
-        set_caps(*old)
 
 
 def test_caps_word_length():
-    old = get_caps()
-    try:
-        set_caps(max_word_len=4)
+    with caps(max_word_len=4):
         x = S1 * S1 * S1 * S1
         with pytest.raises(CapacityError):
             _ = x * S1
-    finally:
-        set_caps(*old)
 
 
 def test_caps_word_length_of_cancelled_products():
@@ -230,30 +225,34 @@ def test_caps_word_length_of_cancelled_products():
     x = cuntzgeo.parse_alg("S1 S1 - S1 S1 S1 S1*")
     y = cuntzgeo.parse_alg("S1 S1 S1")
     assert (x * y).is_zero()
-    old = get_caps()
-    try:
-        set_caps(max_word_len=4)
+    with caps(max_word_len=4):
         with pytest.raises(CapacityError, match="word length exceeds cap 4"):
             _ = x * y
-    finally:
-        set_caps(*old)
 
 
 def test_caps_both_words_of_every_product():
     """A factor built under a larger cap passes its long word on unchanged:
     1 * y and y * 1 grow no word, and S2 S2* * y grows the other one, yet
     each product forms a word over the lower cap."""
-    old = get_caps()
-    try:
-        set_caps(max_word_len=20)
+    with caps(max_word_len=20):
         y = cuntzgeo.parse_alg("S1* " * 17)
-        set_caps(max_word_len=16)
+    with caps(max_word_len=16):
         for x, z in ((AlgElem.unit(), y), (y, AlgElem.unit()),
                      (cuntzgeo.parse_alg("S2 S2*"), y)):
             with pytest.raises(CapacityError, match="word length exceeds cap 16"):
                 _ = x * z
-    finally:
-        set_caps(*old)
+
+
+def test_an_element_is_not_equal_to_an_int():
+    # == compares two elements' canonical forms; for an int operand it
+    # returns NotImplemented, so only equals compares with a scalar
+    assert (AlgElem.unit() == 3) is False
+    assert (AlgElem.unit() == 1) is False and AlgElem.unit().equals(1)
+
+
+def test_tree_action_drops_images_that_cancel():
+    # 1 and S1 S1* both send the word 1 to itself, with opposite signs
+    assert (1 - cuntzgeo.parse_alg("S1 S1*")).tree_action("1") == {}
 
 
 def test_deep_nu_is_decided_within_caps():
@@ -267,13 +266,9 @@ def test_deep_nu_is_decided_within_caps():
             monomial((1, 2), (1,) * depth): GScalar.of(0, 1),
         })
         assert not x.equals(0)
-    old = get_caps()
-    try:
-        set_caps(max_terms=10)
+    with caps(max_terms=10):
         long_nu = AlgElem.from_terms({monomial((), (1, 1, 1)): 1})
         assert not UNIT.equals(long_nu)
-    finally:
-        set_caps(*old)
 
 
 # -- properties --------------------------------------------------------------

@@ -17,6 +17,7 @@ from cuntzgeo import (
     d0,
     d1,
     derive,
+    differential,
     flip,
     junk_project,
     monomial,
@@ -444,6 +445,28 @@ def test_flip_is_the_leg_swap():
     assert flip(t).equals(sym_project(t) * 2 - t)
     with pytest.raises(ValueError, match="rank-2"):
         flip(TensorElem.basis(1, 2, 3))
+
+
+def test_tensor_operands_are_checked():
+    """A sum needs one rank and a tensor operand; negation is the product by
+    -1; the leg swap and the rank-2 maps refuse a leg or rank outside them."""
+    t = TensorElem.basis(1, 2) * S1 + TensorElem.basis(3, 1) * 2
+    with pytest.raises(ValueError, match="tensor ranks differ"):
+        t + TensorElem.basis(1)
+    with pytest.raises(TypeError):
+        t + 1
+    assert -t == t * -1 == TensorElem.basis(1, 2) * -S1 + TensorElem.basis(3, 1) * -2
+    assert (-t).entries == tuple((idx, -c) for idx, c in t.entries)
+    with pytest.raises(ValueError, match="leg positions out of range"):
+        t.flip_legs(0, 2)
+    for rank_2_map in (sym_project, wedge):
+        with pytest.raises(ValueError, match="rank-2"):
+            rank_2_map(TensorElem.basis(1, 2, 3))
+
+
+def test_no_differential_of_a_two_form():
+    with pytest.raises(TypeError, match="outside this calculus"):
+        differential(TwoForm.zero())
 
 
 def test_tensor_equals_is_false_for_other_types():

@@ -133,13 +133,22 @@ def test_a_separator_as_the_expression_is_exit_2():
 
 
 def test_derive_rejects_an_index_outside_1_to_3():
-    # argparse checks the index against the package's index range: a usage
-    # error, exit 2, before any expression is read
-    for index in ("0", "4", "x"):
+    # argparse checks the index against the texts "1", "2" and "3": a usage
+    # error, exit 2, before any expression is read, also for an int that
+    # int() would read (a sign, an underscore, padding or another digit)
+    for index in ("0", "4", "x", "0_2", "+2", " 2 ", "٢"):
         r = run("derive", index, "S1")
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.startswith("usage:") and "invalid" in r.stderr
+
+
+def test_d_of_a_two_form_is_exit_2(capsys):
+    assert cli.main(["d", "e12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: d of a two-form is outside this calculus "
+                            "(at offset 0)\n")
 
 
 def test_deep_nesting_is_exit_2():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,11 @@ from cuntzgeo import (
     TwoForm,
     d0,
     d1,
-    get_caps,
     monomial,
     parse_alg,
     parse_expr,
     parse_scalar,
     print_canonical,
-    set_caps,
 )
 from cuntzgeo import algebra, cli, exprs
 from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
@@ -32,6 +31,7 @@ from cuntzgeo.scalars import GScalar, rational
 
 from support import (
     alg_elems,
+    caps,
     monomials,
     one_forms,
     reference_print,
@@ -160,6 +160,14 @@ def test_decimal_mode():
     ("2 S3*?", "unexpected character '?'", 5),
     ("e12 *", "adjoint '*'", 4),
     ("S1 e2* S3", "adjoint '*'", 5),
+    # a degree fault inside nested groups is reported at the value in them:
+    # a summand at its first token (parse_expr's single-term return keeps
+    # that offset) and a factor at its own
+    ("e1 + ((e12))", "different degree", 7),
+    ("((e1 e2)) e3", "form degree 2", 10),
+    # input after a complete expression, past any whitespace
+    ("S1 )", "unexpected trailing input", 3),
+    ("S1\t\n)", "unexpected trailing input", 4),
 ])
 def test_parse_errors_carry_offsets(text, fragment, offset):
     with pytest.raises(ParseError) as err:
@@ -201,6 +209,40 @@ def test_a_dot_between_factors_is_juxtaposition(a, b):
     # except between a number's digits and a digit, where it is a decimal point
     assume(not (a in ("3", "1/2") and b[0].isdigit()))
     assert _outcome(f"{a}.{b}") == _outcome(f"{a} {b}")
+
+
+# valid texts as their tokens, which a single space joins
+_TOKEN_TEXTS = (
+    ("S1", "S2", "*", "+", "3/4i", "S3"),
+    ("-", "(", "S1", "+", "2", ")", ".", "S2", "*"),
+    ("d", "(", "S1", "S2*", ")", "+", "e1", "S3"),
+    ("e1", "e2", "-", "e13", "(", "1/2", "+", "i", ")"),
+    ("1/2", "-", "S1*", ".", "S3", "S3", "*"),
+)
+_SPACE_RUNS = st.text(alphabet=" \t\n\r\f\v", min_size=1, max_size=4)
+
+
+@given(st.sampled_from(_TOKEN_TEXTS), st.data())
+def test_whitespace_between_tokens_is_one_separator(tokens, data):
+    """Runs of any ASCII whitespace between the tokens and at both ends of a
+    text give the value of its single-space form."""
+    runs = data.draw(st.lists(_SPACE_RUNS, min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    text = "".join(run + token for run, token in zip(runs, tokens)) + runs[-1]
+    assert parse_expr(text) == parse_expr(" ".join(tokens))
+
+
+def test_trailing_whitespace_is_scanned_once():
+    """A text that ends in a long whitespace run parses in time linear in
+    it; scanning the run again from each of its characters takes seconds
+    at this length."""
+    for tail in (" " * 20_000, "\t\n" * 10_000):
+        start = time.perf_counter()
+        assert parse_expr("S1" + tail) == parse_expr("S1")
+        with pytest.raises(ParseError, match="expected a scalar") as err:
+            parse_expr(tail)
+        assert err.value.position == len(tail)
+        assert time.perf_counter() - start < 2
 
 
 def test_context_errors():
@@ -358,9 +400,7 @@ def test_a_run_from_a_word_is_the_product_of_its_letters(cap, data):
     """``(W) run`` equals W times the element of each letter, or both raise
     the same CapacityError, for a word W whose mu and nu are both nonempty:
     the run steps W's word, cancelling, clashing and growing on both sides."""
-    old = get_caps()
-    try:
-        set_caps(max_word_len=cap)
+    with caps(max_word_len=cap):
         m, c, run = data.draw(_word_and_run(cap))
         w = AlgElem.from_terms({m: c})
         text = f"({print_canonical(w)}) " + " ".join(
@@ -376,8 +416,6 @@ def test_a_run_from_a_word_is_the_product_of_its_letters(cap, data):
         expected = _value_or_cap_error(product)
         assert _value_or_cap_error(lambda: parse_alg(text)) == expected
         assert _value_or_cap_error(lambda: parse_expr(text)) == expected
-    finally:
-        set_caps(*old)
 
 
 def test_runs_keep_the_cap_and_zero_rules_of_letter_products(capsys):
@@ -410,19 +448,15 @@ def test_a_run_that_crosses_the_cap_midway_raises(capsys):
             parse_alg(text)
         assert cli.main(["eval", text]) == 3
         assert capsys.readouterr().err.startswith("resource cap exceeded:")
-    old = get_caps()
-    try:
-        set_caps(max_word_len=4)
+    with caps(max_word_len=4):
         with pytest.raises(CapacityError):
             parse_alg("S1 S2 S3 S1 S2 S3")
         with pytest.raises(CapacityError):
             parse_alg("S1* S2* S3* S1* S2*")
         assert cli.main(["eval", "S1 S1 S1 S1 S1 S1"]) == 3
-        set_caps(max_word_len=6)
+    with caps(max_word_len=6):
         assert parse_alg("S1 S2 S3 S1 S2 S3") == AlgElem.from_terms(
             {monomial((1, 2, 3, 1, 2, 3), ()): 1})
-    finally:
-        set_caps(*old)
 
 
 # -- sums ---------------------------------------------------------------------
@@ -473,32 +507,24 @@ def test_term_cap_applies_to_each_prefix_of_a_sum(x, rng):
     for s in summands:
         fold = fold + s
         peak = max(peak, len(fold.terms))
-    old = get_caps()
-    try:
-        for k in {max(peak - 1, 1), peak}:
-            set_caps(max_terms=k)
+    for k in {max(peak - 1, 1), peak}:
+        with caps(max_terms=k):
             if peak > k:
                 with pytest.raises(CapacityError):
                     parse_alg(text)
             else:
                 assert parse_alg(text) == fold
-    finally:
-        set_caps(*old)
 
 
 def test_term_cap_through_the_cli(capsys):
     # prefixes of 1, 2 and 1 terms; the last addition holds 3 before collapsing
     text = "S1 S1* + S2 S2* + S3 S3*"
-    old = get_caps()
-    try:
-        set_caps(max_terms=2)
+    with caps(max_terms=2):
         assert cli.main(["eval", text]) == 0
         assert capsys.readouterr().out == "1\n"
-        set_caps(max_terms=1)
+    with caps(max_terms=1):
         assert cli.main(["eval", text]) == 3
         assert capsys.readouterr().err.startswith("resource cap exceeded:")
-    finally:
-        set_caps(*old)
 
 
 def _distinct_terms_text(n: int) -> str:
@@ -536,6 +562,11 @@ def test_parse_work_is_linear_in_the_summands(monkeypatch):
 @settings(max_examples=150)
 def test_alg_round_trip(x):
     assert parse_alg(print_canonical(x)) == x
+
+
+def test_only_scalars_elements_and_forms_print():
+    with pytest.raises(TypeError, match="cannot print object"):
+        print_canonical(object())
 
 
 def test_decimal_mode_is_output_only():

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,25 @@ def test_load_metric_rejects_garbage_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MetricError, match="JSON"):
         load_metric(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-string digit limit")
+def test_load_metric_reports_an_integer_too_long_to_decode(tmp_path):
+    """An integer past the interpreter's int-string digit limit is a
+    MetricError with the README's message, not the json module's error."""
+    path = tmp_path / "long.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(f"[[{digits}, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    with pytest.raises(MetricError, match="metric file holds an integer too long to decode"):
+        load_metric(path)
+
+
+def test_load_metric_reports_a_nesting_too_deep_to_decode(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(MetricError, match="metric file nests too deeply to decode"):
+        load_metric(deep)
 
 
 def test_load_metric_missing_file(tmp_path):

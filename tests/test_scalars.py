@@ -176,6 +176,24 @@ def test_a_tuple_is_not_added_to_a_scalar(other):
     assert Fraction(1, 2) + I == GScalar(Fraction(1, 2), 1)
 
 
+def test_a_string_operand_is_a_type_error():
+    # each reflected or own operator returns NotImplemented for a string
+    x = GScalar.of(1, 2)
+    for op in (lambda: "a" + x, lambda: "a" - x, lambda: x / "a"):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_of_adds_no_imaginary_part_to_a_gscalar():
+    with pytest.raises(ValueError, match="cannot add an imaginary part"):
+        GScalar.of(ONE, 1)
+
+
+def test_is_zero():
+    assert ZERO.is_zero() and GScalar.of(0).is_zero()
+    assert not ONE.is_zero() and not I.is_zero()
+
+
 @pytest.mark.parametrize("c", [ZERO, ONE, -I, GScalar(Fraction(-3, 4), Fraction(5, 6))])
 def test_pickle_and_copy_round_trip(c):
     copies = [pickle.loads(pickle.dumps(c, protocol))

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzgeo import AlgElem, CapacityError, Monomial, OneForm, algebra, get_caps, set_caps
+from cuntzgeo import AlgElem, CapacityError, Monomial, OneForm, algebra, get_caps
 from cuntzgeo.algebra import _code, _word
 from cuntzgeo.calculus import d0, d1, derive
 from cuntzgeo.scalars import ONE
 
 from support import (
+    caps,
     nonzero_gscalars,
     tuple_canonical,
     tuple_d1,
@@ -74,9 +75,7 @@ def test_the_word_cap_boundary(cap):
     it starts with 3: a product word of exactly the cap's letters is kept,
     and one letter more is the CapacityError of the cap, in mu and in nu, as
     it is for a word that comes in through ``from_terms``."""
-    saved = get_caps()
-    try:
-        set_caps(max_word_len=cap)
+    with caps(max_word_len=cap):
         message = f"word length exceeds cap {cap} (raise it via set_caps)"
         for letter in (1, 3):
             s = AlgElem.generator(letter)
@@ -88,8 +87,6 @@ def test_the_word_cap_boundary(cap):
                          lambda: AlgElem.from_terms({Monomial((), (letter,) * (cap + 1)): 1})):
                 with pytest.raises(CapacityError, match=re.escape(message)):
                     over()
-    finally:
-        set_caps(*saved)
 
 
 def test_an_over_long_outside_word_is_refused_before_it_is_coded(monkeypatch):
@@ -206,9 +203,5 @@ def test_kernels_match_the_tuple_word_oracle_at_the_default_cap(maps, i):
 @settings(max_examples=60, deadline=None)
 def test_kernels_match_the_tuple_word_oracle_past_32_letters(maps, i):
     """Words of up to 40 letters under a raised cap, codes of up to 80 bits."""
-    saved = get_caps()
-    try:
-        set_caps(max_word_len=40)
+    with caps(max_word_len=40):
         _against_the_oracle(*maps, i)
-    finally:
-        set_caps(*saved)
