@@ -616,9 +616,14 @@ def d1(omega: OneForm) -> TwoForm:
 
 
 def differential(x: "AlgElem | OneForm") -> "OneForm | TwoForm":
-    """Degree-dispatching differential (algebra -> Ω¹, Ω¹ -> Ω²)."""
+    """Degree-dispatching differential (algebra -> Ω¹, Ω¹ -> Ω²), the one
+    that the parser's ``d(...)`` and the ``d`` command apply.  A two-form is
+    outside this calculus; any other type is not a form, and the
+    ``TypeError`` names it."""
     if isinstance(x, AlgElem):
         return d0(x)
     if isinstance(x, OneForm):
         return d1(x)
-    raise TypeError("differential of degree >= 2 forms is outside this calculus")
+    if isinstance(x, TwoForm):
+        raise TypeError("differential of degree >= 2 forms is outside this calculus")
+    raise TypeError(f"differential takes an AlgElem or a OneForm, not {type(x).__name__}")

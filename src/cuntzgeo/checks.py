@@ -230,7 +230,3 @@ def run_checks() -> list[CheckResult]:
         "curvature.scalar", "Scal = - 3/4", "- 3/4", report.scalar))
 
     return out
-
-
-def has_failure(results: list[CheckResult]) -> bool:
-    return any(r.status == "fail" for r in results)

@@ -30,13 +30,12 @@ import functools
 import os
 import sys
 from collections import Counter
-from math import gcd
 
 from .algebra import _INDICES, AlgElem, CapacityError
 from .calculus import OneForm, TwoForm, derive, differential
-from .checks import has_failure, run_checks
+from .checks import run_checks
 from .curvature import curvature_report
-from .exprs import (ParseError, _frac_text, parse_alg, parse_expr, print_canonical,
+from .exprs import (ParseError, _part_text, parse_alg, parse_expr, print_canonical,
                     print_tensor)
 from .geometry import (
     MetricError,
@@ -54,12 +53,6 @@ def _index_doc(table: dict, decimal: bool) -> list[dict]:
             for idx in sorted(table)]
 
 
-def _part_text(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for d > 0, from the two integers of a triple."""
-    g = gcd(n, d)
-    return _frac_text(n // g, d // g, False)
-
-
 # the "kind" of a JSON document, by the type of the value it shows
 _KINDS = {AlgElem: "algebra", OneForm: "one-form", TwoForm: "two-form"}
 
@@ -74,32 +67,32 @@ def _print_json(doc: dict) -> None:
 # subcommands: each builds only the output that --json selects
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    value = parse_expr(args.expr)
-    text = print_canonical(value, args.decimal)
-    if not args.json:
-        print(text)
-        return 0
-    doc = {"kind": _KINDS[type(value)], "canonical": text}
-    if isinstance(value, AlgElem):
-        doc["terms"] = [{"mu": list(m.mu), "nu": list(m.nu),
-                         "re": _part_text(x, d), "im": _part_text(y, d)}
-                        for m, (x, y, d) in value.terms]
-    else:
-        doc["components"] = {label: print_canonical(a, args.decimal)
-                             for label, a in zip(value.LABELS, value.c)}
-    _print_json(doc)
-    return 0
-
-
 def _print_value(args, value, **fields) -> int:
     """Print a result's canonical text, or with ``--json`` the document of
-    its kind, then ``fields``, then ``canonical``."""
+    its kind, then ``fields``, then ``canonical``: the output of ``derive``
+    and ``d``, and of ``eval`` without ``--json``."""
     text = print_canonical(value, args.decimal)
     if args.json:
         _print_json({"kind": _KINDS[type(value)], **fields, "canonical": text})
     else:
         print(text)
+    return 0
+
+
+def cmd_eval(args) -> int:
+    value = parse_expr(args.expr)
+    if not args.json:
+        return _print_value(args, value)
+    doc = {"kind": _KINDS[type(value)], "canonical": print_canonical(value, args.decimal)}
+    if isinstance(value, AlgElem):
+        # the parts as ``str(Fraction(part, d))``, whatever ``--decimal`` says
+        doc["terms"] = [{"mu": list(m.mu), "nu": list(m.nu),
+                         "re": _part_text(x, d, False), "im": _part_text(y, d, False)}
+                        for m, (x, y, d) in value.terms]
+    else:
+        doc["components"] = {label: print_canonical(a, args.decimal)
+                             for label, a in zip(value.LABELS, value.c)}
+    _print_json(doc)
     return 0
 
 
@@ -186,10 +179,11 @@ def cmd_curvature(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_checks()
-    failed = has_failure(results)
+    n = Counter(r.status for r in results)
+    result = "fail" if n["fail"] else "pass"
     if args.json:
         _print_json({
-            "result": "fail" if failed else "pass",
+            "result": result,
             "checks": [
                 {
                     "id": r.ident,
@@ -205,10 +199,9 @@ def cmd_verify(args) -> int:
         for r in results:
             print(f"{r.status.upper():<5} {r.ident:<40} "
                   f"expected: {r.expected:<24} computed: {r.computed}")
-        n = Counter(r.status for r in results)
-        print(f"result: {'fail' if failed else 'pass'} "
+        print(f"result: {result} "
               f"({n['pass']} passed, {n['fail']} failed, {n['info']} informational)")
-    if failed:
+    if n["fail"]:
         print("verification failed", file=sys.stderr)
         return 1
     return 0

@@ -36,9 +36,10 @@ arithmetic.
 Problems raise :class:`ParseError` carrying the character offset — they
 never abort the process.  That includes input beyond the parser's bounds:
 groups and ``d(...)`` nested deeper than ``MAX_NESTING``, and integer
-literals longer than ``MAX_LITERAL_DIGITS``.  Lexical faults come first;
-syntax, context and degree faults and resource caps (``CapacityError``)
-follow in the order the parser reaches them.
+literals longer than ``MAX_LITERAL_DIGITS`` or a lower int-string limit of
+the interpreter.  Lexical faults come first; syntax, context and degree
+faults and resource caps (``CapacityError``) follow in the order the parser
+reaches them.
 
 A number token is one scalar triple, built by ``scalars._norm`` from its
 integers.
@@ -48,15 +49,17 @@ coefficients on the left of basis symbols and algebra coefficients on the
 right (parenthesized when they have several terms), and always emits text
 that parses back to the same canonical form.  One loop writes each term
 with its sign in front (`` + `` or `` - ``), and one join drops or shortens
-the first sign.  It sorts an element's keys with ``algebra._ordered`` and
-reads each word from its code: a print call builds the text of a word code
-from tables of the letter texts (``algebra._word`` gives the letters) the
-first time a term holds it and looks it up after that (``_WordTexts``), as
-the words of one print call repeat (on the ``cli-text`` benchmark, 94% of
-the word lookups of a print call find a text built before).  It reads each
+the first sign, or prints ``0`` when there are no terms.  It sorts an
+element's keys with ``algebra._ordered`` and reads each word from its code:
+a print call builds the text of a word code from tables of the letter texts
+(``algebra._word`` gives the letters) the first time a term holds it and
+looks it up after that (``_WordTexts``), as the words of one print call
+repeat (on the ``cli-text`` benchmark, 94% of the word lookups of a print
+call find a text built before).  It reads each
 coefficient's triple (a, b, d); a real or an imaginary scalar is in lowest
 terms already, since gcd(a, b, d) = 1, so only a scalar with two nonzero
-parts takes a gcd for each part.
+parts takes a gcd for each part (``_part_text``, which also gives
+``eval --json`` its ``re`` and ``im``).
 """
 
 from __future__ import annotations
@@ -71,11 +74,12 @@ __all__ = [
 ]
 
 import re
+import sys
 from math import gcd
 
 from . import algebra
 from .algebra import _UNIT, AlgElem, Key, _code, _Sum, _times_letters, _word
-from .calculus import WEDGE_PAIRS, OneForm, TwoForm, d0, d1
+from .calculus import WEDGE_PAIRS, OneForm, TwoForm, differential
 from .scalars import GScalar, ONE, _norm
 
 
@@ -83,8 +87,10 @@ from .scalars import GScalar, ONE, _norm
 # frames; 100 levels stay well inside Python's default recursion limit.
 MAX_NESTING = 100
 # CPython's default cap on int-from-string conversion
-# (``sys.get_int_max_str_digits()``, in 3.11 and from 3.10.7); a longer
-# literal is a ParseError here, whatever the interpreter's setting.
+# (``sys.get_int_max_str_digits()``, in 3.11 and from 3.10.7).  A literal
+# longer than this, or than the interpreter's own limit when that is set
+# lower (``-X int_max_str_digits``), is a ParseError here; the limit is read
+# at each tokenization, and 0 or no such function means no limit.
 MAX_LITERAL_DIGITS = 4300
 
 
@@ -137,6 +143,8 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
     the kinds are ``gen``, ``form``, ``num`` and each punctuation character
     and ``d``.  The kinds are tested in the order they are most frequent in
     long sums: punctuation, numbers, runs."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bound = min(MAX_LITERAL_DIGITS, limit or MAX_LITERAL_DIGITS)
     tokens = []
     for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
@@ -145,9 +153,8 @@ def _tokenize(text: str) -> list[tuple[str, int, object]]:
             kind, value = m[kind], None
         elif kind == "num":
             num, den, imag = m.group("numer", "den", "imag")
-            if len(num) > MAX_LITERAL_DIGITS or den and len(den) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
+            if len(num) > bound or den and len(den) > bound:
+                raise ParseError(f"integer literal longer than {bound} digits", pos)
             n, q = int(num or 1), int(den or 1)
             if q == 0:
                 raise ParseError("zero denominator in scalar", pos)
@@ -289,10 +296,9 @@ class _Parser:
                 raise ParseError("differential in algebra context", pos)
             self.expect("(", "'(' after 'd'")
             inner, _ = self.parse_group(pos)
-            deg = _degree(inner)
-            if deg == 2:
+            if isinstance(inner, TwoForm):
                 raise ParseError("d of a two-form is outside this calculus", pos)
-            return (d1(inner) if deg else d0(inner)), pos
+            return differential(inner), pos
         if kind == "(":
             return self.parse_group(pos)
         raise ParseError("expected a scalar, generator, form symbol, d(...) or group",
@@ -364,9 +370,15 @@ def _frac_text(n: int, d: int, decimal: bool) -> str:
     return f"{sign}{digits // 10**k}.{digits % 10**k:0{k}d}"
 
 
-def _imag_text(y: int, d: int, decimal: bool) -> str:
-    """Text of the imaginary scalar ``(y/d) i`` for y > 0, y/d in lowest terms."""
-    return "i" if y == d else _frac_text(y, d, decimal) + "i"
+def _part_text(n: int, d: int, decimal: bool) -> str:
+    """Text of the rational n/d for d > 0, one part of a triple, reduced."""
+    g = gcd(n, d)
+    return _frac_text(n // g, d // g, decimal)
+
+
+def _imag_text(mag: str) -> str:
+    """Text of the imaginary scalar whose positive magnitude reads ``mag``."""
+    return "i" if mag == "1" else mag + "i"
 
 
 # the text of each letter, indexed by the letter: in mu, and in nu as an adjoint
@@ -406,26 +418,25 @@ def _term(c: GScalar, symbol: str, decimal: bool) -> str:
         text = _frac_text(mag, d, decimal)
     elif not x:
         sign, mag = (" - ", -y) if y < 0 else (" + ", y)
-        text = _imag_text(mag, d, decimal)
+        text = _imag_text(_frac_text(mag, d, decimal))
     else:
-        g, h = gcd(x, d), gcd(y, d)
-        re_text = _frac_text(x // g, d // g, decimal)
-        im_text = _imag_text(abs(y) // h, d // h, decimal)
+        re_text = _part_text(x, d, decimal)
+        im_text = _imag_text(_part_text(abs(y), d, decimal))
         sign, text = " + ", f"({re_text} {'-' if y < 0 else '+'} {im_text})"
     return f"{sign}{text} {symbol}" if symbol else sign + text
 
 
 def _join_terms(terms: list[str]) -> str:
-    """The signed terms as one text: the first loses its `` + ``, or reads
-    ``- `` for `` - ``."""
+    """The signed terms as one text: ``0`` for no terms, else the first loses
+    its `` + ``, or reads ``- `` for `` - ``."""
     text = "".join(terms)
+    if not text:
+        return "0"
     return text[3:] if text[1] == "+" else "- " + text[3:]
 
 
 def _alg_text(x: AlgElem, decimal: bool, words: _WordTexts) -> str:
     """The text of an element; its terms are sorted once."""
-    if x.is_zero():
-        return "0"
     return _join_terms([_term(c, _mono_text(key, words), decimal)
                         for key, c in algebra._ordered(x._map.items())])
 
@@ -440,14 +451,8 @@ def _form_term(label: str, a: AlgElem, decimal: bool, words: _WordTexts) -> str:
 
 def _form_text(labels: tuple[str, ...], coeffs, decimal: bool) -> str:
     words = _WordTexts()
-    parts = [
-        _form_term(label, a, decimal, words)
-        for label, a in zip(labels, coeffs)
-        if not a.is_zero()
-    ]
-    if not parts:
-        return "0"
-    return _join_terms(parts)
+    return _join_terms([_form_term(label, a, decimal, words)
+                        for label, a in zip(labels, coeffs) if not a.is_zero()])
 
 
 def print_canonical(x, decimal: bool = False) -> str:

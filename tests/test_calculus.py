@@ -467,6 +467,11 @@ def test_tensor_operands_are_checked():
 def test_no_differential_of_a_two_form():
     with pytest.raises(TypeError, match="outside this calculus"):
         differential(TwoForm.zero())
+    # what is no form at all is named, not called a two-form
+    for x, name in ((5, "int"), ("S1", "str")):
+        with pytest.raises(TypeError) as err:
+            differential(x)
+        assert str(err.value) == f"differential takes an AlgElem or a OneForm, not {name}"
 
 
 def test_tensor_equals_is_false_for_other_types():

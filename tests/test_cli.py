@@ -1,6 +1,7 @@
 """End-to-end command-line checks (subprocess, real exit codes)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,16 @@ def test_eval_json_is_structured():
     assert doc["kind"] == "algebra"
     assert doc["canonical"] == "1/2 S1"
     assert doc["terms"][0]["mu"] == [1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--decimal"]])
+def test_eval_json_parts_reduce_separately(capsys, flags):
+    """1/2 + 1/3i is the triple (3, 2, 6); ``re`` and ``im`` are each part
+    reduced alone, as fractions whatever ``--decimal`` says."""
+    assert cli.main(["eval", "--json", *flags, "(1/2 + 1/3i) S1 - 3/4i S2*"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(t["mu"], t["nu"], t["re"], t["im"]) for t in doc["terms"]] == [
+        ([1], [], "1/2", "1/3"), ([], [2], "0", "-3/4")]
 
 
 def test_derive_table_entry():
@@ -95,6 +106,31 @@ def test_commands_build_only_the_output_they_print(monkeypatch, capsys):
     assert cli.main(["curvature", "--json", dense]) == 0
     assert json.loads(capsys.readouterr().out)["scalar"]
     assert tensor == []
+
+
+# An element keeps its terms in the order they were formed and is sorted
+# only when printed, and d1 folds those unsorted term maps; the texts are
+# those of CI's "Determinism smoke test": an algebra text written out of
+# display order, and a one-form text whose sum completes a family.
+_OUT_OF_ORDER = "S2 S2 S3* S1* + S1 S3 S3* S2* + 2 S3* + S1 S1 S1* S2* + S3 S2* + S1 S2 S2* S2*"
+_FAMILY = "e1 S1 S3 S3* S2* + e1 S1 S1 S1* S2* + 2 e3 S3* + e1 S1 S2 S2* S2*"
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--json", str(_FIXTURES / "complex_32.json")],
+    ["levi-civita", "--json", str(_FIXTURES / "dense.json")],
+    ["verify-paper", "--json"],
+    ["eval", _OUT_OF_ORDER],
+    ["d", "--json", _FAMILY],
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outs = [subprocess.run(CMD + argv, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [r.returncode for r in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -220,6 +256,26 @@ def test_long_json_integer_in_metric_file_is_exit_4(tmp_path):
     assert r.returncode == 4
     assert r.stderr.startswith("invalid metric:")
     assert "too long to decode" in r.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-string digit limit")
+def test_a_lower_int_string_limit_bounds_literals(tmp_path):
+    """Under ``-X int_max_str_digits=640`` a literal of 641 to 4300 digits
+    is a parse error naming 640, not an internal error from ``int()``."""
+    limited = [sys.executable, "-X", "int_max_str_digits=640", "-m", "cuntzgeo"]
+    sevens = "7" * 1000
+    r = subprocess.run(limited + ["eval", sevens + " S1"], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr == "parse error: integer literal longer than 640 digits (at offset 0)\n"
+    path = write_metric(tmp_path, [[sevens, 0, 0], [0, 1, 0], [0, 0, 1]])
+    r = subprocess.run(limited + ["curvature", path], capture_output=True, text=True)
+    assert r.returncode == 4
+    assert r.stderr.startswith("invalid metric:")
+    assert "integer literal longer than 640 digits" in r.stderr
+    r = subprocess.run(limited + ["eval", sevens[:640] + " S1"], capture_output=True,
+                       text=True)
+    assert (r.returncode, r.stdout) == (0, sevens[:640] + " S1\n")
 
 
 def test_differential_in_metric_entry_is_exit_4(tmp_path):
@@ -389,7 +445,14 @@ def test_a_wrong_derivation_fails_the_bracket_rows(monkeypatch, capsys):
         r = rows[f"derivation.bracket.{ab}"]
         assert (r.status, r.computed) == ("fail", "mismatch")
     assert cli.main(["verify-paper"]) == 1
-    assert capsys.readouterr().err == "verification failed\n"
+    out, err = capsys.readouterr()
+    assert err == "verification failed\n"
+    # the three brackets and the six off-diagonal derivation rows fail
+    assert out.splitlines()[-1] == "result: fail (118 passed, 9 failed, 1 informational)"
+    assert cli.main(["verify-paper", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["result"] == "fail"
+    assert err == "verification failed\n"
 
 
 @pytest.mark.parametrize("command,operands", [

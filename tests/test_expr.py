@@ -16,6 +16,7 @@ from cuntzgeo import (
     CapacityError,
     OneForm,
     ParseError,
+    TensorElem,
     TwoForm,
     d0,
     d1,
@@ -24,6 +25,7 @@ from cuntzgeo import (
     parse_expr,
     parse_scalar,
     print_canonical,
+    print_tensor,
 )
 from cuntzgeo import algebra, cli, exprs
 from cuntzgeo.exprs import MAX_LITERAL_DIGITS, MAX_NESTING
@@ -100,12 +102,29 @@ def test_canonical_examples():
     assert print_canonical(OneForm.zero()) == "0"
 
 
+@pytest.mark.parametrize("decimal", [False, True])
+def test_a_value_with_no_terms_prints_0(decimal):
+    """The join of the terms prints an empty list of terms, for elements,
+    forms and tensors alike."""
+    for value in (AlgElem.zero(), parse_alg("S1 - S1"), OneForm.zero(), TwoForm.zero()):
+        assert print_canonical(value, decimal) == "0"
+    assert print_tensor(TensorElem.zero(2), decimal) == "0"
+    # a zero component is left out of a form's terms
+    assert print_canonical(parse_expr("e1 (S1 - S1) - e2"), decimal) == "- e2"
+
+
 def test_mixed_coefficient_printing():
     c = GScalar(rational(1, 2).re, rational(-3, 4).re)
     x = AlgElem.generator(1).scale(c)
     text = print_canonical(x)
     assert text == "(1/2 - 3/4i) S1"
     assert parse_alg(text) == x
+    # 1/2 + 1/3i is the triple (3, 2, 6): each part reduces by its own gcd,
+    # and an imaginary part that reduces to 1 prints as ``i``
+    x = parse_alg("(1/2 + 1/3i) S1 - 3/4i S2*")
+    assert print_canonical(x) == "(1/2 + 1/3i) S1 - 3/4i S2*"
+    assert print_canonical(x, decimal=True) == "(0.5 + 1/3i) S1 - 0.75i S2*"
+    assert print_canonical(parse_alg("1/2 + i")) == "(1/2 + i)"
 
 
 def test_pure_imaginary_printing():
